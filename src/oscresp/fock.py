@@ -7,13 +7,19 @@ operator products under the orderings used throughout (forward/backward
 time ordering on the two contour branches, normal, antinormal, symmetric,
 or none).  The driven system enters exactly through a c-number shift of
 the position factors, so no time-dependent integration is ever needed.
+
+Plain and contour-ordered products are one chain of matrix products.  The
+symmetric (Weyl) product comes from the polarization identity: 2^(m-1)
+m-th powers of signed factor sums, ceil(m/2) matrix products each, in
+place of m! permutations.  Normal and antinormal products contract the
+coefficients of the factors' a / a^dag / identity parts with one table of
+ladder moments (``ladder_moments``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations, product
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -191,17 +197,57 @@ def _factor_matrix(f: Factor, p: OscillatorParams, dim: int, shift: Shift) -> np
 
 
 def _factor_parts(f: Factor, p: OscillatorParams, shift: Shift):
-    """Split a factor into (coefficient, symbol) parts over {a, adag, id}."""
+    """(c, d, s): the factor as c*a + d*adag + s*identity."""
     phase = np.exp(-1j * p.omega0 * f.time)
     if f.observable == "q":
         scale = p.q0 / math.sqrt(2.0)
-        parts = [(scale * phase, "a"), (scale * np.conj(phase), "adag")]
-        if shift is not None:
-            parts.append((_shift_value(shift, f.time), "id"))
-    else:
-        scale = 1j * p.p0 / math.sqrt(2.0)
-        parts = [(-scale * phase, "a"), (scale * np.conj(phase), "adag")]
-    return parts
+        return scale * phase, scale * np.conj(phase), _shift_value(shift, f.time)
+    scale = 1j * p.p0 / math.sqrt(2.0)
+    return -scale * phase, scale * np.conj(phase), 0.0
+
+
+def ladder_moments(state: FockState, order: int, antinormal: bool = False) -> np.ndarray:
+    """M[j, k] = <adag^j a^k>, or <a^k adag^j> if antinormal, for j, k <= order.
+
+    <adag^j a^k> = Tr(a^k rho adag^j) is the sum of (a^k rho) * a^j taken
+    elementwise, because a is real; likewise <a^k adag^j> with rho a^k.
+    a^j is nonzero only on its j-th superdiagonal, sqrt(n!/(n-j)!) at
+    (n-j, n), so the table costs `order` matrix products.
+    """
+    dim = state.dim
+    a = ladder(dim)[0].real
+    shifted = [state.rho]                      # a^k rho, or rho a^k
+    for _ in range(order):
+        shifted.append(shifted[-1] @ a if antinormal else a @ shifted[-1])
+    moments = np.empty((order + 1, order + 1), dtype=complex)
+    weight = np.ones(dim)                      # superdiagonal j of a^j
+    for j in range(order + 1):
+        if j:
+            weight = weight[:-1] * np.sqrt(np.arange(j, dim))
+        for k in range(order + 1):
+            moments[j, k] = np.dot(np.diagonal(shifted[k], offset=j), weight)
+    return moments
+
+
+def _weyl_average(state: FockState, mats) -> complex:
+    """<Sym(X_1 ... X_m)> by polarization.
+
+    Sym(X_1 ... X_m) = 2^(1-m)/m! sum over eps in {+-1}^m with eps_1 = +1 of
+    (prod eps) S^m, S = sum eps_i X_i.  Each <S^m> is Tr[(S^r rho) S^h] with
+    h = ceil(m/2) and r = m - h: h matrix products per sign pattern.
+    """
+    m = len(mats)
+    h = (m + 1) // 2
+    stack = np.array(mats)
+    total = 0.0j
+    for bits in range(2 ** (m - 1)):
+        signs = [1] + [-1 if bits >> i & 1 else 1 for i in range(m - 1)]
+        powers = [np.tensordot(signs, stack, axes=1)]          # S^1 ... S^h
+        while len(powers) < h:
+            powers.append(powers[-1] @ powers[0])
+        left = powers[m - h - 1] @ state.rho if m > h else state.rho
+        total += math.prod(signs) * np.einsum("ij,ji->", left, powers[-1])
+    return complex(total) * 2.0 ** (1 - m) / math.factorial(m)
 
 
 def ordered_average(state: FockState, spec: OrderedProductSpec,
@@ -213,64 +259,41 @@ def ordered_average(state: FockState, spec: OrderedProductSpec,
     the right, within the forward branch it decreases to the right
     (contour-earlier operators go right).  Equal times on one branch
     commute under the ordering, so the stable input order is kept.
-    normal/antinormal split every factor into its a / a^dag parts and
-    reorder those; weyl averages over all factor permutations with equal
-    weight.
+    weyl: the equal-weight average over all factor orders, evaluated by
+    the polarization identity.  normal/antinormal: every factor is
+    c*a + d*adag + s; the coefficients P[j, k] of x^k y^j in the product of
+    (c x + d y + s) are contracted with ``ladder_moments``.
     """
     dim = state.dim
     factors = spec.factors
     if not factors:
         return complex(np.trace(state.rho))
 
-    if spec.ordering in ("plain", "double_time", "weyl"):
-        mats = [_factor_matrix(f, p, dim, spec.shift) for f in factors]
-        if spec.ordering == "plain":
-            orderings = [mats]
-        elif spec.ordering == "double_time":
-            minus = [i for i, f in enumerate(factors) if f.branch == "minus"]
-            plus = [i for i, f in enumerate(factors) if f.branch == "plus"]
-            minus.sort(key=lambda i: factors[i].time)            # earliest leftmost
-            plus.sort(key=lambda i: -factors[i].time)            # latest leftmost
-            orderings = [[mats[i] for i in minus + plus]]
-        else:
-            orderings = [list(seq) for seq in permutations(mats)]
-        total = 0.0j
-        for seq in orderings:
-            op = seq[0].copy()
-            for m in seq[1:]:
-                op = op @ m
-            total += expectation(state, op)
-        return total / len(orderings)
+    if spec.ordering in ("normal", "antinormal"):
+        m = len(factors)
+        poly = np.zeros((m + 1, m + 1), dtype=complex)     # [adag power, a power]
+        poly[0, 0] = 1.0
+        for c, d, s in (_factor_parts(f, p, spec.shift) for f in factors):
+            grown = s * poly
+            grown[:, 1:] += c * poly[:, :-1]
+            grown[1:, :] += d * poly[:-1, :]
+            poly = grown
+        moments = ladder_moments(state, m, antinormal=spec.ordering == "antinormal")
+        return complex(np.sum(poly * moments))
 
-    # normal / antinormal: expand over a / adag / id parts of every factor
-    a, adag = ladder(dim)
-    max_pow = len(factors)
-    a_pows = [np.eye(dim, dtype=complex)]
-    adag_pows = [np.eye(dim, dtype=complex)]
-    for _ in range(max_pow):
-        a_pows.append(a_pows[-1] @ a)
-        adag_pows.append(adag_pows[-1] @ adag)
-    moments = np.empty((max_pow + 1, max_pow + 1), dtype=complex)
-    for j in range(max_pow + 1):
-        for k in range(max_pow + 1):
-            if spec.ordering == "normal":
-                moments[j, k] = expectation(state, adag_pows[j] @ a_pows[k])
-            else:
-                moments[j, k] = expectation(state, a_pows[k] @ adag_pows[j])
-    part_lists = [_factor_parts(f, p, spec.shift) for f in factors]
-    total = 0.0j
-    for choice in product(*part_lists):
-        coeff = 1.0 + 0.0j
-        n_a = n_dag = 0
-        for c, sym in choice:
-            coeff *= c
-            if sym == "a":
-                n_a += 1
-            elif sym == "adag":
-                n_dag += 1
-        if coeff != 0.0:
-            total += coeff * moments[n_dag, n_a]
-    return total
+    mats = [_factor_matrix(f, p, dim, spec.shift) for f in factors]
+    if spec.ordering == "weyl":
+        return _weyl_average(state, mats)
+    if spec.ordering == "double_time":
+        minus = [i for i, f in enumerate(factors) if f.branch == "minus"]
+        plus = [i for i, f in enumerate(factors) if f.branch == "plus"]
+        minus.sort(key=lambda i: factors[i].time)            # earliest leftmost
+        plus.sort(key=lambda i: -factors[i].time)            # latest leftmost
+        mats = [mats[i] for i in minus + plus]
+    op = mats[0]
+    for m in mats[1:]:
+        op = op @ m
+    return expectation(state, op)
 
 
 # -- double-time characteristic functional, truncated in the probe amplitude ----

@@ -176,16 +176,11 @@ def phi_in_state(state: fock.FockState, eta: SampledSignal, p: OscillatorParams,
     if order > MAX_MOMENT_ORDER:
         raise FunctionalError(f"expansion order capped at {MAX_MOMENT_ORDER}")
     c, d = _eta_ladder_coefficients(eta, p)
-    a, adag = fock.ladder(state.dim)
-    a_pows = [np.eye(state.dim, dtype=complex)]
-    adag_pows = [np.eye(state.dim, dtype=complex)]
-    for _ in range(order):
-        a_pows.append(a_pows[-1] @ a)
-        adag_pows.append(adag_pows[-1] @ adag)
+    moments = fock.ladder_moments(state, order)
     total = 0.0j
     for k in range(order + 1):
         for j in range(k + 1):
-            moment = fock.expectation(state, adag_pows[k - j] @ a_pows[j])
+            moment = moments[k - j, j]
             total += (c ** j) * (d ** (k - j)) * moment / (math.factorial(j) * math.factorial(k - j))
     return total
 

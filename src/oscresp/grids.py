@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,8 @@ class TimeGrid:
             raise GridError(f"grid size must be even and >= 4, got {self.n}")
         if not self.dt > 0:
             raise GridError(f"time step must be positive, got {self.dt}")
+        if not (math.isfinite(self.dt) and math.isfinite(self.t0)):
+            raise GridError(f"time step and origin must be finite, got {self.dt}, {self.t0}")
 
     @property
     def period(self) -> float:

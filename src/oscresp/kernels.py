@@ -36,6 +36,8 @@ class OscillatorParams:
     hbar: float = 1.0
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.mass, self.omega0, self.hbar)):
+            raise ValueError("mass, omega0 and hbar must all be finite")
         if min(self.mass, self.omega0, self.hbar) <= 0:
             raise ValueError("mass, omega0 and hbar must all be positive")
 

@@ -1,3 +1,6 @@
+import math
+from itertools import permutations, product
+
 import numpy as np
 import pytest
 
@@ -210,3 +213,105 @@ def test_empty_product_is_the_trace():
     coh = make_state("coherent", 30, alpha=0.2)
     value = ordered_average(coh, OrderedProductSpec(factors=(), ordering="plain"), P)
     assert value == pytest.approx(1.0, abs=1e-12)
+
+
+# -- reference oracles for the weyl, normal and antinormal orderings -------------
+
+ORACLE_DIM = 30
+ORACLE_STATES = {
+    "vacuum": lambda: make_state("vacuum", ORACLE_DIM),
+    "coherent": lambda: make_state("coherent", ORACLE_DIM, alpha=0.8),
+    "thermal": lambda: make_state("thermal", ORACLE_DIM, nbar=0.3),
+}
+
+
+def oracle_factors(m):
+    times = np.random.default_rng(m).uniform(-2.0, 2.0, size=m)
+    observables = ("q", "p", "q", "q", "p", "p")[:m]
+    return tuple((obs, float(t), None) for obs, t in zip(observables, times))
+
+
+def oracle_matrices(factors, shift, dim):
+    mats = []
+    for obs, t, _ in factors:
+        if obs == "q":
+            op = heisenberg_q(P, t, dim)
+            if shift is not None:
+                op = op + shift(t) * np.eye(dim)
+        else:
+            op = heisenberg_p(P, t, dim)
+        mats.append(op)
+    return mats
+
+
+def permutation_average(state, mats):
+    total = 0.0j
+    orders = list(permutations(mats))
+    for seq in orders:
+        op = np.eye(state.dim, dtype=complex)
+        for x in seq:
+            op = op @ x
+        total += fock.expectation(state, op)
+    return total / len(orders)
+
+
+def expanded_average(state, mats, antinormal):
+    # every factor is c*a + d*adag + s*1; read c, d, s off its matrix
+    dim = state.dim
+    a, adag = ladder(dim)
+    a_pow = [np.linalg.matrix_power(a, k) for k in range(len(mats) + 1)]
+    adag_pow = [np.linalg.matrix_power(adag, k) for k in range(len(mats) + 1)]
+    op = np.zeros((dim, dim), dtype=complex)
+    for choice in product(range(3), repeat=len(mats)):
+        coeff = 1.0 + 0.0j
+        for x, part in zip(mats, choice):
+            coeff *= (x[0, 1], x[1, 0], x[0, 0])[part]
+        n_a, n_dag = choice.count(0), choice.count(1)
+        if antinormal:
+            op += coeff * (a_pow[n_a] @ adag_pow[n_dag])
+        else:
+            op += coeff * (adag_pow[n_dag] @ a_pow[n_a])
+    return fock.expectation(state, op)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("kind", sorted(ORACLE_STATES))
+@pytest.mark.parametrize("shift", [None, lambda t: 0.3 + 0.2j * t], ids=["bare", "shifted"])
+def test_orderings_match_explicit_operator_oracles(m, kind, shift):
+    state = ORACLE_STATES[kind]()
+    factors = oracle_factors(m)
+    mats = oracle_matrices(factors, shift, state.dim)
+    references = {
+        "weyl": permutation_average(state, mats),
+        "normal": expanded_average(state, mats, antinormal=False),
+        "antinormal": expanded_average(state, mats, antinormal=True),
+    }
+    for ordering, ref in references.items():
+        value = ordered_average(state, OrderedProductSpec(factors, ordering, shift), P)
+        assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), ordering
+
+
+def test_weyl_at_max_factors_gives_gaussian_moments():
+    vac = make_state("vacuum", 40)
+    m = fock.MAX_FACTORS
+    equal = ordered_average(vac, OrderedProductSpec(
+        factors=(("q", 0.4, None),) * m, ordering="weyl"), P)
+    assert m == 8
+    assert abs(equal - 105 * (P.q0 ** 2 / 2) ** 4) < 1e-12 * 105
+    distinct = ordered_average(vac, OrderedProductSpec(
+        factors=tuple(("q", 0.3 * k, None) for k in range(m - 1)), ordering="weyl"), P)
+    assert abs(distinct) < 1e-12
+
+
+def test_ladder_moments_in_closed_form():
+    order = 5
+    j, k = np.indices((order + 1, order + 1))
+    same = j == k
+    factorial = np.array([math.factorial(n) for n in range(order + 1)])
+    vac = fock.ladder_moments(make_state("vacuum", 20), order, antinormal=True)
+    assert np.max(np.abs(vac - np.where(same, factorial[j], 0.0))) < 1e-10
+    th = fock.ladder_moments(make_state("thermal", 60, nbar=0.3), order)
+    assert np.max(np.abs(th - np.where(same, factorial[j] * 0.3 ** j, 0.0))) < 1e-10
+    alpha = 0.5 - 0.3j
+    coh = fock.ladder_moments(make_state("coherent", 40, alpha=alpha), order)
+    assert np.max(np.abs(coh - np.conj(alpha) ** j * alpha ** k)) < 1e-10

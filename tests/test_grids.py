@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from oscresp.grids import (GridError, Kernel, SampledSignal,
+from oscresp.grids import (GridError, Kernel, SampledSignal, TimeGrid,
                            circular_convolve, frequency_split, kernel_adjoint,
                            kernel_from_record, make_grid, read_kernel_csv,
                            read_signal_csv, read_signal_json, reflect_values,
@@ -27,6 +27,13 @@ def test_make_grid_centers_window():
 def test_make_grid_rejects_bad_arguments(n, dt):
     with pytest.raises(GridError):
         make_grid(n, dt)
+
+
+@pytest.mark.parametrize("dt,t0", [(float("inf"), 0.0), (float("nan"), 0.0),
+                                   (0.1, float("nan")), (0.1, float("-inf"))])
+def test_time_grid_rejects_non_finite_step_and_origin(dt, t0):
+    with pytest.raises(GridError):
+        TimeGrid(8, dt, t0)
 
 
 def test_index_of_rejects_off_grid_times():

@@ -28,6 +28,13 @@ def test_params_validation_and_scales():
         OscillatorParams(mass=-1.0)
 
 
+@pytest.mark.parametrize("field", ["mass", "omega0", "hbar"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_params_reject_non_finite_values(field, value):
+    with pytest.raises(ValueError):
+        OscillatorParams(**{field: value})
+
+
 def test_closed_form_reference_values():
     assert osc_dr_value(np.pi / 2, P) == pytest.approx(-1.0, abs=1e-15)
     assert osc_d_value(0.0, P) == pytest.approx(-0.5j, abs=1e-15)
