@@ -26,8 +26,8 @@ import numpy as np
 from . import fock
 from .grids import (Kernel, SampledSignal, circular_convolve, frequency_split,
                     zero_nyquist_fraction)
-from .kernels import (ChargedKernels, OscKernels, OscillatorParams,
-                      osc_d_value, osc_df_value)
+from .kernels import ChargedKernels, OscKernels, OscillatorParams, osc_d_value
+from .wick import _pair_kind, contraction_value, enumerate_pairings
 
 MAX_MOMENT_ORDER = 6
 
@@ -234,8 +234,6 @@ def gaussian_moments(quad: np.ndarray, lin: np.ndarray) -> complex:
     pairings of the indices of products of quad entries for the pairs and
     lin entries for the singletons.
     """
-    from .wick import enumerate_pairings
-
     quad = np.asarray(quad, dtype=complex)
     lin = np.asarray(lin, dtype=complex)
     m = lin.shape[0]
@@ -265,38 +263,24 @@ def predicted_double_time_moment(factors, p: OscillatorParams, mean: Mean = None
     """Branch-ordered moment predicted by the exponential functional.
 
     factors: sequence of (branch, time); mean is the c-number position
-    path (initial-state mean plus classical displacement), entering the
-    linear part of the exponent.
+    path (initial-state mean plus classical displacement).  The moment is
+    the pairing sum with the contraction of each pair's branch kind
+    (``wick.contraction_value``) and the mean at each unpaired time.
     """
     factors = list(factors)
     m = len(factors)
-    hbar = p.hbar
+    for branch, _ in factors:
+        if branch not in ("plus", "minus"):
+            raise FunctionalError(f"factor branch must be 'plus' or 'minus', got {branch!r}")
     quad = np.zeros((m, m), dtype=complex)
-    lin = np.zeros(m, dtype=complex)
-    prefactor = 1.0 + 0.0j
+    # the pairing formula only ever reads off-diagonal entries
     for a, (branch_a, t_a) in enumerate(factors):
-        if branch_a == "plus":
-            lin[a] = -1j * _mean_at(mean, t_a)
-            prefactor *= 1j
-        elif branch_a == "minus":
-            lin[a] = 1j * _mean_at(mean, t_a)
-            prefactor *= -1j
-        else:
-            raise FunctionalError(f"factor branch must be 'plus' or 'minus', got {branch_a!r}")
-        # the pairing formula only ever reads off-diagonal entries: every
-        # probe weight is differentiated exactly once
         for b, (branch_b, t_b) in enumerate(factors):
-            if b == a:
-                continue
-            if branch_a == "plus" and branch_b == "plus":
-                quad[a, b] = -1j * hbar * osc_df_value(t_a - t_b, p)
-            elif branch_a == "minus" and branch_b == "minus":
-                quad[a, b] = 1j * hbar * np.conj(osc_df_value(t_a - t_b, p))
-            elif branch_a == "minus":
-                quad[a, b] = 1j * hbar * osc_d_value(t_a - t_b, p)
-            else:
-                quad[a, b] = 1j * hbar * osc_d_value(t_b - t_a, p)
-    return prefactor * gaussian_moments(quad, lin)
+            if b != a:
+                quad[a, b] = contraction_value(_pair_kind(branch_a, branch_b),
+                                               t_a, branch_a, t_b, branch_b, p)
+    lin = np.array([_mean_at(mean, t) for _, t in factors], dtype=complex)
+    return gaussian_moments(quad, lin)
 
 
 def predicted_weyl_moment(times, p: OscillatorParams, mean: Mean = None) -> complex:

@@ -124,8 +124,8 @@ def _require_same_grid(a, b) -> None:
 
 
 def reflect_values(values: np.ndarray) -> np.ndarray:
-    """values[(n - k) % n]: time (or tau) inversion on the periodic grid."""
-    return np.roll(values[::-1], 1)
+    """values[..., (n - k) % n]: time (or tau) inversion of the last axis."""
+    return np.roll(values[..., ::-1], 1, axis=-1)
 
 
 def zeros_like(grid: TimeGrid) -> SampledSignal:
@@ -134,27 +134,35 @@ def zeros_like(grid: TimeGrid) -> SampledSignal:
 
 # -- frequency-sign decomposition -------------------------------------------
 
-def _half_masks(n: int):
-    """Bin masks for the frequency-positive / negative halves of a DFT.
+def half_step(n: int) -> np.ndarray:
+    """1 above index n/2, 1/2 at indices 0 and n/2, 0 elsewhere.
 
-    With samples following exp(-i w t), positive continuum frequencies sit
-    in the upper DFT bins (k > n/2).  Zero and Nyquist bins are split
-    half/half between the two parts so they always add back exactly.
+    The two halves sit at the fixed points of k -> (n - k) % n, so
+    half_step + reflect_values(half_step) = 1 at every index.  Read over
+    kernel samples (tau = (k - n/2)*dt) it is the step theta(tau), with
+    1/2 at tau = 0 and at the wrap point.  Read over DFT bins it keeps the
+    frequency-positive half: with samples following exp(-i w t), w > 0
+    sits in the upper bins, and the zero and Nyquist bins are shared
+    half/half so that the two parts always add back exactly.
     """
-    plus = np.zeros(n)
-    plus[n // 2 + 1:] = 1.0
-    plus[0] = 0.5
-    plus[n // 2] = 0.5
-    return plus, 1.0 - plus
+    step = np.zeros(n)
+    step[n // 2 + 1:] = 1.0
+    step[0] = 0.5
+    step[n // 2] = 0.5
+    return step
+
+
+def split_values(values: np.ndarray):
+    """(plus, minus) frequency parts of samples along the last axis."""
+    mask_plus = half_step(values.shape[-1])
+    spec = np.fft.fft(values, axis=-1)
+    return (np.fft.ifft(spec * mask_plus, axis=-1),
+            np.fft.ifft(spec * (1.0 - mask_plus), axis=-1))
 
 
 def frequency_split(s):
     """Split a signal or kernel into (plus, minus) frequency parts."""
-    n = s.grid.n
-    mask_plus, mask_minus = _half_masks(n)
-    spec = np.fft.fft(s.values)
-    plus = np.fft.ifft(spec * mask_plus)
-    minus = np.fft.ifft(spec * mask_minus)
+    plus, minus = split_values(s.values)
     return type(s)(s.grid, plus), type(s)(s.grid, minus)
 
 

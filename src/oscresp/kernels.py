@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import Kernel, TimeGrid, frequency_split, kernel_adjoint, reflect_values
+from .grids import (Kernel, TimeGrid, frequency_split, half_step, kernel_adjoint,
+                    reflect_values, split_values)
 
 
 class CommensurabilityError(ValueError):
@@ -64,20 +65,6 @@ def check_commensurate(omega: float, grid: TimeGrid, *, loose: bool = False) -> 
     return float(ki)
 
 
-def theta_samples(grid: TimeGrid) -> np.ndarray:
-    """Discrete step of tau with value 1/2 at tau = 0 and at the wrap point.
-
-    The two fixed points of the periodic reflection tau -> -tau carry 1/2,
-    which makes theta(tau) + theta(-tau) = 1 hold at every sample.
-    """
-    n = grid.n
-    theta = np.zeros(n)
-    theta[n // 2 + 1:] = 1.0
-    theta[n // 2] = 0.5
-    theta[0] = 0.5
-    return theta
-
-
 # -- closed forms at exact time differences ----------------------------------
 
 def theta_half(tau: float) -> float:
@@ -87,8 +74,8 @@ def theta_half(tau: float) -> float:
     return 0.5 if tau == 0 else 0.0
 
 
-def osc_d_value(tau: float, p: OscillatorParams) -> complex:
-    """Plain contraction D(tau) = -i exp(-i w0 tau) / (2 m w0)."""
+def osc_d_value(tau, p: OscillatorParams):
+    """Plain contraction D(tau) = -i exp(-i w0 tau) / (2 m w0), elementwise on arrays."""
     return -1j * np.exp(-1j * p.omega0 * tau) / (2.0 * p.mass * p.omega0)
 
 
@@ -117,8 +104,8 @@ def osc_kernels(p: OscillatorParams, grid: TimeGrid, *, loose: bool = False) -> 
     """Sample D_R, D and D_F of the oscillator on the grid."""
     check_commensurate(p.omega0, grid, loose=loose)
     tau = grid.times()
-    theta = theta_samples(grid)
-    d = -1j * np.exp(-1j * p.omega0 * tau) / (2.0 * p.mass * p.omega0)
+    theta = half_step(grid.n)
+    d = osc_d_value(tau, p)
     d_r = -theta * np.sin(p.omega0 * tau) / (p.mass * p.omega0)
     d_f = theta * d + (1.0 - theta) * reflect_values(d)
     return OscKernels(
@@ -228,10 +215,9 @@ class NeutralFieldKernels:
         return Kernel(self.grid, getattr(self, kind)[mu, r, mu_p, r_p])
 
 
-def _swap_reflect(family: np.ndarray) -> np.ndarray:
+def swap_reflect(family: np.ndarray) -> np.ndarray:
     """K_{mu' r', mu r}(-tau) from K_{mu r, mu' r'}(tau)."""
-    swapped = np.transpose(family, (2, 3, 0, 1, 4))
-    return np.roll(swapped[..., ::-1], 1, axis=-1)
+    return reflect_values(np.transpose(family, (2, 3, 0, 1, 4)))
 
 
 def neutral_field_kernels(ms: ModeSet, grid: TimeGrid, *, loose: bool = False) -> NeutralFieldKernels:
@@ -242,8 +228,8 @@ def neutral_field_kernels(ms: ModeSet, grid: TimeGrid, *, loose: bool = False) -
     phases = np.exp(-1j * np.outer(ms.frequencies, tau))  # (n_modes, n)
     # D_{mu mu'}(r, r', tau) = -i sum_k e^{-i w_k tau} A[k,mu,r] conj(A[k,mu',r'])
     d = -1j * np.einsum("kab,kcd,kt->abcdt", ms.amplitudes, np.conj(ms.amplitudes), phases)
-    d_sw = _swap_reflect(d)
-    theta = theta_samples(grid)
+    d_sw = swap_reflect(d)
+    theta = half_step(grid.n)
     d_f = theta * d + (1.0 - theta) * d_sw
     d_r = theta * (d - d_sw)
     return NeutralFieldKernels(grid=grid, d=d, d_f=d_f, d_r=d_r)
@@ -272,17 +258,9 @@ def field_kernels_to_records(nk: NeutralFieldKernels, kind: str = "d") -> list[d
 
 def neutral_identity_residuals(nk: NeutralFieldKernels) -> dict[str, float]:
     """Max residual of the D-from-D_R and D_F-from-D_R reconstructions."""
-    shape = nk.d.shape
-    spec = np.fft.fft(nk.d_r, axis=-1)
-    n = shape[-1]
-    mask_plus = np.zeros(n)
-    mask_plus[n // 2 + 1:] = 1.0
-    mask_plus[0] = 0.5
-    mask_plus[n // 2] = 0.5
-    dr_plus = np.fft.ifft(spec * mask_plus, axis=-1)
-    dr_minus = np.fft.ifft(spec * (1.0 - mask_plus), axis=-1)
-    d_rebuilt = dr_plus - _swap_reflect(dr_minus)
-    df_rebuilt = dr_plus + _swap_reflect(dr_plus)
+    dr_plus, dr_minus = split_values(nk.d_r)
+    d_rebuilt = dr_plus - swap_reflect(dr_minus)
+    df_rebuilt = dr_plus + swap_reflect(dr_plus)
     return {
         "d": float(np.max(np.abs(d_rebuilt - nk.d))),
         "d_f": float(np.max(np.abs(df_rebuilt - nk.d_f))),
@@ -338,7 +316,7 @@ def charged_field_kernels(cms: ChargedModeSet, grid: TimeGrid, *, loose: bool = 
         if cms.omegas_a.size else np.zeros(grid.n, dtype=complex)
     d_b = -1j * np.exp(+1j * np.outer(cms.omegas_b, tau)).T @ cms.weights_b \
         if cms.omegas_b.size else np.zeros(grid.n, dtype=complex)
-    theta = theta_samples(grid)
+    theta = half_step(grid.n)
     d_f = theta * d_a + (1.0 - theta) * d_b
     d_f_dag = np.conj(reflect_values(d_f))
     d_r = d_f - d_b

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from oscresp import fock
-from oscresp.grids import frequency_split, kernel_adjoint, make_grid, reflect_values
+from oscresp.grids import (frequency_split, half_step, kernel_adjoint, make_grid,
+                           reflect_values)
 from oscresp.kernels import (ChargedModeSet, CommensurabilityError, ModeSet,
                              OscillatorParams, charged_field_kernels,
                              charged_identity_residuals, commutator_kernel,
@@ -11,7 +12,7 @@ from oscresp.kernels import (ChargedModeSet, CommensurabilityError, ModeSet,
                              neutral_field_kernels, neutral_identity_residuals,
                              osc_d_value, osc_df_value, osc_dr_value,
                              osc_kernels, qp_commutator_kernel,
-                             retarded_from_contractions, theta_samples)
+                             retarded_from_contractions)
 
 P = OscillatorParams()          # m = omega0 = hbar = 1
 
@@ -79,7 +80,7 @@ def test_identity_chain_on_reference_grid():
 def test_retarded_from_contractions_equals_stepped_difference():
     g = reference_grid(64, 3)
     kers = osc_kernels(P, g)
-    theta = theta_samples(g)
+    theta = half_step(g.n)
     stepped = theta * (kers.d.values - reflect_values(kers.d.values))
     out = retarded_from_contractions(kers.d_f, kers.d)
     assert np.max(np.abs(out.values - stepped)) < 1e-14
@@ -210,7 +211,7 @@ def test_charged_single_species():
         omegas_b=np.array([], dtype=float), weights_b=np.array([], dtype=float))
     ck = charged_field_kernels(cms, g)
     assert np.max(np.abs(ck.d_b.values)) == 0.0
-    theta = theta_samples(g)
+    theta = half_step(g.n)
     assert np.max(np.abs(ck.d_r.values - theta * ck.d_a.values)) < 1e-15
 
 
