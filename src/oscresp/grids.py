@@ -47,6 +47,15 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.n)
 
+    def lags(self) -> np.ndarray:
+        """Time differences of the kernel samples: entry k holds tau = (k - n/2)*dt.
+
+        This is the index convention of ``Kernel.value_at_tau`` and
+        ``circular_convolve``; ``reflect_values`` maps it to -tau exactly,
+        except at the wrap sample k = 0.
+        """
+        return self.dt * (np.arange(self.n) - self.n // 2)
+
     def index_of(self, t: float) -> int:
         """Index of the sample at time t; t must lie on the grid."""
         k = (t - self.t0) / self.dt

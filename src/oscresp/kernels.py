@@ -103,7 +103,7 @@ class OscKernels:
 def osc_kernels(p: OscillatorParams, grid: TimeGrid, *, loose: bool = False) -> OscKernels:
     """Sample D_R, D and D_F of the oscillator on the grid."""
     check_commensurate(p.omega0, grid, loose=loose)
-    tau = grid.times()
+    tau = grid.lags()
     theta = half_step(grid.n)
     d = osc_d_value(tau, p)
     d_r = -theta * np.sin(p.omega0 * tau) / (p.mass * p.omega0)
@@ -158,7 +158,7 @@ def qp_commutator_kernel(p: OscillatorParams, grid: TimeGrid) -> Kernel:
     (momentum = mass * velocity), not by finite differences; at tau = 0 it
     reduces to the canonical i*hbar.
     """
-    tau = grid.times()
+    tau = grid.lags()
     return Kernel(grid, 1j * p.hbar * np.cos(p.omega0 * tau))
 
 
@@ -224,7 +224,7 @@ def neutral_field_kernels(ms: ModeSet, grid: TimeGrid, *, loose: bool = False) -
     """Mode-sum kernels of a neutral field on the grid."""
     for w in ms.frequencies:
         check_commensurate(float(w), grid, loose=loose)
-    tau = grid.times()
+    tau = grid.lags()
     phases = np.exp(-1j * np.outer(ms.frequencies, tau))  # (n_modes, n)
     # D_{mu mu'}(r, r', tau) = -i sum_k e^{-i w_k tau} A[k,mu,r] conj(A[k,mu',r'])
     d = -1j * np.einsum("kab,kcd,kt->abcdt", ms.amplitudes, np.conj(ms.amplitudes), phases)
@@ -311,7 +311,7 @@ def charged_field_kernels(cms: ChargedModeSet, grid: TimeGrid, *, loose: bool = 
     """Charged-field kernels: D^A, D^B, D_F, its adjoint, and D_R."""
     for w in np.concatenate([cms.omegas_a, cms.omegas_b]):
         check_commensurate(float(w), grid, loose=loose)
-    tau = grid.times()
+    tau = grid.lags()
     d_a = -1j * np.exp(-1j * np.outer(cms.omegas_a, tau)).T @ cms.weights_a \
         if cms.omegas_a.size else np.zeros(grid.n, dtype=complex)
     d_b = -1j * np.exp(+1j * np.outer(cms.omegas_b, tau)).T @ cms.weights_b \

@@ -99,6 +99,14 @@ def test_time_inversion_swaps_halves():
     assert np.max(np.abs(rminus.values - reflect_values(plus.values))) < 1e-13
 
 
+@pytest.mark.parametrize("n,dt", [(8, 0.5), (256, 2.0 * np.pi * 8 / 256), (100, 0.037)])
+def test_lags_are_exactly_odd_under_reflection(n, dt):
+    lags = make_grid(n, dt).lags()
+    assert lags[n // 2] == 0.0
+    # sample 0 is the wrap point, which the reflection maps to itself
+    assert np.array_equal(reflect_values(lags)[1:], -lags[1:])
+
+
 def test_conjugation_swaps_halves_for_real_signals():
     rng = np.random.default_rng(3)
     g = make_grid(32, 0.25)
