@@ -137,10 +137,6 @@ def reflect_values(values: np.ndarray) -> np.ndarray:
     return np.roll(values[..., ::-1], 1, axis=-1)
 
 
-def zeros_like(grid: TimeGrid) -> SampledSignal:
-    return SampledSignal(grid, np.zeros(grid.n, dtype=complex))
-
-
 # -- frequency-sign decomposition -------------------------------------------
 
 def half_step(n: int) -> np.ndarray:

@@ -312,10 +312,9 @@ def charged_field_kernels(cms: ChargedModeSet, grid: TimeGrid, *, loose: bool = 
     for w in np.concatenate([cms.omegas_a, cms.omegas_b]):
         check_commensurate(float(w), grid, loose=loose)
     tau = grid.lags()
-    d_a = -1j * np.exp(-1j * np.outer(cms.omegas_a, tau)).T @ cms.weights_a \
-        if cms.omegas_a.size else np.zeros(grid.n, dtype=complex)
-    d_b = -1j * np.exp(+1j * np.outer(cms.omegas_b, tau)).T @ cms.weights_b \
-        if cms.omegas_b.size else np.zeros(grid.n, dtype=complex)
+    # an empty species sums to zeros
+    d_a = -1j * np.exp(-1j * np.outer(cms.omegas_a, tau)).T @ cms.weights_a
+    d_b = -1j * np.exp(+1j * np.outer(cms.omegas_b, tau)).T @ cms.weights_b
     theta = half_step(grid.n)
     d_f = theta * d_a + (1.0 - theta) * d_b
     d_f_dag = np.conj(reflect_values(d_f))

@@ -23,12 +23,12 @@ from .grids import (Kernel, SampledSignal, TimeGrid, circular_convolve,
                     reflect_values, without_zero_nyquist)
 from .kernels import (ChargedModeSet, ModeSet, OscillatorParams,
                       charged_field_kernels, charged_identity_residuals,
-                      commutator_kernel, contraction_from_retarded,
-                      feynman_conj_from_retarded, feynman_from_retarded,
-                      neutral_field_kernels, neutral_identity_residuals,
-                      osc_d_value, osc_df_value, osc_kernels,
-                      qp_commutator_kernel, retarded_from_contractions,
-                      swap_reflect)
+                      check_commensurate, commutator_kernel,
+                      contraction_from_retarded, feynman_conj_from_retarded,
+                      feynman_from_retarded, neutral_field_kernels,
+                      neutral_identity_residuals, osc_d_value, osc_df_value,
+                      osc_kernels, qp_commutator_kernel,
+                      retarded_from_contractions, swap_reflect)
 
 SCHEMA_VERSION = 1
 SUITES = ("spectral", "kernels", "wick", "functional", "driven", "charged", "field")
@@ -66,9 +66,14 @@ class Config:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         try:
-            return cls(**merged)
-        except TypeError as exc:
+            cfg = cls(**merged)
+            cfg.tolerances = {k: float(v) for k, v in dict(cfg.tolerances).items()}
+            check_commensurate(cfg.params().omega0, cfg.grid())
+            if cfg.dim < 2:
+                raise ValueError(f"Fock dimension must be at least 2, got {cfg.dim}")
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
+        return cfg
 
     @classmethod
     def load(cls, path) -> "Config":
@@ -336,8 +341,7 @@ def suite_kernels(cfg: Config):
             q1 = fock.heisenberg_q(p, t1, dim)
             q2 = fock.heisenberg_q(p, t2, dim)
             measured = fock.expectation(state, q1 @ q2 - q2 @ q1)
-            tau_idx = (int(i1 - i2) + grid.n // 2) % grid.n
-            res = max(res, abs(measured - comm.values[tau_idx]))
+            res = max(res, abs(measured - comm.value_at_tau(t1 - t2)))
     rows.add("commutator-reconstruction",
              "two-time commutator equals the response-kernel difference in any state",
              res, 1e-10)
@@ -350,8 +354,8 @@ def suite_kernels(cfg: Config):
         q1 = fock.heisenberg_q(p, t1, dim)
         p2 = fock.heisenberg_p(p, t2, dim)
         block = (q1 @ p2 - p2 @ q1)[: dim - 1, : dim - 1]
-        tau_idx = (int(i1 - i2) + grid.n // 2) % grid.n
-        res = max(res, float(np.max(np.abs(block - qp.values[tau_idx] * np.eye(dim - 1)))))
+        expected = qp.value_at_tau(t1 - t2) * np.eye(dim - 1)
+        res = max(res, float(np.max(np.abs(block - expected))))
     rows.add("qp-commutator", "position-momentum commutator from the response kernel",
              res, 1e-10)
 
@@ -370,17 +374,10 @@ def suite_wick(cfg: Config):
     p = cfg.params()
     rows = _Rows(cfg)
 
-    def double_factorial(k):
-        out = 1
-        while k > 1:
-            out *= k
-            k -= 2
-        return out
-
     res = 0.0
     for m in (2, 4, 6, 8):
         perfect = sum(1 for pairs, rest in wick.enumerate_pairings(m) if not rest)
-        res = max(res, abs(perfect - double_factorial(m - 1)))
+        res = max(res, abs(perfect - math.prod(range(m - 1, 0, -2))))     # (m - 1)!!
     counts = wick.enumerate_pairings(3)
     res = max(res, abs(len(counts) - 4))
     rows.add("pairing-counts", "pairing enumeration has the right cardinalities", res, 0.0)

@@ -39,6 +39,21 @@ def test_config_loading_and_validation(tmp_path):
         Config.load(bad)
 
 
+@pytest.mark.parametrize("data", [
+    {"grid": {"n": 7}},
+    {"dim": 1},
+    {"grid": {"bin_index": 200}},
+    {"tolerances": {"dr-real": "abc"}},
+    {"params": {"mass": -1}},
+])
+def test_bad_config_values_exit_with_the_usage_code(tmp_path, data):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    with pytest.raises(ConfigError):
+        Config.from_dict(data)
+    assert main(["verify", "all", "--config", str(cfg)]) == 2
+
+
 def test_run_suite_kernels_all_rows_pass():
     report = run_suite("kernels", Config(seed=1))
     assert report.passed

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from oscresp import fock
-from oscresp.grids import (frequency_split, half_step, kernel_adjoint, make_grid,
-                           reflect_values)
+from oscresp.grids import (Kernel, frequency_split, half_step, kernel_adjoint,
+                           make_grid, reflect_values)
 from oscresp.kernels import (ChargedModeSet, CommensurabilityError, ModeSet,
                              OscillatorParams, charged_field_kernels,
                              charged_identity_residuals, commutator_kernel,
@@ -85,8 +85,6 @@ def test_retarded_from_contractions_equals_stepped_difference():
     out = retarded_from_contractions(kers.d_f, kers.d)
     assert np.max(np.abs(out.values - stepped)) < 1e-14
 
-    zero = osc_kernels(P, g).d_r * 0.0
-    from oscresp.grids import Kernel
     z = Kernel(g, np.zeros(g.n))
     assert np.max(np.abs(retarded_from_contractions(z, z).values)) == 0.0
 

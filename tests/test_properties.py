@@ -1,0 +1,70 @@
+"""Property tests of the exact identities over random grids, bins and parameters.
+
+Examples are drawn deterministically (derandomize=True) and no example
+database is written, so every run checks the same cases.  Sample values
+come from a numpy generator seeded by the drawn integer.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oscresp.functionals import inverse_substitution, response_substitution
+from oscresp.grids import SampledSignal, frequency_split, make_grid, without_zero_nyquist
+from oscresp.kernels import (OscillatorParams, contraction_from_retarded,
+                             feynman_from_retarded, osc_kernels)
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=25)
+
+sizes = st.integers(2, 256).map(lambda half: 2 * half)
+seeds = st.integers(0, 2**32 - 1)
+positive = st.floats(0.1, 10.0)
+
+
+@st.composite
+def oscillators(draw):
+    """(params, grid) with omega0 on a valid DFT bin of an even-sized grid."""
+    n = draw(sizes)
+    bin_index = draw(st.integers(1, n // 2 - 1))
+    p = OscillatorParams(mass=draw(positive), omega0=draw(positive), hbar=draw(positive))
+    return p, make_grid(n, 2.0 * np.pi * bin_index / (n * p.omega0))
+
+
+def random_signal(grid, seed):
+    rng = np.random.default_rng(seed)
+    return SampledSignal(grid, rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
+
+
+@PROPERTY
+@given(sizes, positive, seeds)
+def test_split_is_additive_and_idempotent(n, dt, seed):
+    s = random_signal(make_grid(n, dt), seed)
+    plus, minus = frequency_split(s)
+    assert np.max(np.abs(plus.values + minus.values - s.values)) < 1e-14
+    plus, _ = frequency_split(without_zero_nyquist(s))
+    twice, _ = frequency_split(plus)
+    assert np.max(np.abs(twice.values - plus.values)) < 1e-14
+
+
+@PROPERTY
+@given(oscillators())
+def test_contractions_from_the_retarded_kernel(osc):
+    p, grid = osc
+    kers = osc_kernels(p, grid)
+    # kernels are of size 1/(m w0); phases reach pi*n/2, so their rounding grows with n
+    scale = grid.n / (p.mass * p.omega0)
+    d = contraction_from_retarded(kers.d_r)
+    d_f = feynman_from_retarded(kers.d_r)
+    assert np.max(np.abs(d.values - kers.d.values)) < 1e-14 * scale
+    assert np.max(np.abs(d_f.values - kers.d_f.values)) < 1e-14 * scale
+
+
+@PROPERTY
+@given(sizes, positive, positive, seeds)
+def test_substitution_round_trip(n, dt, hbar, seed):
+    grid = make_grid(n, dt)
+    ep, em = random_signal(grid, seed), random_signal(grid, seed + 1)
+    eta, sigma = response_substitution(ep, em, hbar)
+    ep2, em2 = inverse_substitution(eta, sigma, hbar)
+    assert np.max(np.abs(ep2.values - ep.values)) < 1e-13
+    assert np.max(np.abs(em2.values - em.values)) < 1e-13
