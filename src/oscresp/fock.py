@@ -49,22 +49,30 @@ def ladder(dim: int):
     return a, a.conj().T
 
 
-def heisenberg_q(p: OscillatorParams, t: float, dim: int) -> np.ndarray:
-    """q(t) = (q0/sqrt 2) [a e^{-i w0 t} + a^dag e^{+i w0 t}]."""
-    a, adag = ladder(dim)
+def ladder_parts(observable: str, t, p: OscillatorParams):
+    """(c, d) with X(t) = c*a + d*adag for X = q or p, at one time or an array.
+
+    q(t) = (q0/sqrt 2) [a e^{-i w0 t} + adag e^{+i w0 t}]; p(t), mass times
+    the velocity of q(t), is (i p0/sqrt 2) [adag e^{+i w0 t} - a e^{-i w0 t}].
+    """
     phase = np.exp(-1j * p.omega0 * t)
-    return (p.q0 / math.sqrt(2.0)) * (a * phase + adag * np.conj(phase))
+    if observable == "q":
+        scale = p.q0 / math.sqrt(2.0)
+        return scale * phase, scale * np.conj(phase)
+    if observable == "p":
+        scale = 1j * p.p0 / math.sqrt(2.0)
+        return -scale * phase, scale * np.conj(phase)
+    raise FockError(f"unknown observable {observable!r}")
+
+
+def heisenberg_q(p: OscillatorParams, t: float, dim: int) -> np.ndarray:
+    """Matrix of q(t) in the truncated basis."""
+    return _factor_matrix(Factor("q", t), p, dim, None)
 
 
 def heisenberg_p(p: OscillatorParams, t: float, dim: int) -> np.ndarray:
-    """p(t) = (i p0/sqrt 2) [a^dag e^{+i w0 t} - a e^{-i w0 t}].
-
-    This is mass times the velocity of q(t); together with [a, a^dag] = 1
-    it reproduces the canonical equal-time commutator i*hbar.
-    """
-    a, adag = ladder(dim)
-    phase = np.exp(-1j * p.omega0 * t)
-    return (1j * p.p0 / math.sqrt(2.0)) * (adag * np.conj(phase) - a * phase)
+    """Matrix of p(t) in the truncated basis."""
+    return _factor_matrix(Factor("p", t), p, dim, None)
 
 
 @dataclass(frozen=True)
@@ -137,6 +145,18 @@ def expectation(state: FockState, op: np.ndarray) -> complex:
     return complex(np.trace(state.rho @ op))
 
 
+def require_headroom(state: FockState, m: int) -> None:
+    """Refuse m factors when levels >= dim - m hold over NORM_DEFICIT_LIMIT.
+
+    m raising operators would lift those levels past the truncated basis.
+    """
+    spill = float(np.sum(np.diagonal(state.rho)[max(state.dim - m, 0):].real))
+    if spill > NORM_DEFICIT_LIMIT:
+        raise TruncationError(
+            f"{spill:.3e} of the state sits at levels >= {state.dim - m}, which a "
+            f"product of {m} factors lifts past the truncated basis of {state.dim}")
+
+
 # -- ordered products -----------------------------------------------------------
 
 Shift = Union[SampledSignal, Callable[[float], complex], None]
@@ -189,21 +209,17 @@ def _shift_value(shift: Shift, t: float) -> complex:
     return complex(shift(t))
 
 
-def _factor_matrix(f: Factor, p: OscillatorParams, dim: int, shift: Shift) -> np.ndarray:
-    op = heisenberg_q(p, f.time, dim) if f.observable == "q" else heisenberg_p(p, f.time, dim)
-    if f.observable == "q" and shift is not None:
-        op = op + _shift_value(shift, f.time) * np.eye(dim)
-    return op
-
-
 def _factor_parts(f: Factor, p: OscillatorParams, shift: Shift):
     """(c, d, s): the factor as c*a + d*adag + s*identity."""
-    phase = np.exp(-1j * p.omega0 * f.time)
-    if f.observable == "q":
-        scale = p.q0 / math.sqrt(2.0)
-        return scale * phase, scale * np.conj(phase), _shift_value(shift, f.time)
-    scale = 1j * p.p0 / math.sqrt(2.0)
-    return -scale * phase, scale * np.conj(phase), 0.0
+    c, d = ladder_parts(f.observable, f.time, p)
+    return c, d, (_shift_value(shift, f.time) if f.observable == "q" else 0.0)
+
+
+def _factor_matrix(f: Factor, p: OscillatorParams, dim: int, shift: Shift) -> np.ndarray:
+    c, d, s = _factor_parts(f, p, shift)
+    a, adag = ladder(dim)
+    op = c * a + d * adag
+    return op + s * np.eye(dim) if s else op
 
 
 def ladder_moments(state: FockState, order: int, antinormal: bool = False) -> np.ndarray:
@@ -268,6 +284,7 @@ def ordered_average(state: FockState, spec: OrderedProductSpec,
     factors = spec.factors
     if not factors:
         return complex(np.trace(state.rho))
+    require_headroom(state, len(factors))
 
     if spec.ordering in ("normal", "antinormal"):
         m = len(factors)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,7 +28,7 @@ from . import fock
 from .grids import (Kernel, SampledSignal, circular_convolve, frequency_split,
                     zero_nyquist_fraction)
 from .kernels import ChargedKernels, OscKernels, OscillatorParams, osc_d_value
-from .wick import _pair_kind, contraction_value, enumerate_pairings
+from .wick import contraction_value, enumerate_pairings
 
 MAX_MOMENT_ORDER = 6
 
@@ -61,7 +62,7 @@ def inverse_substitution(eta: SampledSignal, sigma: SampledSignal, hbar: float):
 
 @dataclass(frozen=True)
 class ProbeSet:
-    """A probe pair and its response-substitution images."""
+    """A probe pair and its response-substitution images, computed once."""
 
     eta_plus: SampledSignal
     eta_minus: SampledSignal
@@ -75,13 +76,17 @@ class ProbeSet:
     def grid(self):
         return self.eta_plus.grid
 
+    @cached_property
+    def _substitution(self):
+        return response_substitution(self.eta_plus, self.eta_minus, self.hbar)
+
     @property
     def eta(self) -> SampledSignal:
-        return response_substitution(self.eta_plus, self.eta_minus, self.hbar)[0]
+        return self._substitution[0]
 
     @property
     def sigma(self) -> SampledSignal:
-        return response_substitution(self.eta_plus, self.eta_minus, self.hbar)[1]
+        return self._substitution[1]
 
     def edge_bin_fraction(self) -> float:
         """Worst zero/Nyquist energy fraction of the pair (flag if > 1e-10)."""
@@ -139,22 +144,19 @@ def phi_cl(eta: SampledSignal, current: SampledSignal, d_r: Kernel) -> complex:
 
 def coherent_mean(alpha: complex, p: OscillatorParams) -> Callable[[float], complex]:
     """Mean position path of a coherent state."""
-    scale = p.q0 / math.sqrt(2.0)
 
     def mean(t: float) -> complex:
-        phase = np.exp(-1j * p.omega0 * t)
-        return scale * (alpha * phase + np.conj(alpha) * np.conj(phase))
+        c, d = fock.ladder_parts("q", t, p)
+        return c * alpha + d * np.conj(alpha)
 
     return mean
 
 
 def _eta_ladder_coefficients(eta: SampledSignal, p: OscillatorParams):
     """(c, d) with dt*sum eta(t) q(t) = c*a + d*adag as operator coefficients."""
-    t = eta.grid.times()
-    scale = eta.grid.dt * p.q0 / math.sqrt(2.0)
-    c = scale * np.sum(eta.values * np.exp(-1j * p.omega0 * t))
-    d = scale * np.sum(eta.values * np.exp(+1j * p.omega0 * t))
-    return complex(c), complex(d)
+    c, d = fock.ladder_parts("q", eta.grid.times(), p)
+    dt = eta.grid.dt
+    return complex(dt * np.sum(eta.values * c)), complex(dt * np.sum(eta.values * d))
 
 
 def log_phi_in_coherent(alpha: complex, eta: SampledSignal, p: OscillatorParams) -> complex:
@@ -175,6 +177,7 @@ def phi_in_state(state: fock.FockState, eta: SampledSignal, p: OscillatorParams,
     """
     if order > MAX_MOMENT_ORDER:
         raise FunctionalError(f"expansion order capped at {MAX_MOMENT_ORDER}")
+    fock.require_headroom(state, order)
     c, d = _eta_ladder_coefficients(eta, p)
     moments = fock.ladder_moments(state, order)
     total = 0.0j
@@ -277,8 +280,7 @@ def predicted_double_time_moment(factors, p: OscillatorParams, mean: Mean = None
     for a, (branch_a, t_a) in enumerate(factors):
         for b, (branch_b, t_b) in enumerate(factors):
             if b != a:
-                quad[a, b] = contraction_value(_pair_kind(branch_a, branch_b),
-                                               t_a, branch_a, t_b, branch_b, p)
+                quad[a, b] = contraction_value(t_a, branch_a, t_b, branch_b, p)
     lin = np.array([_mean_at(mean, t) for _, t in factors], dtype=complex)
     return gaussian_moments(quad, lin)
 
@@ -317,28 +319,6 @@ def weyl_moment_check(times, p: OscillatorParams, kind: str = "vacuum", *,
         p,
     )
     return abs(predicted - measured)
-
-
-def weyl_factor_check(eta: SampledSignal, d: Kernel, d_r: Kernel,
-                      p: OscillatorParams, kind: str = "vacuum", *,
-                      alpha: complex = 0.0, times=(0.3, 1.1),
-                      four_point_times=None, dim: int = 40) -> dict:
-    """Residuals of the symmetric-ordering Gaussian-factor identity.
-
-    Returns the kernel-rearrangement residual and the mandatory two-point
-    moment residual; the optional four-point entry is conjecture-level.
-    Supported initial states: vacuum and coherent.
-    """
-    if kind not in ("vacuum", "coherent"):
-        raise FunctionalError(f"unsupported state kind {kind!r} for this check")
-    out = {
-        "kernel_identity": weyl_kernel_identity_residual(eta, d, d_r),
-        "two_point": weyl_moment_check(list(times), p, kind, alpha=alpha, dim=dim),
-    }
-    if four_point_times is not None:
-        out["four_point"] = weyl_moment_check(
-            list(four_point_times), p, kind, alpha=alpha, dim=dim)
-    return out
 
 
 # -- forward/backward current maps ---------------------------------------------------

@@ -1,16 +1,15 @@
 """Oscillator and free-field two-point kernels and their reconstruction rules.
 
-The plain contraction D, the time-ordered contraction D_F and the retarded
-kernel D_R of the harmonic oscillator are sampled from their closed forms
-on a periodic grid.  Every kernel can then be rebuilt from D_R alone by
-keeping half of its frequency spectrum; those reconstruction rules, and
-their neutral-field and charged-field generalisations, are the identities
-the test suites drive.
+The plain contraction D of the oscillator is sampled from its closed form
+on a periodic grid; one time-ordering rule (``time_order``) turns it, and
+the fields' forward and backward contractions, into D_F and D_R.  Every
+kernel can then be rebuilt from D_R alone by keeping half of its frequency
+spectrum; those reconstruction rules are the identities the suites drive.
 
 All grid kernels require the frequencies in play to sit exactly on DFT
 bins (omega = 2*pi*k/(n*dt), 0 < k < n/2); the discrete identities are
-then exact to rounding.  A ``loose`` flag admits off-bin frequencies for
-robustness exploration at degraded tolerances.
+then exact to rounding.  The oscillator builder's ``loose`` flag admits an
+off-bin frequency for robustness exploration at degraded tolerances.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ def check_commensurate(omega: float, grid: TimeGrid, *, loose: bool = False) -> 
     if abs(k - ki) > 1e-9 * max(1.0, abs(k)) or not 1 <= ki < grid.n // 2:
         raise CommensurabilityError(
             f"omega={omega} sits on bin {k:.6g} of the grid; an integer bin in "
-            f"[1, {grid.n // 2}) is required (pass loose=True to override)"
+            f"[1, {grid.n // 2}) is required (osc_kernels takes loose=True to override)"
         )
     return float(ki)
 
@@ -89,6 +88,17 @@ def osc_dr_value(tau: float, p: OscillatorParams) -> float:
     return -theta_half(tau) * math.sin(p.omega0 * tau) / (p.mass * p.omega0)
 
 
+# -- the time-ordering rule ---------------------------------------------------
+
+def time_order(forward: np.ndarray, backward: np.ndarray):
+    """(D_F, D_R) = (theta*f + (1 - theta)*b, theta*(f - b)), tau on the last axis.
+
+    f and b are the forward and backward contractions, theta the half step.
+    """
+    theta = half_step(forward.shape[-1])
+    return theta * forward + (1.0 - theta) * backward, theta * (forward - backward)
+
+
 # -- oscillator kernels on a grid ---------------------------------------------
 
 @dataclass(frozen=True)
@@ -101,13 +111,10 @@ class OscKernels:
 
 
 def osc_kernels(p: OscillatorParams, grid: TimeGrid, *, loose: bool = False) -> OscKernels:
-    """Sample D_R, D and D_F of the oscillator on the grid."""
+    """Sample D on the grid and time-order it into D_F and D_R."""
     check_commensurate(p.omega0, grid, loose=loose)
-    tau = grid.lags()
-    theta = half_step(grid.n)
-    d = osc_d_value(tau, p)
-    d_r = -theta * np.sin(p.omega0 * tau) / (p.mass * p.omega0)
-    d_f = theta * d + (1.0 - theta) * reflect_values(d)
+    d = osc_d_value(grid.lags(), p)
+    d_f, d_r = time_order(d, reflect_values(d))
     return OscKernels(
         params=p,
         grid=grid,
@@ -187,14 +194,6 @@ class ModeSet:
         object.__setattr__(self, "frequencies", freq)
         object.__setattr__(self, "amplitudes", amp)
 
-    @property
-    def n_labels(self) -> int:
-        return self.amplitudes.shape[1]
-
-    @property
-    def n_points(self) -> int:
-        return self.amplitudes.shape[2]
-
 
 @dataclass(frozen=True)
 class NeutralFieldKernels:
@@ -220,18 +219,15 @@ def swap_reflect(family: np.ndarray) -> np.ndarray:
     return reflect_values(np.transpose(family, (2, 3, 0, 1, 4)))
 
 
-def neutral_field_kernels(ms: ModeSet, grid: TimeGrid, *, loose: bool = False) -> NeutralFieldKernels:
+def neutral_field_kernels(ms: ModeSet, grid: TimeGrid) -> NeutralFieldKernels:
     """Mode-sum kernels of a neutral field on the grid."""
     for w in ms.frequencies:
-        check_commensurate(float(w), grid, loose=loose)
+        check_commensurate(float(w), grid)
     tau = grid.lags()
     phases = np.exp(-1j * np.outer(ms.frequencies, tau))  # (n_modes, n)
     # D_{mu mu'}(r, r', tau) = -i sum_k e^{-i w_k tau} A[k,mu,r] conj(A[k,mu',r'])
     d = -1j * np.einsum("kab,kcd,kt->abcdt", ms.amplitudes, np.conj(ms.amplitudes), phases)
-    d_sw = swap_reflect(d)
-    theta = half_step(grid.n)
-    d_f = theta * d + (1.0 - theta) * d_sw
-    d_r = theta * (d - d_sw)
+    d_f, d_r = time_order(d, swap_reflect(d))
     return NeutralFieldKernels(grid=grid, d=d, d_f=d_f, d_r=d_r)
 
 
@@ -307,18 +303,16 @@ class ChargedKernels:
     d_r: Kernel
 
 
-def charged_field_kernels(cms: ChargedModeSet, grid: TimeGrid, *, loose: bool = False) -> ChargedKernels:
+def charged_field_kernels(cms: ChargedModeSet, grid: TimeGrid) -> ChargedKernels:
     """Charged-field kernels: D^A, D^B, D_F, its adjoint, and D_R."""
     for w in np.concatenate([cms.omegas_a, cms.omegas_b]):
-        check_commensurate(float(w), grid, loose=loose)
+        check_commensurate(float(w), grid)
     tau = grid.lags()
     # an empty species sums to zeros
     d_a = -1j * np.exp(-1j * np.outer(cms.omegas_a, tau)).T @ cms.weights_a
     d_b = -1j * np.exp(+1j * np.outer(cms.omegas_b, tau)).T @ cms.weights_b
-    theta = half_step(grid.n)
-    d_f = theta * d_a + (1.0 - theta) * d_b
+    d_f, d_r = time_order(d_a, d_b)
     d_f_dag = np.conj(reflect_values(d_f))
-    d_r = d_f - d_b
     return ChargedKernels(
         grid=grid,
         d_a=Kernel(grid, d_a),

@@ -47,7 +47,6 @@ class Config:
     hbar: float = 1.0
     n: int = 256
     bin_index: int = 8
-    dt: Optional[float] = None
     dim: int = 40
     seed: int = 0
     tolerances: dict = field(default_factory=dict)
@@ -55,13 +54,8 @@ class Config:
     @classmethod
     def from_dict(cls, data: dict) -> "Config":
         known = {f for f in cls.__dataclass_fields__}
-        params = dict(data.get("params", {}))
-        grid = dict(data.get("grid", {}))
         flat = {k: v for k, v in data.items() if k not in ("params", "grid")}
-        merged = {}
-        merged.update({k: params[k] for k in ("mass", "omega0", "hbar") if k in params})
-        merged.update({k: grid[k] for k in ("n", "bin_index", "dt") if k in grid})
-        merged.update(flat)
+        merged = {**data.get("params", {}), **data.get("grid", {}), **flat}
         unknown = set(merged) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -90,15 +84,12 @@ class Config:
         return OscillatorParams(mass=self.mass, omega0=self.omega0, hbar=self.hbar)
 
     def grid(self) -> TimeGrid:
-        dt = self.dt
-        if dt is None:
-            dt = 2.0 * np.pi * self.bin_index / (self.n * self.omega0)
-        return make_grid(self.n, dt)
+        return make_grid(self.n, 2.0 * np.pi * self.bin_index / (self.n * self.omega0))
 
     def to_dict(self) -> dict:
         return {
             "params": {"mass": self.mass, "omega0": self.omega0, "hbar": self.hbar},
-            "grid": {"n": self.n, "bin_index": self.bin_index, "dt": self.dt},
+            "grid": {"n": self.n, "bin_index": self.bin_index},
             "dim": self.dim,
             "seed": self.seed,
             "tolerances": dict(self.tolerances),

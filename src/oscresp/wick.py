@@ -26,8 +26,6 @@ MAX_PAIRING_FACTORS = 10
 MAX_EXPANSION_FACTORS = 8
 MAX_VERIFY_FACTORS = 6
 
-KINDS = ("F", "Fstar", "cross")
-
 
 class WickError(ValueError):
     """Invalid expansion request."""
@@ -38,7 +36,7 @@ class WickTerm:
     """One contraction pattern: index pairs with kinds, and the leftovers."""
 
     pairs: tuple          # ((i, j), ...) with i < j
-    kinds: tuple          # one of KINDS per pair
+    kinds: tuple          # 'F', 'Fstar' or 'cross' per pair
     rest: tuple           # uncontracted factor indices, ascending
     coefficient: int = 1
 
@@ -99,17 +97,16 @@ def hori_expand(factors) -> list:
     return terms
 
 
-def contraction_value(kind: str, t_i: float, branch_i: str, t_j: float,
-                      branch_j: str, p: OscillatorParams) -> complex:
-    """c-number value of one contracted pair, with its i*hbar prefactor."""
+def contraction_value(t_i: float, branch_i: str, t_j: float, branch_j: str,
+                      p: OscillatorParams) -> complex:
+    """c-number value, with its i*hbar prefactor, of a pair of the kind its branches fix."""
+    kind = _pair_kind(branch_i, branch_j)
     if kind == "F":
         return 1j * p.hbar * osc_df_value(t_i - t_j, p)
     if kind == "Fstar":
         return -1j * p.hbar * np.conj(osc_df_value(t_i - t_j, p))
-    if kind == "cross":
-        t_minus, t_plus = (t_i, t_j) if branch_i == "minus" else (t_j, t_i)
-        return 1j * p.hbar * osc_d_value(t_minus - t_plus, p)
-    raise WickError(f"unknown contraction kind {kind!r}")
+    t_minus, t_plus = (t_i, t_j) if branch_i == "minus" else (t_j, t_i)
+    return 1j * p.hbar * osc_d_value(t_minus - t_plus, p)
 
 
 def verify_wick(state: fock.FockState, factors, p: OscillatorParams) -> float:
@@ -134,9 +131,9 @@ def verify_wick(state: fock.FockState, factors, p: OscillatorParams) -> float:
     rhs = 0.0j
     for term in hori_expand(factors):
         weight = complex(term.coefficient)
-        for (i, j), kind in zip(term.pairs, term.kinds):
+        for i, j in term.pairs:
             weight *= contraction_value(
-                kind, factors[i][1], factors[i][0], factors[j][1], factors[j][0], p)
+                factors[i][1], factors[i][0], factors[j][1], factors[j][0], p)
         rest_avg = fock.ordered_average(
             state,
             fock.OrderedProductSpec(

@@ -45,6 +45,7 @@ def test_config_loading_and_validation(tmp_path):
     {"grid": {"bin_index": 200}},
     {"tolerances": {"dr-real": "abc"}},
     {"params": {"mass": -1}},
+    {"grid": {"dt": 0.1}},
 ])
 def test_bad_config_values_exit_with_the_usage_code(tmp_path, data):
     cfg = tmp_path / "cfg.json"

@@ -83,6 +83,19 @@ def test_make_state_families():
         make_state("squeezed", 4)
 
 
+@pytest.mark.parametrize("ordering", fock.ORDERINGS)
+def test_truncation_too_small_for_the_product_is_refused(ordering):
+    # m factors lift fock(n) to level n + m, which must sit below dim
+    for n, m in [(39, 2), (38, 2), (38, 4), (36, 4)]:
+        spec = OrderedProductSpec(tuple(("q", 0.1 * k, "plus") for k in range(m)), ordering)
+        with pytest.raises(TruncationError):
+            ordered_average(make_state("fock", 40, n=n), spec, P)
+    # the plain pair still fits: <n| q(0) q(t) |n> = [(2n + 1) cos t + i sin t] / 2
+    plain = OrderedProductSpec((("q", 0.0), ("q", 0.1)), "plain")
+    value = ordered_average(make_state("fock", 40, n=37), plain, P)
+    assert value == pytest.approx((75 * math.cos(0.1) + 1j * math.sin(0.1)) / 2, abs=1e-12)
+
+
 def test_double_time_two_point_orderings():
     dim = 20
     vac = make_state("vacuum", dim)

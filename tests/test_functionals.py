@@ -215,6 +215,8 @@ def test_phi_in_numeric_against_matrix_oracle():
         phi_in("fock", eta, P)
     with pytest.raises(FunctionalError):
         phi_in_state(state, eta, P, order=9)
+    with pytest.raises(fock.TruncationError):
+        phi_in_state(fock.make_state("fock", 40, n=36), eta, P, order=4)
 
 
 # -- full functional ------------------------------------------------------------------
@@ -410,18 +412,3 @@ def test_predicted_normal_moment_is_a_product():
     times = [0.1, 0.9]
     assert predicted_normal_moment(times, mean) == pytest.approx(mean(0.1) * mean(0.9))
     assert predicted_normal_moment(times, None) == 0.0
-
-
-def test_weyl_factor_check_bundle():
-    from oscresp.functionals import weyl_factor_check
-    rng = np.random.default_rng(16)
-    g = reference_grid(128, 4)
-    kers = osc_kernels(P, g)
-    eta = random_signal(g, rng, 0.3)
-    out = weyl_factor_check(eta, kers.d, kers.d_r, P, "coherent", alpha=0.5,
-                            four_point_times=(0.2, 0.7, 1.3, 1.9))
-    assert out["kernel_identity"] < 1e-10
-    assert out["two_point"] < 1e-10
-    assert out["four_point"] < 1e-9
-    with pytest.raises(FunctionalError):
-        weyl_factor_check(eta, kers.d, kers.d_r, P, "thermal")

@@ -9,10 +9,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscresp.functionals import inverse_substitution, response_substitution
+from oscresp.functionals import (ProbeSet, charged_substitution_residual,
+                                 inverse_substitution, response_substitution)
 from oscresp.grids import SampledSignal, frequency_split, make_grid, without_zero_nyquist
-from oscresp.kernels import (OscillatorParams, contraction_from_retarded,
-                             feynman_from_retarded, osc_kernels)
+from oscresp.kernels import (ChargedModeSet, OscillatorParams, charged_field_kernels,
+                             contraction_from_retarded, feynman_from_retarded,
+                             osc_kernels)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=25)
 
@@ -68,3 +70,32 @@ def test_substitution_round_trip(n, dt, hbar, seed):
     ep2, em2 = inverse_substitution(eta, sigma, hbar)
     assert np.max(np.abs(ep2.values - ep.values)) < 1e-13
     assert np.max(np.abs(em2.values - em.values)) < 1e-13
+
+
+@st.composite
+def charged_modes(draw):
+    """(grid, modes): distinct bins per species, the antiparticle one possibly empty."""
+    n = draw(sizes)
+    grid = make_grid(n, draw(positive))
+    scale = 2.0 * np.pi / grid.period
+    species = []
+    for least in (1, 0):
+        bins = draw(st.lists(st.integers(1, n // 2 - 1), min_size=least, max_size=4,
+                             unique=True))
+        weights = draw(st.lists(positive, min_size=len(bins), max_size=len(bins)))
+        species += [np.array(bins, dtype=float) * scale, np.array(weights)]
+    return grid, ChargedModeSet(*species)
+
+
+@PROPERTY
+@given(charged_modes(), positive, seeds)
+def test_charged_doubled_substitution(field, hbar, seed):
+    grid, modes = field
+    s = 0.3
+    bar, plain = (ProbeSet(s * without_zero_nyquist(random_signal(grid, seed + k)),
+                           s * without_zero_nyquist(random_signal(grid, seed + k + 1)),
+                           hbar=hbar) for k in (0, 2))
+    res = charged_substitution_residual(bar, plain, charged_field_kernels(modes, grid))
+    # each quadratic form sums n^2 terms of size dt^2 * weight * s^2
+    weight = modes.weights_a.sum() + modes.weights_b.sum()
+    assert res <= 1e-14 * hbar * grid.period ** 2 * weight * s ** 2

@@ -65,8 +65,8 @@ def test_hori_kind_assignment():
 
 def test_cross_contraction_takes_backward_time_first():
     t_minus, t_plus = 0.9, 0.2
-    v1 = contraction_value("cross", t_minus, "minus", t_plus, "plus", P)
-    v2 = contraction_value("cross", t_plus, "plus", t_minus, "minus", P)
+    v1 = contraction_value(t_minus, "minus", t_plus, "plus", P)
+    v2 = contraction_value(t_plus, "plus", t_minus, "minus", P)
     assert v1 == v2     # normalised to the same argument order
 
 
