@@ -17,7 +17,6 @@ analytically, never by numerical functional differentiation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -168,29 +167,19 @@ def phi_in_coherent(alpha: complex, eta: SampledSignal, p: OscillatorParams) -> 
     return complex(np.exp(log_phi_in_coherent(alpha, eta, p)))
 
 
-def phi_in_state(state: fock.FockState, eta: SampledSignal, p: OscillatorParams,
-                 order: int = 6) -> complex:
-    """Normally ordered exponential average, Taylor-truncated in the probe.
+def phi_in_state(state: fock.FockState, eta: SampledSignal, p: OscillatorParams) -> complex:
+    """Normally ordered exponential average Tr[e^{c a} rho e^{d adag}].
 
-    Works for any truncated state; converges in the probe amplitude, so it
-    is meant for small probes (order <= 6).
+    Exact for any state inside the truncated basis: only lowering
+    operators act on the support of rho.
     """
-    if order > MAX_MOMENT_ORDER:
-        raise FunctionalError(f"expansion order capped at {MAX_MOMENT_ORDER}")
-    fock.require_headroom(state, order)
     c, d = _eta_ladder_coefficients(eta, p)
-    moments = fock.ladder_moments(state, order)
-    total = 0.0j
-    for k in range(order + 1):
-        for j in range(k + 1):
-            moment = moments[k - j, j]
-            total += (c ** j) * (d ** (k - j)) * moment / (math.factorial(j) * math.factorial(k - j))
-    return total
+    return complex(np.sum((fock._ladder_exp(c, state.dim) @ state.rho)
+                          * fock._ladder_exp(d, state.dim)))
 
 
 def phi_in(kind: str, eta: SampledSignal, p: OscillatorParams, *,
-           alpha: complex = 0.0, state: Optional[fock.FockState] = None,
-           order: int = 6) -> complex:
+           alpha: complex = 0.0, state: Optional[fock.FockState] = None) -> complex:
     """Initial-state factor for the supported state families."""
     if kind == "vacuum":
         return 1.0 + 0.0j
@@ -199,7 +188,7 @@ def phi_in(kind: str, eta: SampledSignal, p: OscillatorParams, *,
     if kind in ("fock", "thermal"):
         if state is None:
             raise FunctionalError(f"{kind} initial state needs an explicit FockState")
-        return phi_in_state(state, eta, p, order)
+        return phi_in_state(state, eta, p)
     raise FunctionalError(f"unknown state kind {kind!r}")
 
 
@@ -215,9 +204,9 @@ class PhiFull:
 
 def phi_full(ps: ProbeSet, current: SampledSignal, kers: OscKernels,
              kind: str = "vacuum", *, alpha: complex = 0.0,
-             state: Optional[fock.FockState] = None, order: int = 6) -> PhiFull:
+             state: Optional[fock.FockState] = None) -> PhiFull:
     eta = ps.eta
-    in_factor = phi_in(kind, eta, kers.params, alpha=alpha, state=state, order=order)
+    in_factor = phi_in(kind, eta, kers.params, alpha=alpha, state=state)
     factored = (
         phi_vac_quadratic(ps, kers)
         * in_factor

@@ -231,27 +231,6 @@ def neutral_field_kernels(ms: ModeSet, grid: TimeGrid) -> NeutralFieldKernels:
     return NeutralFieldKernels(grid=grid, d=d, d_f=d_f, d_r=d_r)
 
 
-def field_kernels_to_records(nk: NeutralFieldKernels, kind: str = "d") -> list[dict]:
-    """JSON-ready list of labeled kernels {mu, mu_prime, r, r_prime, kernel}."""
-    from .grids import to_record
-
-    records = []
-    family = getattr(nk, kind)
-    n_labels, n_points = family.shape[0], family.shape[1]
-    for mu in range(n_labels):
-        for r in range(n_points):
-            for mu_p in range(n_labels):
-                for r_p in range(n_points):
-                    records.append({
-                        "mu": mu,
-                        "mu_prime": mu_p,
-                        "r": r,
-                        "r_prime": r_p,
-                        "kernel": to_record(nk.kernel(kind, mu, r, mu_p, r_p)),
-                    })
-    return records
-
-
 def neutral_identity_residuals(nk: NeutralFieldKernels) -> dict[str, float]:
     """Max residual of the D-from-D_R and D_F-from-D_R reconstructions."""
     dr_plus, dr_minus = split_values(nk.d_r)

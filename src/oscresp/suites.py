@@ -448,8 +448,9 @@ def suite_functional(cfg: Config):
              abs(phi.imag) / max(abs(phi), 1e-300), 1e-12)
 
     state = fock.make_state("coherent", cfg.dim, alpha=0.5)
-    res = fock.reality_check(state, [(0.4, 0.3)], [(1.1, 0.2)], p, order=4)
-    rows.add("taylor-reality", "truncated functional obeys the conjugation symmetry",
+    res = fock.reality_check(state, [(0.4, 0.3)], [(1.1, 0.2)], p)
+    rows.add("functional-reality",
+             "double-ordered exponential pair obeys the conjugation symmetry",
              res, 1e-10)
 
     jp = _random_signal(grid, rng, scale=0.4, clean=False)

@@ -3,6 +3,7 @@ from itertools import permutations, product
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from oscresp import fock
 from oscresp.fock import (Factor, FockError, OrderedProductSpec,
@@ -212,14 +213,49 @@ def test_spec_validation():
 
 def test_reality_check_examples():
     vac = make_state("vacuum", 25)
-    assert reality_check(vac, [], [], P, order=4) == 0.0
-    assert reality_check(vac, [(0.0, 0.5)], [(0.7, 0.3)], P, order=4) < 1e-12
+    assert reality_check(vac, [], [], P) == 0.0
+    assert reality_check(vac, [(0.0, 0.5)], [(0.7, 0.5)], P) < 1e-12
     coh = make_state("coherent", 40, alpha=0.5)
-    assert reality_check(coh, [(0.4, 0.3)], [(1.1, 0.2)], P, order=4) < 1e-10
-    cplx = reality_check(coh, [(0.4, 0.3 + 0.2j)], [(1.1, 0.2 - 0.1j)], P, order=5)
-    assert cplx < 1e-10
-    with pytest.raises(FockError):
-        reality_check(vac, [], [], P, order=7)
+    assert reality_check(coh, [(0.4, 0.5)], [(1.1, 0.4)], P) < 1e-12
+    cplx = reality_check(coh, [(0.4, 0.3 + 0.4j), (2.0, -0.5)],
+                         [(1.1, 0.4 - 0.3j)], P)
+    assert cplx < 1e-12
+    # equal times on one branch, in a superposition two levels below the top
+    psi = np.array([0.6, 0.8j, 0.0, 0.0])
+    near_top = fock.FockState(np.outer(psi, psi.conj()))
+    tied = [(0.0, 0.5), (0.0, 0.25 + 0.1j)]
+    assert reality_check(near_top, [], tied, P) < 1e-12
+    assert reality_check(near_top, tied, [], P) < 1e-12
+
+
+def test_ladder_exp_is_the_terminating_series():
+    for dim in (2, 7, 40):
+        a = ladder(dim)[0]
+        for c in (0.0, 0.5, 0.3 - 0.4j):
+            ref = expm(c * a)
+            assert np.max(np.abs(fock._ladder_exp(c, dim) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("kind", ["vacuum", "thermal", "coherent"])
+def test_double_ordered_pair_matches_the_gaussian_closed_form(kind):
+    # weights up to 0.5; Gaussian states give
+    # <e^{A_1} ... e^{A_m}> = exp(sum <A_k> + sum_k <dA_k^2>/2 + sum_{k<l} <dA_k dA_l>)
+    # for A = x a + y adag, with <dA dA'> = x y' (nbar + 1) + y x' nbar
+    nbar, alpha = {"vacuum": (0.0, 0.0), "thermal": (0.4, 0.0),
+                   "coherent": (0.0, 0.6 - 0.3j)}[kind]
+    state = make_state(kind, 40, nbar=nbar, alpha=alpha)
+    minus = [(1.2, 0.3 - 0.2j), (0.3, 0.5)]
+    plus = [(0.7, 0.4 + 0.1j), (1.5, -0.5)]
+    # backward branch earliest leftmost, then forward branch latest leftmost
+    ordered = [(1j, minus[1]), (1j, minus[0]), (-1j, plus[1]), (-1j, plus[0])]
+    parts = [tuple(sign * w * x for x in fock.ladder_parts("q", t, P))
+             for sign, (t, w) in ordered]
+    log_phi = sum(x * alpha + y * np.conj(alpha) + x * y * (nbar + 0.5) for x, y in parts)
+    for k, (x, y) in enumerate(parts):
+        for x2, y2 in parts[k + 1:]:
+            log_phi += x * y2 * (nbar + 1) + y * x2 * nbar
+    value = fock._double_ordered(state, minus, plus, P)
+    assert abs(value - np.exp(log_phi)) < 1e-12
 
 
 def test_empty_product_is_the_trace():

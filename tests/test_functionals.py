@@ -3,9 +3,11 @@ import itertools
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import eval_laguerre
 
 from oscresp import fock
 from oscresp.functionals import (CurrentPair, FunctionalError, ProbeSet,
+                                 _eta_ladder_coefficients,
                                  charged_substitution_residual, coherent_mean,
                                  gaussian_moments, inverse_substitution,
                                  log_phi_cl, log_phi_in_coherent,
@@ -174,7 +176,6 @@ def test_phi_cl_matches_displacement_oracle():
 
 def phi_in_matrix_oracle(state, eta, params):
     """<e^{d adag} e^{c a}> by matrix exponentials: exact in the truncation."""
-    from oscresp.functionals import _eta_ladder_coefficients
     c, d = _eta_ladder_coefficients(eta, params)
     a, adag = fock.ladder(state.dim)
     op = expm(d * adag) @ expm(c * a)
@@ -200,23 +201,26 @@ def test_phi_in_vacuum_and_coherent():
     assert abs(phi_in_coherent(alpha, eta, P) - oracle) < 1e-9
 
 
-def test_phi_in_numeric_against_matrix_oracle():
+def test_phi_in_state_matches_closed_forms():
+    # <:exp(c a + d adag):> at probe scale 0.5; n = 36 and 39 sit at the top
+    # of the basis and stay exact, since only lowering operators act on them
     g = reference_grid()
-    eta = spike(g, 0.0, 0.05)
-    for kind, kw in [("fock", {"n": 1}), ("thermal", {"nbar": 0.4})]:
-        state = fock.make_state(kind, 40, **kw)
-        numeric = phi_in_state(state, eta, P, order=4)
-        oracle = phi_in_matrix_oracle(state, eta, P)
-        assert abs(numeric - oracle) < 1e-8
+    eta = random_signal(g, np.random.default_rng(9), 0.5)
+    c, d = _eta_ladder_coefficients(eta, P)
+    assert min(abs(c), abs(d)) > 0.3
+    nbar, alpha = 0.4, 0.6 - 0.3j
+    cases = [(fock.make_state("thermal", 40, nbar=nbar), np.exp(nbar * c * d)),
+             (fock.make_state("coherent", 40, alpha=alpha),
+              np.exp(c * alpha + d * np.conj(alpha)))]
+    cases += [(fock.make_state("fock", 40, n=n), eval_laguerre(n, -c * d))
+              for n in (0, 1, 5, 36, 39)]
+    for state, exact in cases:
+        assert abs(phi_in_state(state, eta, P) - exact) < 1e-12 * max(1.0, abs(exact))
 
     state = fock.make_state("fock", 40, n=1)
-    assert phi_in("fock", eta, P, state=state, order=4) == phi_in_state(state, eta, P, 4)
+    assert phi_in("fock", eta, P, state=state) == phi_in_state(state, eta, P)
     with pytest.raises(FunctionalError):
         phi_in("fock", eta, P)
-    with pytest.raises(FunctionalError):
-        phi_in_state(state, eta, P, order=9)
-    with pytest.raises(fock.TruncationError):
-        phi_in_state(fock.make_state("fock", 40, n=36), eta, P, order=4)
 
 
 # -- full functional ------------------------------------------------------------------

@@ -223,21 +223,6 @@ def test_charged_rejects_bad_weights():
                        omegas_b=np.array([]), weights_b=np.array([]))
 
 
-def test_field_kernel_json_records():
-    import json
-    from oscresp.grids import kernel_from_record
-    from oscresp.kernels import field_kernels_to_records
-    rng = np.random.default_rng(20)
-    g = reference_grid(64, 2)
-    nk = neutral_field_kernels(_demo_mode_set(g, rng), g)
-    records = json.loads(json.dumps(field_kernels_to_records(nk, "d_r")))
-    assert len(records) == 16                    # 2 labels x 2 points, squared
-    rec = next(r for r in records
-               if (r["mu"], r["r"], r["mu_prime"], r["r_prime"]) == (1, 0, 0, 1))
-    back = kernel_from_record(rec["kernel"])
-    assert np.array_equal(back.values, nk.kernel("d_r", 1, 0, 0, 1).values)
-
-
 def test_loose_mode_tracks_small_commensurability_jitter():
     # a 1e-5 fractional detuning off the bin keeps the reconstruction chain
     # inside the exploration tolerance; gross off-bin content does not

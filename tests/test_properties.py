@@ -8,9 +8,12 @@ come from a numpy generator seeded by the drawn integer.
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
-from oscresp.functionals import (ProbeSet, charged_substitution_residual,
-                                 inverse_substitution, response_substitution)
+from oscresp import fock
+from oscresp.functionals import (ProbeSet, _eta_ladder_coefficients,
+                                 charged_substitution_residual, inverse_substitution,
+                                 phi_in_state, response_substitution)
 from oscresp.grids import SampledSignal, frequency_split, make_grid, without_zero_nyquist
 from oscresp.kernels import (ChargedModeSet, OscillatorParams, charged_field_kernels,
                              contraction_from_retarded, feynman_from_retarded,
@@ -99,3 +102,42 @@ def test_charged_doubled_substitution(field, hbar, seed):
     # each quadratic form sums n^2 terms of size dt^2 * weight * s^2
     weight = modes.weights_a.sum() + modes.weights_b.sum()
     assert res <= 1e-14 * hbar * grid.period ** 2 * weight * s ** 2
+
+
+@st.composite
+def fock_states(draw):
+    """A random density matrix whose support lies inside the lowest dim - 2 levels."""
+    dim = draw(st.integers(3, 30))
+    rng = np.random.default_rng(draw(seeds))
+    g = rng.standard_normal((dim - 2, dim - 2)) + 1j * rng.standard_normal((dim - 2, dim - 2))
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[:dim - 2, :dim - 2] = g @ g.conj().T
+    return fock.FockState(rho / np.trace(rho).real)
+
+
+weights = st.complex_numbers(max_magnitude=0.5)
+probes = st.lists(st.tuples(st.floats(-10.0, 10.0), weights), max_size=3)
+
+
+@PROPERTY
+@given(fock_states(), probes, probes)
+def test_reality_check_on_random_states(state, plus, minus):
+    p = OscillatorParams()
+    # complex weights make the pair non-unitary, so its size sets the rounding
+    size = max(1.0, abs(fock._double_ordered(state, minus, plus, p)))
+    assert fock.reality_check(state, plus, minus, p) < 1e-12 * size
+
+
+@PROPERTY
+@given(fock_states(), sizes, st.floats(0.01, 0.5), seeds)
+def test_phi_in_state_against_matrix_exponentials(state, n, scale, seed):
+    p = OscillatorParams()
+    eta = scale * random_signal(make_grid(n, 2.0 * np.pi / n), seed)
+    c, d = _eta_ladder_coefficients(eta, p)
+    a, adag = fock.ladder(state.dim)
+    ref = fock.expectation(state, expm(d * adag) @ expm(c * a))
+    # for |c|, |d| above 1 the summed terms can exceed the result by 1e4 and more, so
+    # the bound follows the summed magnitudes, not the result
+    terms = (np.abs(fock._ladder_exp(c, state.dim)) @ np.abs(state.rho)
+             * np.abs(fock._ladder_exp(d, state.dim)))
+    assert abs(phi_in_state(state, eta, p) - ref) < 1e-13 * np.sum(terms)
