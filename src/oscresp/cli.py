@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import driven, wick
-from .grids import make_grid, write_csv, write_json
+from .grids import GridError, make_grid, write_csv, write_json
 from .kernels import CommensurabilityError, OscillatorParams, osc_kernels
 from .suites import SUITES, Config, ConfigError, SuiteReport, run_suite
 
@@ -118,7 +118,7 @@ def _cmd_drive(args) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot write trajectory to {path}: {exc}") from exc
     window = driven.causal_window(grid, args.t_on)
-    gap = float(np.max(np.abs(q_conv.values.real - q_ode.values.real)[window]))
+    gap = float(np.max(np.abs(q_conv.values.real - q_ode.values.real)[window], initial=0.0))
     print(f"trajectory written to {path}; max |conv - ode| on the causal window: {gap:.3e}")
     return 0
 
@@ -165,7 +165,7 @@ def _cmd_report(args) -> int:
     path = _output_path(args.path)
     try:
         report = SuiteReport.load(path)
-    except (OSError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"cannot read report {path}: {exc}") from exc
     failing = [r for r in report.rows if r.gating and not r.passed]
     print(f"suite={report.suite} schema={report.schema_version} "
@@ -226,10 +226,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except OSError as exc:
+    except (ConfigError, GridError, driven.DriveError, wick.WickError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -21,8 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import fock
-from .functionals import (coherent_mean, predicted_double_time_moment,
-                          predicted_normal_moment, predicted_weyl_moment)
+from .functionals import coherent_mean, moment_residual
 from .grids import Kernel, SampledSignal, TimeGrid, circular_convolve
 from .kernels import OscillatorParams
 
@@ -41,7 +40,7 @@ class DriveScenario:
 
     current holds the grid samples (zero before onset, jump samples at
     half value); current_fn is the continuum evaluation used by the ODE
-    integrator, right-continuous at the onset.
+    integrator, right-continuous at the onset, which lies in [t0, t0 + period).
     """
 
     params: OscillatorParams
@@ -53,6 +52,9 @@ class DriveScenario:
     t_on: float = 0.0
 
     def __post_init__(self):
+        start, end = self.grid.t0, self.grid.t0 + self.grid.period
+        if not start <= self.t_on < end:
+            raise DriveError(f"drive onset {self.t_on} lies outside the grid [{start}, {end})")
         if np.max(np.abs(self.current.values.imag)) > 1e-12:
             raise DriveError("drive current must be real")
         times = self.grid.times()
@@ -227,36 +229,19 @@ def ode_oscillator(sc: DriveScenario, error_tol: Optional[float] = 1e-6) -> Samp
     return SampledSignal(sc.grid, coarse.astype(complex))
 
 
-def scenario_state(sc: DriveScenario, dim: int) -> fock.FockState:
-    return fock.make_state(sc.state_kind, dim, alpha=sc.alpha)
-
-
-def scenario_mean(sc: DriveScenario, q_j: SampledSignal) -> Callable[[float], complex]:
-    """c-number mean path: initial-state mean plus classical displacement."""
-    base = coherent_mean(sc.alpha, sc.params) if sc.state_kind == "coherent" else None
-
-    def mean(t: float) -> complex:
-        out = q_j.value_at(t)
-        if base is not None:
-            out += base(t)
-        return out
-
-    return mean
-
-
 def verify_driven_factorization(sc: DriveScenario, d_r: Kernel, times=None,
                                 dim: int = 40) -> dict:
     """Moment residuals of the drive factorization, by check name.
 
-    Matrix-oracle averages of the shifted operators are compared against
-    the functional predictions (linear part = mean path, quadratic part =
-    contraction kernels) for first and second moments under the branch
-    orderings and for symmetric and normal second moments.  The c-number
-    shift must drop out of every ordering simultaneously.
+    Matrix-oracle averages of the operators shifted by the classical
+    displacement are compared with the functional predictions
+    (``functionals.moment_residual``) for first and second moments under
+    the branch orderings and for symmetric and normal second moments.  The
+    c-number shift must drop out of every ordering simultaneously.
     """
     q_j = classical_displacement(sc, d_r)
-    state = scenario_state(sc, dim)
-    mean = scenario_mean(sc, q_j)
+    state = fock.make_state(sc.state_kind, dim, alpha=sc.alpha)
+    mean = coherent_mean(sc.alpha, sc.params) if sc.state_kind == "coherent" else None
     if times is None:
         window = np.flatnonzero(causal_window(sc.grid, sc.t_on))
         grid_times = sc.grid.times()
@@ -264,45 +249,18 @@ def verify_driven_factorization(sc: DriveScenario, d_r: Kernel, times=None,
         t2 = float(grid_times[window[(3 * len(window)) // 5]])
     else:
         t1, t2 = times
-    p = sc.params
-
-    def dt_avg(factors):
-        return fock.ordered_average(
-            state,
-            fock.OrderedProductSpec(
-                factors=tuple(("q", t, branch) for branch, t in factors),
-                ordering="double_time",
-                shift=q_j,
-            ),
-            p,
-        )
-
-    residuals = {}
-    for name, factors in [
-        ("first_moment_forward", [("plus", t1)]),
-        ("first_moment_backward", [("minus", t2)]),
-        ("second_moment_forward", [("plus", t1), ("plus", t2)]),
-        ("second_moment_mixed", [("minus", t1), ("plus", t2)]),
-        ("second_moment_backward", [("minus", t1), ("minus", t2)]),
-    ]:
-        predicted = predicted_double_time_moment(factors, p, mean)
-        residuals[name] = abs(dt_avg(factors) - predicted)
-
-    weyl_measured = fock.ordered_average(
-        state,
-        fock.OrderedProductSpec(
-            factors=(("q", t1, None), ("q", t2, None)), ordering="weyl", shift=q_j),
-        p,
-    )
-    residuals["second_moment_symmetric"] = abs(
-        weyl_measured - predicted_weyl_moment([t1, t2], p, mean))
-
-    normal_measured = fock.ordered_average(
-        state,
-        fock.OrderedProductSpec(
-            factors=(("q", t1, None), ("q", t2, None)), ordering="normal", shift=q_j),
-        p,
-    )
-    residuals["second_moment_normal"] = abs(
-        normal_measured - predicted_normal_moment([t1, t2], mean))
-    return residuals
+    table = [
+        ("first_moment_forward", "double_time", [(t1, "plus")]),
+        ("first_moment_backward", "double_time", [(t2, "minus")]),
+        ("second_moment_forward", "double_time", [(t1, "plus"), (t2, "plus")]),
+        ("second_moment_mixed", "double_time", [(t1, "minus"), (t2, "plus")]),
+        ("second_moment_backward", "double_time", [(t1, "minus"), (t2, "minus")]),
+        ("second_moment_symmetric", "weyl", [(t1, None), (t2, None)]),
+        ("second_moment_normal", "normal", [(t1, None), (t2, None)]),
+    ]
+    return {
+        name: moment_residual(state, fock.OrderedProductSpec(
+            tuple(("q", t, branch) for t, branch in factors), ordering, shift=q_j),
+            sc.params, mean)
+        for name, ordering, factors in table
+    }

@@ -266,15 +266,26 @@ def _weyl_average(state: FockState, mats) -> complex:
     return complex(total) * 2.0 ** (1 - m) / math.factorial(m)
 
 
+def _contour_order(labels) -> list:
+    """Indices of (branch, time) labels in contour order, leftmost first.
+
+    The backward ('minus') branch stands left of the forward ('plus')
+    branch; on the backward branch the earliest time is leftmost, on the
+    forward branch the latest.  Equal times on one branch keep their input
+    order.
+    """
+    minus = [i for i, (branch, _) in enumerate(labels) if branch == "minus"]
+    plus = [i for i, (branch, _) in enumerate(labels) if branch == "plus"]
+    return (sorted(minus, key=lambda i: labels[i][1])
+            + sorted(plus, key=lambda i: -labels[i][1]))
+
+
 def ordered_average(state: FockState, spec: OrderedProductSpec,
                     p: OscillatorParams) -> complex:
     """Tr[rho O] with O assembled according to the requested ordering.
 
-    double_time: all backward-branch factors stand left of all
-    forward-branch factors; within the backward branch time increases to
-    the right, within the forward branch it decreases to the right
-    (contour-earlier operators go right).  Equal times on one branch
-    commute under the ordering, so the stable input order is kept.
+    double_time: the factors in contour order (``_contour_order``), so
+    contour-earlier operators go right.
     weyl: the equal-weight average over all factor orders, evaluated by
     the polarization identity.  normal/antinormal: every factor is
     c*a + d*adag + s; the coefficients P[j, k] of x^k y^j in the product of
@@ -302,11 +313,7 @@ def ordered_average(state: FockState, spec: OrderedProductSpec,
     if spec.ordering == "weyl":
         return _weyl_average(state, mats)
     if spec.ordering == "double_time":
-        minus = [i for i, f in enumerate(factors) if f.branch == "minus"]
-        plus = [i for i, f in enumerate(factors) if f.branch == "plus"]
-        minus.sort(key=lambda i: factors[i].time)            # earliest leftmost
-        plus.sort(key=lambda i: -factors[i].time)            # latest leftmost
-        mats = [mats[i] for i in minus + plus]
+        mats = [mats[i] for i in _contour_order([(f.branch, f.time) for f in factors])]
     op = mats[0]
     for m in mats[1:]:
         op = op @ m
@@ -338,21 +345,23 @@ def _double_ordered(state: FockState, minus_probe: Probe, plus_probe: Probe,
                     p: OscillatorParams) -> complex:
     """Tr[rho U], U the product of exp(+-i w q(t)) factors in branch order.
 
-    Backward branch: exp(+i w q(t)), earliest time leftmost; forward branch:
-    exp(-i w q(t)), latest time leftmost.  Weights at equal times on one
-    branch add into one factor, since q(t) commutes with itself (the
+    exp(+i w q(t)) on the backward branch and exp(-i w q(t)) on the forward
+    one, in contour order (``_contour_order``).  Weights at equal times on
+    one branch add into one factor, since q(t) commutes with itself (the
     truncated factors would not commute exactly).  Each factor is normal
     ordered, exp(c a + d adag) = e^{cd/2} exp(d adag) exp(c a).
     """
     dim = state.dim
-    op = np.eye(dim, dtype=complex)
-    for sign, probe, latest_first in ((1j, minus_probe, False), (-1j, plus_probe, True)):
-        merged = {}
+    merged = {}
+    for branch, probe in (("minus", minus_probe), ("plus", plus_probe)):
         for t, w in probe:
-            merged[t] = merged.get(t, 0.0) + w
-        for t in sorted(merged, reverse=latest_first):
-            c, d = (sign * merged[t] * x for x in ladder_parts("q", t, p))
-            op = op @ (np.exp(c * d / 2) * (_ladder_exp(d, dim).T @ _ladder_exp(c, dim)))
+            merged[branch, t] = merged.get((branch, t), 0.0) + w
+    labels = list(merged)
+    op = np.eye(dim, dtype=complex)
+    for i in _contour_order(labels):
+        sign = 1j if labels[i][0] == "minus" else -1j
+        c, d = (sign * merged[labels[i]] * x for x in ladder_parts("q", labels[i][1], p))
+        op = op @ (np.exp(c * d / 2) * (_ladder_exp(d, dim).T @ _ladder_exp(c, dim)))
     return expectation(state, op)
 
 

@@ -6,9 +6,9 @@ quadratic form of contraction kernels; rewritten through the substitution
 exp[sum eta D_R sigma], i.e. a classical source radiating through the
 retarded kernel.  This module evaluates both forms, the initial-state and
 classical-drive factors, the forward/backward current maps for the three
-ordering variants, and extracts moments of the exponential-of-quadratic
-functionals through the pairing formula so they can be compared with the
-matrix oracle.
+ordering variants, and predicts the ordered moments of every ordering
+through the pairing formula (``predicted_moment``); ``moment_residual``
+is the one place where the matrix oracle meets that prediction.
 
 Probes are grid signals; functional derivatives are represented as
 polynomial coefficients in the weights of grid spikes and evaluated
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Callable, Optional
 
 import numpy as np
@@ -251,40 +252,59 @@ def _mean_at(mean: Mean, t: float) -> complex:
     return complex(mean(t)) if mean is not None else 0.0j
 
 
-def predicted_double_time_moment(factors, p: OscillatorParams, mean: Mean = None) -> complex:
-    """Branch-ordered moment predicted by the exponential functional.
+def _pair_value(ordering: str, f_i: fock.Factor, f_j: fock.Factor,
+                p: OscillatorParams) -> complex:
+    """Pair rule of an ordering for q factors f_i left of f_j, tau = t_i - t_j."""
+    if ordering == "double_time":
+        return contraction_value(f_i.time, f_i.branch, f_j.time, f_j.branch, p)
+    tau = f_i.time - f_j.time
+    if ordering == "plain":
+        return 1j * p.hbar * osc_d_value(tau, p)
+    both = osc_d_value(tau, p) + osc_d_value(-tau, p)
+    return (0.5j if ordering == "weyl" else 1j) * p.hbar * both
 
-    factors: sequence of (branch, time); mean is the c-number position
-    path (initial-state mean plus classical displacement).  The moment is
-    the pairing sum with the contraction of each pair's branch kind
-    (``wick.contraction_value``) and the mean at each unpaired time.
+
+def predicted_moment(spec: fock.OrderedProductSpec, p: OscillatorParams,
+                     mean: Mean = None) -> complex:
+    """Ordered moment of q factors predicted by the exponential functional.
+
+    The pairing sum (``gaussian_moments``) with one pair rule per
+    ordering, for f_i left of f_j at tau = t_i - t_j: double_time the
+    contraction of the pair's branch kind (``wick.contraction_value``),
+    plain i hbar D(tau), weyl (i hbar/2) [D(tau) + D(-tau)], antinormal
+    i hbar [D(tau) + D(-tau)], normal none.  The linear part at each time
+    is the c-number mean path (initial-state mean) plus the spec's shift.
     """
-    factors = list(factors)
+    factors = spec.factors
+    if any(f.observable != "q" for f in factors):
+        raise FunctionalError("moment predictions cover q factors only")
     m = len(factors)
-    for branch, _ in factors:
-        if branch not in ("plus", "minus"):
-            raise FunctionalError(f"factor branch must be 'plus' or 'minus', got {branch!r}")
     quad = np.zeros((m, m), dtype=complex)
-    # the pairing formula only ever reads off-diagonal entries
-    for a, (branch_a, t_a) in enumerate(factors):
-        for b, (branch_b, t_b) in enumerate(factors):
-            if b != a:
-                quad[a, b] = contraction_value(t_a, branch_a, t_b, branch_b, p)
-    lin = np.array([_mean_at(mean, t) for _, t in factors], dtype=complex)
+    if spec.ordering != "normal":
+        for i, j in combinations(range(m), 2):
+            quad[i, j] = quad[j, i] = _pair_value(spec.ordering, factors[i], factors[j], p)
+    lin = np.array([_mean_at(mean, f.time) + fock._shift_value(spec.shift, f.time)
+                    for f in factors], dtype=complex)
     return gaussian_moments(quad, lin)
+
+
+def moment_residual(state: fock.FockState, spec: fock.OrderedProductSpec,
+                    p: OscillatorParams, mean: Mean = None) -> float:
+    """|matrix-oracle average - functional prediction| of an ordered q product."""
+    predicted = predicted_moment(spec, p, mean)
+    return abs(fock.ordered_average(state, spec, p) - predicted)
+
+
+def predicted_double_time_moment(factors, p: OscillatorParams, mean: Mean = None) -> complex:
+    """``predicted_moment`` of branch-ordered (branch, time) factors."""
+    return predicted_moment(fock.OrderedProductSpec(
+        tuple(("q", t, branch) for branch, t in factors), "double_time"), p, mean)
 
 
 def predicted_weyl_moment(times, p: OscillatorParams, mean: Mean = None) -> complex:
-    """Symmetrically ordered moment predicted by the Gaussian-factor form."""
-    times = list(times)
-    m = len(times)
-    quad = np.zeros((m, m), dtype=complex)
-    for a in range(m):
-        for b in range(m):
-            quad[a, b] = 0.5j * p.hbar * (
-                osc_d_value(times[a] - times[b], p) + osc_d_value(times[b] - times[a], p))
-    lin = np.array([_mean_at(mean, t) for t in times], dtype=complex)
-    return gaussian_moments(quad, lin)
+    """``predicted_moment`` of the symmetrically ordered product at these times."""
+    return predicted_moment(fock.OrderedProductSpec(
+        tuple(("q", t, None) for t in times), "weyl"), p, mean)
 
 
 def predicted_normal_moment(times, mean: Mean = None) -> complex:
@@ -293,21 +313,6 @@ def predicted_normal_moment(times, mean: Mean = None) -> complex:
     for t in times:
         out *= _mean_at(mean, t)
     return out
-
-
-def weyl_moment_check(times, p: OscillatorParams, kind: str = "vacuum", *,
-                      alpha: complex = 0.0, dim: int = 40) -> float:
-    """|functional prediction - matrix symmetric average| for q factors."""
-    state = fock.make_state(kind, dim, alpha=alpha)
-    mean = coherent_mean(alpha, p) if kind == "coherent" else None
-    predicted = predicted_weyl_moment(times, p, mean)
-    measured = fock.ordered_average(
-        state,
-        fock.OrderedProductSpec(
-            factors=tuple(("q", t, None) for t in times), ordering="weyl"),
-        p,
-    )
-    return abs(predicted - measured)
 
 
 # -- forward/backward current maps ---------------------------------------------------

@@ -167,6 +167,8 @@ def test_drive_export(tmp_path):
     assert rows[0] == ["t", "q_j", "ode_q", "abs_diff"]
     assert len(rows) == 257
     assert main(["drive", "--current", "ramp:1.0", "--out", str(out)]) == 2
+    # an onset after the last sample leaves the causal window empty
+    assert main(["drive", "--t-on", "2.55", "--out", str(out)]) == 0
 
 
 def test_wick_export(tmp_path, capsys):
@@ -182,3 +184,31 @@ def test_wick_export(tmp_path, capsys):
     perfect = [term for term in payload if not term["rest"]]
     assert len(perfect) == 3
     assert main(["wick", "--factors", "t0.0"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernels", "--n", "7"],
+    ["kernels", "--dt", "-1"],
+    ["drive", "--n", "7"],
+    ["drive", "--dt", "0"],
+    ["drive", "--dt", "nan"],
+    ["wick", "--factors", ",".join(f"+t{k}.0" for k in range(9))],
+    ["drive", "--t-on", "100"],
+    ["drive", "--t-on=-100"],
+])
+def test_bad_command_inputs_exit_with_the_usage_code(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("text", [
+    "[]",
+    json.dumps({"suite": "field", "config": {}, "wall_time_s": 0.0, "schema_version": 1,
+                "checks": [{"id": "x", "tag": "x", "residual": "abc", "tolerance": 1.0,
+                            "gating": True}]}),
+])
+def test_malformed_reports_exit_with_the_usage_code(tmp_path, capsys, text):
+    path = tmp_path / "rep.json"
+    path.write_text(text)
+    assert main(["report", "--path", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read report")

@@ -32,6 +32,11 @@ def test_scenario_validation():
     # zero before onset is fine
     ok = np.where(t >= 0, 1.0, 0.0).astype(complex)
     DriveScenario(params=P, grid=g, current=SampledSignal(g, ok))
+    # the onset must lie on the grid's span [t0, t0 + period)
+    step_scenario(P, g, 1.0, t_on=g.t0)
+    for t_on in (g.t0 - g.dt, g.t0 + g.period, float("nan")):
+        with pytest.raises(DriveError):
+            step_scenario(P, g, 1.0, t_on=t_on)
 
 
 def test_step_scenario_samples_carry_half_at_the_jump():

@@ -12,12 +12,13 @@ from oscresp.functionals import (CurrentPair, FunctionalError, ProbeSet,
                                  gaussian_moments, inverse_substitution,
                                  log_phi_cl, log_phi_in_coherent,
                                  log_phi_vac_quadratic, log_phi_vac_response,
-                                 phi_cl, phi_full, phi_in, phi_in_coherent,
-                                 phi_in_state, phi_vac_quadratic,
+                                 moment_residual, phi_cl, phi_full, phi_in,
+                                 phi_in_coherent, phi_in_state, phi_vac_quadratic,
                                  phi_vac_response, predicted_double_time_moment,
-                                 predicted_normal_moment, predicted_weyl_moment,
-                                 quad_form, response_substitution, schwinger_map,
-                                 weyl_kernel_identity_residual, weyl_moment_check)
+                                 predicted_moment, predicted_normal_moment,
+                                 predicted_weyl_moment, quad_form,
+                                 response_substitution, schwinger_map,
+                                 weyl_kernel_identity_residual)
 from oscresp.grids import SampledSignal, make_grid, without_zero_nyquist
 from oscresp.kernels import (OscillatorParams, charged_field_kernels,
                              ChargedModeSet, osc_df_value, osc_dr_value,
@@ -372,9 +373,18 @@ def test_weyl_kernel_identity():
     assert weyl_kernel_identity_residual(eta, kers.d, kers.d_r) < 1e-10
 
 
+def weyl_residual(times, dim, alpha=None):
+    """moment_residual of the symmetric q product in the vacuum or a coherent state."""
+    spec = fock.OrderedProductSpec(tuple(("q", t, None) for t in times), "weyl")
+    if alpha is None:
+        return moment_residual(fock.make_state("vacuum", dim), spec, P)
+    state = fock.make_state("coherent", dim, alpha=alpha)
+    return moment_residual(state, spec, P, coherent_mean(alpha, P))
+
+
 def test_weyl_two_point_values():
     # vacuum equal-time symmetric moment is hbar/(2 m omega0) = 1/2 here
-    assert weyl_moment_check([0.0, 0.0], P, "vacuum", dim=30) < 1e-12
+    assert weyl_residual([0.0, 0.0], dim=30) < 1e-12
     predicted = predicted_weyl_moment([0.0, 0.0], P)
     assert predicted == pytest.approx(0.5)
 
@@ -384,13 +394,20 @@ def test_weyl_two_point_values():
     predicted = predicted_weyl_moment([t1, t2], P, mean)
     shift = P.hbar * np.cos(P.omega0 * (t1 - t2)) / (2 * P.mass * P.omega0)
     assert predicted == pytest.approx(mean(t1) * mean(t2) + shift, abs=1e-14)
-    assert weyl_moment_check([t1, t2], P, "coherent", alpha=1.0, dim=40) < 1e-10
+    assert weyl_residual([t1, t2], dim=40, alpha=1.0) < 1e-10
 
 
 def test_weyl_four_point_conjecture_level():
-    assert weyl_moment_check([0.2, 0.7, 1.3, 1.9], P, "vacuum", dim=40) < 1e-10
-    assert weyl_moment_check([0.2, 0.7, 1.3, 1.9], P, "coherent", alpha=0.5,
-                             dim=40) < 1e-9
+    assert weyl_residual([0.2, 0.7, 1.3, 1.9], dim=40) < 1e-10
+    assert weyl_residual([0.2, 0.7, 1.3, 1.9], dim=40, alpha=0.5) < 1e-9
+
+
+def test_predicted_moment_refuses_momentum_factors():
+    spec = fock.OrderedProductSpec((("q", 0.1, None), ("p", 0.4, None)), "plain")
+    with pytest.raises(FunctionalError):
+        predicted_moment(spec, P)
+    with pytest.raises(FunctionalError):
+        moment_residual(fock.make_state("vacuum", 20), spec, P)
 
 
 # -- charged substitution ----------------------------------------------------------------------

@@ -12,12 +12,14 @@ from scipy.linalg import expm
 
 from oscresp import fock
 from oscresp.functionals import (ProbeSet, _eta_ladder_coefficients,
-                                 charged_substitution_residual, inverse_substitution,
-                                 phi_in_state, response_substitution)
+                                 charged_substitution_residual, coherent_mean,
+                                 inverse_substitution, moment_residual, phi_in_state,
+                                 predicted_moment, response_substitution)
 from oscresp.grids import SampledSignal, frequency_split, make_grid, without_zero_nyquist
 from oscresp.kernels import (ChargedModeSet, OscillatorParams, charged_field_kernels,
-                             contraction_from_retarded, feynman_from_retarded,
-                             osc_kernels)
+                             commutator_kernel, contraction_from_retarded,
+                             feynman_from_retarded, osc_kernels)
+from oscresp.wick import verify_wick
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=25)
 
@@ -27,11 +29,11 @@ positive = st.floats(0.1, 10.0)
 
 
 @st.composite
-def oscillators(draw):
+def oscillators(draw, values=positive):
     """(params, grid) with omega0 on a valid DFT bin of an even-sized grid."""
     n = draw(sizes)
     bin_index = draw(st.integers(1, n // 2 - 1))
-    p = OscillatorParams(mass=draw(positive), omega0=draw(positive), hbar=draw(positive))
+    p = OscillatorParams(mass=draw(values), omega0=draw(values), hbar=draw(values))
     return p, make_grid(n, 2.0 * np.pi * bin_index / (n * p.omega0))
 
 
@@ -105,13 +107,14 @@ def test_charged_doubled_substitution(field, hbar, seed):
 
 
 @st.composite
-def fock_states(draw):
-    """A random density matrix whose support lies inside the lowest dim - 2 levels."""
-    dim = draw(st.integers(3, 30))
+def fock_states(draw, headroom=2, least=3):
+    """A random density matrix whose support lies inside the lowest dim - headroom levels."""
+    dim = draw(st.integers(least, 30))
     rng = np.random.default_rng(draw(seeds))
-    g = rng.standard_normal((dim - 2, dim - 2)) + 1j * rng.standard_normal((dim - 2, dim - 2))
+    size = dim - headroom
+    g = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
     rho = np.zeros((dim, dim), dtype=complex)
-    rho[:dim - 2, :dim - 2] = g @ g.conj().T
+    rho[:size, :size] = g @ g.conj().T
     return fock.FockState(rho / np.trace(rho).real)
 
 
@@ -141,3 +144,51 @@ def test_phi_in_state_against_matrix_exponentials(state, n, scale, seed):
     terms = (np.abs(fock._ladder_exp(c, state.dim)) @ np.abs(state.rho)
              * np.abs(fock._ladder_exp(d, state.dim)))
     assert abs(phi_in_state(state, eta, p) - ref) < 1e-13 * np.sum(terms)
+
+
+near_one = st.floats(0.5, 2.0)
+times = st.floats(-3.0, 3.0)
+branches = st.sampled_from(("plus", "minus"))
+
+
+@PROPERTY
+@given(fock_states(headroom=4, least=8),
+       st.lists(st.tuples(branches, times), min_size=1, max_size=4),
+       st.builds(OscillatorParams, near_one, near_one, near_one))
+def test_wick_expansion_on_random_states(state, factors, p):
+    assert verify_wick(state, factors, p) < 1e-10
+
+
+@PROPERTY
+@given(fock_states(), oscillators(near_one), st.integers(0, 2**16), st.integers(0, 2**16))
+def test_commutator_is_the_response_kernel_in_random_states(state, osc, i1, i2):
+    p, grid = osc
+    t1, t2 = grid.times()[[i1 % grid.n, i2 % grid.n]]
+    q1, q2 = fock.heisenberg_q(p, t1, state.dim), fock.heisenberg_q(p, t2, state.dim)
+    expected = commutator_kernel(osc_kernels(p, grid).d_r, p.hbar).value_at_tau(t1 - t2)
+    assert abs(fock.expectation(state, q1 @ q2 - q2 @ q1) - expected) < 1e-10
+
+
+@st.composite
+def ordered_products(draw):
+    """An OrderedProductSpec of up to 6 q factors, with or without a callable shift."""
+    ordering = draw(st.sampled_from(fock.ORDERINGS))
+    branch = branches if ordering == "double_time" else st.none()
+    factors = draw(st.lists(st.tuples(st.just("q"), times, branch), max_size=6))
+    shift = None
+    if draw(st.booleans()):
+        a, b = draw(st.complex_numbers(max_magnitude=0.5)), draw(st.floats(-0.5, 0.5))
+        shift = lambda t: a * np.cos(t) + b * t    # noqa: E731
+    return fock.OrderedProductSpec(tuple(factors), ordering, shift)
+
+
+@settings(PROPERTY, max_examples=100)
+@given(ordered_products(), st.one_of(st.none(), st.complex_numbers(max_magnitude=0.7)))
+def test_every_ordered_moment_matches_its_prediction(spec, alpha):
+    p = OscillatorParams()
+    if alpha is None:
+        state, mean = fock.make_state("vacuum", 40), None
+    else:
+        state, mean = fock.make_state("coherent", 40, alpha=alpha), coherent_mean(alpha, p)
+    bound = 1e-10 * max(1.0, abs(predicted_moment(spec, p, mean)))
+    assert moment_residual(state, spec, p, mean) <= bound
