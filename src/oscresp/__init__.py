@@ -20,7 +20,7 @@ from .fock import (Factor, FockState, OrderedProductSpec, TruncationError,
                    ordered_average, reality_check)
 from .wick import WickTerm, enumerate_pairings, hori_expand, verify_wick
 from .functionals import (CurrentPair, ProbeSet, gaussian_moments,
-                          inverse_substitution, phi_cl, phi_full, phi_in,
+                          inverse_substitution, phi_cl, phi_full,
                           phi_vac_quadratic, phi_vac_response,
                           response_substitution, schwinger_map)
 from .driven import (DriveScenario, classical_displacement, ode_oscillator,
@@ -42,7 +42,7 @@ __all__ = [
     "heisenberg_p", "heisenberg_q", "hori_expand", "inverse_substitution",
     "kernel_adjoint", "ladder", "make_grid", "make_state",
     "neutral_field_kernels", "ode_oscillator", "ordered_average",
-    "osc_kernels", "phi_cl", "phi_full", "phi_in", "phi_vac_quadratic",
+    "osc_kernels", "phi_cl", "phi_full", "phi_vac_quadratic",
     "phi_vac_response", "qp_commutator_kernel", "reality_check",
     "response_substitution", "retarded_from_contractions", "run_suite",
     "schwinger_map", "sin_scenario", "step_scenario", "verify_wick",

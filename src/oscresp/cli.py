@@ -10,13 +10,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import driven, wick
+from . import driven, fock, wick
 from .grids import GridError, make_grid, write_csv, write_json
 from .kernels import CommensurabilityError, OscillatorParams, osc_kernels
 from .suites import SUITES, Config, ConfigError, SuiteReport, run_suite
@@ -43,8 +44,8 @@ def _parse_params(text: str) -> OscillatorParams:
 
 def _load_config(args) -> Config:
     cfg = Config.load(args.config) if args.config else Config()
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
+    if args.seed is not None:
+        cfg = Config.from_dict({**cfg.to_dict(), "seed": args.seed})
     return cfg
 
 
@@ -132,9 +133,12 @@ def _parse_factors(text: str):
                 f"bad factor {token!r}: expected e.g. +t0.0 or -t1.3")
         branch = "plus" if token[0] == "+" else "minus"
         try:
-            factors.append((branch, float(token[2:])))
+            t = float(token[2:])
         except ValueError as exc:
             raise ConfigError(f"bad factor time in {token!r}") from exc
+        if not math.isfinite(t):
+            raise ConfigError(f"factor time in {token!r} must be finite")
+        factors.append((branch, t))
     return factors
 
 
@@ -226,7 +230,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, GridError, driven.DriveError, wick.WickError, OSError) as exc:
+    except (ConfigError, GridError, driven.DriveError, fock.FockError, wick.WickError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

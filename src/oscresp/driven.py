@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import fock
-from .functionals import coherent_mean, moment_residual
+from .functionals import Mean, moment_residual
 from .grids import Kernel, SampledSignal, TimeGrid, circular_convolve
 from .kernels import OscillatorParams
 
@@ -36,7 +36,7 @@ class OdeAccuracyError(RuntimeError):
 
 @dataclass(frozen=True)
 class DriveScenario:
-    """A causal current driving the oscillator from a given initial state.
+    """A causal current driving the oscillator.
 
     current holds the grid samples (zero before onset, jump samples at
     half value); current_fn is the continuum evaluation used by the ODE
@@ -46,8 +46,6 @@ class DriveScenario:
     params: OscillatorParams
     grid: TimeGrid
     current: SampledSignal
-    state_kind: str = "vacuum"
-    alpha: complex = 0.0
     current_fn: Optional[Callable[[float], float]] = None
     t_on: float = 0.0
 
@@ -55,6 +53,8 @@ class DriveScenario:
         start, end = self.grid.t0, self.grid.t0 + self.grid.period
         if not start <= self.t_on < end:
             raise DriveError(f"drive onset {self.t_on} lies outside the grid [{start}, {end})")
+        if not np.all(np.isfinite(self.current.values)):
+            raise DriveError("drive current must be finite")
         if np.max(np.abs(self.current.values.imag)) > 1e-12:
             raise DriveError("drive current must be real")
         times = self.grid.times()
@@ -64,8 +64,7 @@ class DriveScenario:
 
 
 def step_scenario(params: OscillatorParams, grid: TimeGrid, amplitude: float = 1.0,
-                  t_on: float = 0.0, state_kind: str = "vacuum",
-                  alpha: complex = 0.0) -> DriveScenario:
+                  t_on: float = 0.0) -> DriveScenario:
     """Constant current switched on at t_on; the onset sample carries half."""
     times = grid.times()
     values = np.where(times > t_on, amplitude, 0.0).astype(complex)
@@ -76,12 +75,11 @@ def step_scenario(params: OscillatorParams, grid: TimeGrid, amplitude: float = 1
         return amplitude if t >= t_on else 0.0
 
     return DriveScenario(params=params, grid=grid, current=SampledSignal(grid, values),
-                         state_kind=state_kind, alpha=alpha, current_fn=fn, t_on=t_on)
+                         current_fn=fn, t_on=t_on)
 
 
 def sin_scenario(params: OscillatorParams, grid: TimeGrid, amplitude: float = 1.0,
-                 omega: Optional[float] = None, t_on: float = 0.0,
-                 state_kind: str = "vacuum", alpha: complex = 0.0) -> DriveScenario:
+                 omega: Optional[float] = None, t_on: float = 0.0) -> DriveScenario:
     """Sinusoidal current from t_on on (continuous at onset)."""
     w = params.omega0 if omega is None else float(omega)
     times = grid.times()
@@ -92,7 +90,7 @@ def sin_scenario(params: OscillatorParams, grid: TimeGrid, amplitude: float = 1.
 
     return DriveScenario(params=params, grid=grid,
                          current=SampledSignal(grid, values.astype(complex)),
-                         state_kind=state_kind, alpha=alpha, current_fn=fn, t_on=t_on)
+                         current_fn=fn, t_on=t_on)
 
 
 def _window_bounds(grid: TimeGrid, t_on: float):
@@ -229,19 +227,17 @@ def ode_oscillator(sc: DriveScenario, error_tol: Optional[float] = 1e-6) -> Samp
     return SampledSignal(sc.grid, coarse.astype(complex))
 
 
-def verify_driven_factorization(sc: DriveScenario, d_r: Kernel, times=None,
-                                dim: int = 40) -> dict:
+def verify_driven_factorization(sc: DriveScenario, d_r: Kernel, state: fock.FockState,
+                                mean: Mean = None, times=None) -> dict:
     """Moment residuals of the drive factorization, by check name.
 
-    Matrix-oracle averages of the operators shifted by the classical
-    displacement are compared with the functional predictions
-    (``functionals.moment_residual``) for first and second moments under
-    the branch orderings and for symmetric and normal second moments.  The
-    c-number shift must drop out of every ordering simultaneously.
+    Matrix-oracle averages in the initial state of the operators shifted
+    by the classical displacement are compared with the functional
+    predictions (``functionals.moment_residual``, with the state's mean
+    path) for first and second moments under the branch orderings and for
+    symmetric and normal second moments: the shift drops out of each.
     """
     q_j = classical_displacement(sc, d_r)
-    state = fock.make_state(sc.state_kind, dim, alpha=sc.alpha)
-    mean = coherent_mean(sc.alpha, sc.params) if sc.state_kind == "coherent" else None
     if times is None:
         window = np.flatnonzero(causal_window(sc.grid, sc.t_on))
         grid_times = sc.grid.times()

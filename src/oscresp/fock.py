@@ -86,6 +86,8 @@ class FockState:
         rho = np.asarray(self.rho, dtype=complex)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise FockError("density matrix must be square")
+        if not (np.all(np.isfinite(rho)) and math.isfinite(self.norm_deficit)):
+            raise FockError("density matrix and truncation deficit must be finite")
         object.__setattr__(self, "rho", rho)
 
     @property
@@ -103,16 +105,13 @@ def make_state(kind: str, dim: int, *, alpha: complex = 0.0, n: int = 0,
     """
     if dim < 2:
         raise FockError("need dim >= 2")
-    if kind == "vacuum":
-        psi = np.zeros(dim, dtype=complex)
-        psi[0] = 1.0
-        return FockState(np.outer(psi, psi.conj()), 0.0)
-    if kind == "fock":
-        if not 0 <= n < dim:
-            raise TruncationError(f"fock level {n} outside truncated basis of {dim}")
-        psi = np.zeros(dim, dtype=complex)
-        psi[n] = 1.0
-        return FockState(np.outer(psi, psi.conj()), 0.0)
+    if kind in ("vacuum", "fock"):
+        level = n if kind == "fock" else 0
+        if not 0 <= level < dim:
+            raise TruncationError(f"fock level {level} outside truncated basis of {dim}")
+        rho = np.zeros((dim, dim), dtype=complex)
+        rho[level, level] = 1.0
+        return FockState(rho, 0.0)
     if kind == "coherent":
         amps = np.zeros(dim, dtype=complex)
         amps[0] = 1.0
@@ -129,8 +128,6 @@ def make_state(kind: str, dim: int, *, alpha: complex = 0.0, n: int = 0,
     if kind == "thermal":
         if nbar < 0:
             raise FockError("thermal occupation must be nonnegative")
-        if nbar == 0:
-            return make_state("vacuum", dim)
         ratio = nbar / (nbar + 1.0)
         weights = ratio ** np.arange(dim) / (nbar + 1.0)
         deficit = 1.0 - float(weights.sum())
@@ -173,6 +170,8 @@ class Factor:
             raise FockError(f"unknown observable {self.observable!r}")
         if self.branch not in ("plus", "minus", None):
             raise FockError(f"unknown branch {self.branch!r}")
+        if not math.isfinite(self.time):
+            raise FockError(f"factor time must be finite, got {self.time}")
 
 
 @dataclass(frozen=True)
@@ -245,6 +244,25 @@ def ladder_moments(state: FockState, order: int, antinormal: bool = False) -> np
     return moments
 
 
+def contract_moments(moments: np.ndarray, parts) -> complex:
+    """Average of the product of factors c*a + d*adag + s, one (c, d, s) per factor.
+
+    The coefficients P[j, k] of x^k y^j in the product of (c x + d y + s)
+    are contracted with the leading block of a ``ladder_moments`` table,
+    which must reach order len(parts): normal order for <adag^j a^k>,
+    antinormal for <a^k adag^j>.
+    """
+    m = len(parts)
+    poly = np.zeros((m + 1, m + 1), dtype=complex)     # [adag power, a power]
+    poly[0, 0] = 1.0
+    for c, d, s in parts:
+        grown = s * poly
+        grown[:, 1:] += c * poly[:, :-1]
+        grown[1:, :] += d * poly[:-1, :]
+        poly = grown
+    return complex(np.sum(poly * moments[:m + 1, :m + 1]))
+
+
 def _weyl_average(state: FockState, mats) -> complex:
     """<Sym(X_1 ... X_m)> by polarization.
 
@@ -288,8 +306,8 @@ def ordered_average(state: FockState, spec: OrderedProductSpec,
     contour-earlier operators go right.
     weyl: the equal-weight average over all factor orders, evaluated by
     the polarization identity.  normal/antinormal: every factor is
-    c*a + d*adag + s; the coefficients P[j, k] of x^k y^j in the product of
-    (c x + d y + s) are contracted with ``ladder_moments``.
+    c*a + d*adag + s, contracted with ``ladder_moments`` by
+    ``contract_moments``.
     """
     dim = state.dim
     factors = spec.factors
@@ -298,16 +316,8 @@ def ordered_average(state: FockState, spec: OrderedProductSpec,
     require_headroom(state, len(factors))
 
     if spec.ordering in ("normal", "antinormal"):
-        m = len(factors)
-        poly = np.zeros((m + 1, m + 1), dtype=complex)     # [adag power, a power]
-        poly[0, 0] = 1.0
-        for c, d, s in (_factor_parts(f, p, spec.shift) for f in factors):
-            grown = s * poly
-            grown[:, 1:] += c * poly[:, :-1]
-            grown[1:, :] += d * poly[:-1, :]
-            poly = grown
-        moments = ladder_moments(state, m, antinormal=spec.ordering == "antinormal")
-        return complex(np.sum(poly * moments))
+        moments = ladder_moments(state, len(factors), antinormal=spec.ordering == "antinormal")
+        return contract_moments(moments, [_factor_parts(f, p, spec.shift) for f in factors])
 
     mats = [_factor_matrix(f, p, dim, spec.shift) for f in factors]
     if spec.ordering == "weyl":

@@ -30,8 +30,6 @@ from .grids import (Kernel, SampledSignal, circular_convolve, frequency_split,
 from .kernels import ChargedKernels, OscKernels, OscillatorParams, osc_d_value
 from .wick import contraction_value, enumerate_pairings
 
-MAX_MOMENT_ORDER = 6
-
 
 class FunctionalError(ValueError):
     """Invalid functional evaluation request."""
@@ -159,15 +157,6 @@ def _eta_ladder_coefficients(eta: SampledSignal, p: OscillatorParams):
     return complex(dt * np.sum(eta.values * c)), complex(dt * np.sum(eta.values * d))
 
 
-def log_phi_in_coherent(alpha: complex, eta: SampledSignal, p: OscillatorParams) -> complex:
-    c, d = _eta_ladder_coefficients(eta, p)
-    return c * alpha + d * np.conj(alpha)
-
-
-def phi_in_coherent(alpha: complex, eta: SampledSignal, p: OscillatorParams) -> complex:
-    return complex(np.exp(log_phi_in_coherent(alpha, eta, p)))
-
-
 def phi_in_state(state: fock.FockState, eta: SampledSignal, p: OscillatorParams) -> complex:
     """Normally ordered exponential average Tr[e^{c a} rho e^{d adag}].
 
@@ -177,20 +166,6 @@ def phi_in_state(state: fock.FockState, eta: SampledSignal, p: OscillatorParams)
     c, d = _eta_ladder_coefficients(eta, p)
     return complex(np.sum((fock._ladder_exp(c, state.dim) @ state.rho)
                           * fock._ladder_exp(d, state.dim)))
-
-
-def phi_in(kind: str, eta: SampledSignal, p: OscillatorParams, *,
-           alpha: complex = 0.0, state: Optional[fock.FockState] = None) -> complex:
-    """Initial-state factor for the supported state families."""
-    if kind == "vacuum":
-        return 1.0 + 0.0j
-    if kind == "coherent":
-        return phi_in_coherent(alpha, eta, p)
-    if kind in ("fock", "thermal"):
-        if state is None:
-            raise FunctionalError(f"{kind} initial state needs an explicit FockState")
-        return phi_in_state(state, eta, p)
-    raise FunctionalError(f"unknown state kind {kind!r}")
 
 
 # -- full functional ---------------------------------------------------------------
@@ -204,10 +179,9 @@ class PhiFull:
 
 
 def phi_full(ps: ProbeSet, current: SampledSignal, kers: OscKernels,
-             kind: str = "vacuum", *, alpha: complex = 0.0,
-             state: Optional[fock.FockState] = None) -> PhiFull:
+             state: fock.FockState) -> PhiFull:
     eta = ps.eta
-    in_factor = phi_in(kind, eta, kers.params, alpha=alpha, state=state)
+    in_factor = phi_in_state(state, eta, kers.params)
     factored = (
         phi_vac_quadratic(ps, kers)
         * in_factor
@@ -230,8 +204,8 @@ def gaussian_moments(quad: np.ndarray, lin: np.ndarray) -> complex:
     quad = np.asarray(quad, dtype=complex)
     lin = np.asarray(lin, dtype=complex)
     m = lin.shape[0]
-    if m > MAX_MOMENT_ORDER:
-        raise FunctionalError(f"moment order capped at {MAX_MOMENT_ORDER}")
+    if m > fock.MAX_FACTORS:
+        raise FunctionalError(f"moment order {m} exceeds {fock.MAX_FACTORS}")
     if quad.shape != (m, m):
         raise FunctionalError("quadratic kernel shape does not match the linear part")
     total = 0.0j

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -62,10 +62,14 @@ class Config:
             cfg = cls(**merged)
             cfg.tolerances = {k: float(v) for k, v in dict(cfg.tolerances).items()}
             check_commensurate(cfg.params().omega0, cfg.grid())
-            if cfg.dim < 2:
-                raise ValueError(f"Fock dimension must be at least 2, got {cfg.dim}")
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
+        for name, value, least in (("dim", cfg.dim, 2), ("seed", cfg.seed, 0)):
+            if type(value) is not int or value < least:
+                raise ConfigError(f"{name} must be an integer of at least {least}, got {value!r}")
+        bad = {k: v for k, v in cfg.tolerances.items() if not 0.0 <= v < math.inf}
+        if bad:
+            raise ConfigError(f"tolerances must be finite and nonnegative, got {bad}")
         return cfg
 
     @classmethod
@@ -513,9 +517,7 @@ def suite_driven(cfg: Config):
     bumped = sc.current.values.copy()
     later = times > t_probe + 1e-9
     bumped[later] += 0.8
-    sc_bumped = driven.DriveScenario(
-        params=p, grid=grid, current=SampledSignal(grid, bumped),
-        state_kind=sc.state_kind, alpha=sc.alpha, current_fn=sc.current_fn, t_on=sc.t_on)
+    sc_bumped = replace(sc, current=SampledSignal(grid, bumped))
     q_j2 = driven.classical_displacement(sc_bumped, kers.d_r)
     rows.add("displacement-causality",
              "displacement before a current change is untouched by it",
@@ -533,10 +535,13 @@ def suite_driven(cfg: Config):
     rows.add("displacement-linearity", "displacement is linear in the current",
              float(np.max(np.abs(lhs - rhs))), 1e-13)
 
+    states = {"vacuum": (fock.make_state("vacuum", cfg.dim), None),
+              "coherent": (fock.make_state("coherent", cfg.dim, alpha=0.5),
+                           functionals.coherent_mean(0.5, p))}
     for current_name, build in [("step", driven.step_scenario), ("sin", driven.sin_scenario)]:
-        for kind, alpha in [("vacuum", 0.0), ("coherent", 0.5)]:
-            sc = build(p, grid, 1.0, state_kind=kind, alpha=alpha)
-            residuals = driven.verify_driven_factorization(sc, kers.d_r, dim=cfg.dim)
+        sc = build(p, grid, 1.0)
+        for kind, (state, mean) in states.items():
+            residuals = driven.verify_driven_factorization(sc, kers.d_r, state, mean)
             for check, res in residuals.items():
                 rows.add(f"factorization-{current_name}-{kind}-{check}",
                          f"drive factorization: {check} ({current_name}, {kind})",

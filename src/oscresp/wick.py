@@ -22,13 +22,14 @@ import numpy as np
 from . import fock
 from .kernels import OscillatorParams, osc_d_value, osc_df_value
 
-MAX_PAIRING_FACTORS = 10
-MAX_EXPANSION_FACTORS = 8
-MAX_VERIFY_FACTORS = 6
-
 
 class WickError(ValueError):
     """Invalid expansion request."""
+
+
+def _require_factor_count(m: int) -> None:
+    if not 0 <= m <= fock.MAX_FACTORS:
+        raise WickError(f"factor count {m} outside 0..{fock.MAX_FACTORS}")
 
 
 @dataclass(frozen=True)
@@ -47,10 +48,7 @@ def enumerate_pairings(m: int):
     Includes the empty pairing.  Returned as (pairs, rest) tuples; for
     even m the number of perfect pairings is (m-1)!!.
     """
-    if m > MAX_PAIRING_FACTORS:
-        raise WickError(f"pairing enumeration capped at {MAX_PAIRING_FACTORS} factors")
-    if m < 0:
-        raise WickError("factor count must be nonnegative")
+    _require_factor_count(m)
 
     def recurse(indices):
         if not indices:
@@ -85,8 +83,7 @@ def hori_expand(factors) -> list:
     time minus the forward time.
     """
     factors = list(factors)
-    if len(factors) > MAX_EXPANSION_FACTORS:
-        raise WickError(f"expansion capped at {MAX_EXPANSION_FACTORS} factors")
+    _require_factor_count(len(factors))
     for branch, _ in factors:
         if branch not in ("plus", "minus"):
             raise WickError(f"factor branch must be 'plus' or 'minus', got {branch!r}")
@@ -115,34 +112,25 @@ def verify_wick(state: fock.FockState, factors, p: OscillatorParams) -> float:
     The left side is the matrix-product average of the branch-ordered
     position factors; the right side sums, over all contraction patterns,
     the product of contraction values times the normally ordered average
-    of the leftover factors.
+    of the leftover factors, all read from one table of ladder moments.
     """
     factors = list(factors)
-    if len(factors) > MAX_VERIFY_FACTORS:
-        raise WickError(f"verification capped at {MAX_VERIFY_FACTORS} factors")
-    lhs = fock.ordered_average(
-        state,
-        fock.OrderedProductSpec(
-            factors=tuple(("q", t, branch) for branch, t in factors),
-            ordering="double_time",
-        ),
-        p,
-    )
+    m = len(factors)
+    _require_factor_count(m)
+    lhs = fock.ordered_average(state, fock.OrderedProductSpec(
+        tuple(("q", t, branch) for branch, t in factors), "double_time"), p)
+    moments = fock.ladder_moments(state, m)
+    parts = [(*fock.ladder_parts("q", t, p), 0.0) for _, t in factors]
+    contractions = {
+        (i, j): contraction_value(factors[i][1], factors[i][0], factors[j][1], factors[j][0], p)
+        for i, j in combinations(range(m), 2)
+    }
     rhs = 0.0j
-    for term in hori_expand(factors):
-        weight = complex(term.coefficient)
-        for i, j in term.pairs:
-            weight *= contraction_value(
-                factors[i][1], factors[i][0], factors[j][1], factors[j][0], p)
-        rest_avg = fock.ordered_average(
-            state,
-            fock.OrderedProductSpec(
-                factors=tuple(("q", factors[k][1], None) for k in term.rest),
-                ordering="normal",
-            ),
-            p,
-        )
-        rhs += weight * rest_avg
+    for pairs, rest in enumerate_pairings(m):
+        weight = 1.0 + 0.0j
+        for pair in pairs:
+            weight *= contractions[pair]
+        rhs += weight * fock.contract_moments(moments, [parts[k] for k in rest])
     return abs(lhs - rhs)
 
 

@@ -46,6 +46,11 @@ def test_config_loading_and_validation(tmp_path):
     {"tolerances": {"dr-real": "abc"}},
     {"params": {"mass": -1}},
     {"grid": {"dt": 0.1}},
+    {"seed": 1.5},
+    {"seed": -1},
+    {"dim": 4.5},
+    {"tolerances": {"dr-real": "nan"}},
+    {"tolerances": {"dr-real": -1.0}},
 ])
 def test_bad_config_values_exit_with_the_usage_code(tmp_path, data):
     cfg = tmp_path / "cfg.json"
@@ -53,6 +58,15 @@ def test_bad_config_values_exit_with_the_usage_code(tmp_path, data):
     with pytest.raises(ConfigError):
         Config.from_dict(data)
     assert main(["verify", "all", "--config", str(cfg)]) == 2
+
+
+def test_unusable_runs_exit_with_the_usage_code(tmp_path, capsys):
+    # a basis too small for the suites' coherent state, and a negative seed flag
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dim": 2}))
+    assert main(["verify", "wick", "--config", str(cfg)]) == 2
+    assert main(["verify", "wick", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_run_suite_kernels_all_rows_pass():
@@ -114,7 +128,7 @@ def test_verify_command_exit_codes(tmp_path, capsys):
 
     # a sabotaged tolerance turns the exit code into a gating failure
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"tolerances": {"field-d-from-dr": -1.0}}))
+    cfg.write_text(json.dumps({"tolerances": {"field-d-from-dr": 0.0}}))
     assert main(["verify", "field", "--config", str(cfg)]) == 1
 
     missing = tmp_path / "nope.json"
@@ -195,6 +209,9 @@ def test_wick_export(tmp_path, capsys):
     ["wick", "--factors", ",".join(f"+t{k}.0" for k in range(9))],
     ["drive", "--t-on", "100"],
     ["drive", "--t-on=-100"],
+    ["drive", "--current", "step:nan"],
+    ["drive", "--current", "sin:inf"],
+    ["wick", "--factors", "+tnan"],
 ])
 def test_bad_command_inputs_exit_with_the_usage_code(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2

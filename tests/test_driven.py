@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from oscresp import fock
 from oscresp.driven import (DriveError, DriveScenario, OdeAccuracyError,
                             causal_window, classical_displacement,
                             ode_oscillator, sin_scenario, step_scenario,
                             verify_driven_factorization)
+from oscresp.functionals import coherent_mean
 from oscresp.grids import SampledSignal, circular_convolve, make_grid
 from oscresp.kernels import OscillatorParams, osc_kernels
 
@@ -37,6 +39,14 @@ def test_scenario_validation():
     for t_on in (g.t0 - g.dt, g.t0 + g.period, float("nan")):
         with pytest.raises(DriveError):
             step_scenario(P, g, 1.0, t_on=t_on)
+
+
+@pytest.mark.parametrize("build", [step_scenario, sin_scenario])
+@pytest.mark.parametrize("amplitude", [float("nan"), float("inf")])
+def test_non_finite_currents_are_refused(build, amplitude):
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(DriveError):
+            build(P, make_grid(32, 0.1), amplitude)
 
 
 def test_step_scenario_samples_carry_half_at_the_jump():
@@ -185,8 +195,9 @@ def test_factorization_trivial_current_reduces_to_free_case():
     g = reference_grid()
     kers = osc_kernels(P, g)
     sc = DriveScenario(params=P, grid=g, current=SampledSignal(g, np.zeros(g.n)),
-                       state_kind="coherent", alpha=0.5, current_fn=lambda t: 0.0)
-    residuals = verify_driven_factorization(sc, kers.d_r, dim=40)
+                       current_fn=lambda t: 0.0)
+    residuals = verify_driven_factorization(
+        sc, kers.d_r, fock.make_state("coherent", 40, alpha=0.5), coherent_mean(0.5, P))
     assert max(residuals.values()) < 1e-10
 
 
@@ -195,8 +206,10 @@ def test_factorization_trivial_current_reduces_to_free_case():
 def test_factorization_moments(build, kind, alpha):
     g = reference_grid()
     kers = osc_kernels(P, g)
-    sc = build(P, g, 1.0, state_kind=kind, alpha=alpha)
-    residuals = verify_driven_factorization(sc, kers.d_r, dim=40)
+    sc = build(P, g, 1.0)
+    state = fock.make_state(kind, 40, alpha=alpha)
+    mean = coherent_mean(alpha, P) if kind == "coherent" else None
+    residuals = verify_driven_factorization(sc, kers.d_r, state, mean)
     assert set(residuals) == {
         "first_moment_forward", "first_moment_backward", "second_moment_forward",
         "second_moment_mixed", "second_moment_backward", "second_moment_symmetric",
@@ -206,11 +219,9 @@ def test_factorization_moments(build, kind, alpha):
 
 def test_first_moment_is_mean_path():
     # <q_j(t)> = initial-state mean + radiated displacement, exactly
-    from oscresp import fock
-    from oscresp.functionals import coherent_mean
     g = reference_grid()
     kers = osc_kernels(P, g)
-    sc = step_scenario(P, g, 1.0, state_kind="coherent", alpha=0.5)
+    sc = step_scenario(P, g, 1.0)
     q_j = classical_displacement(sc, kers.d_r)
     t1 = float(g.times()[np.flatnonzero(causal_window(g))[20]])
     state = fock.make_state("coherent", 40, alpha=0.5)

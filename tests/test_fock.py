@@ -84,6 +84,25 @@ def test_make_state_families():
         make_state("squeezed", 4)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_state("coherent", 20, alpha=NAN),
+    lambda: make_state("coherent", 20, alpha=INF),
+    lambda: make_state("thermal", 20, nbar=NAN),
+    lambda: make_state("thermal", 20, nbar=INF),
+    lambda: fock.FockState(np.full((3, 3), NAN)),
+    lambda: Factor("q", NAN),
+    lambda: Factor("p", -INF),
+], ids=["coherent-nan", "coherent-inf", "thermal-nan", "thermal-inf", "rho-nan",
+        "factor-nan", "factor-inf"])
+def test_non_finite_inputs_are_refused(build):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        with pytest.raises(FockError):
+            build()
+
+
 @pytest.mark.parametrize("ordering", fock.ORDERINGS)
 def test_truncation_too_small_for_the_product_is_refused(ordering):
     # m factors lift fock(n) to level n + m, which must sit below dim
@@ -364,3 +383,14 @@ def test_ladder_moments_in_closed_form():
     alpha = 0.5 - 0.3j
     coh = fock.ladder_moments(make_state("coherent", 40, alpha=alpha), order)
     assert np.max(np.abs(coh - np.conj(alpha) ** j * alpha ** k)) < 1e-10
+
+
+def test_contraction_reads_the_leading_block_of_a_larger_table():
+    # verify_wick contracts every leftover subset against one table of order m
+    state = make_state("coherent", 40, alpha=0.6 - 0.2j)
+    factors = tuple(("q", t, None) for t in (0.3, -1.1, 0.8))
+    parts = [(*fock.ladder_parts("q", t, P), 0.0) for _, t, _ in factors]
+    table = fock.ladder_moments(state, fock.MAX_FACTORS)
+    expected = ordered_average(state, OrderedProductSpec(factors, "normal"), P)
+    assert fock.contract_moments(table, parts) == expected
+    assert fock.contract_moments(table, []) == table[0, 0]

@@ -10,10 +10,9 @@ from oscresp.functionals import (CurrentPair, FunctionalError, ProbeSet,
                                  _eta_ladder_coefficients,
                                  charged_substitution_residual, coherent_mean,
                                  gaussian_moments, inverse_substitution,
-                                 log_phi_cl, log_phi_in_coherent,
-                                 log_phi_vac_quadratic, log_phi_vac_response,
-                                 moment_residual, phi_cl, phi_full, phi_in,
-                                 phi_in_coherent, phi_in_state, phi_vac_quadratic,
+                                 log_phi_cl, log_phi_vac_quadratic,
+                                 log_phi_vac_response, moment_residual, phi_cl,
+                                 phi_full, phi_in_state, phi_vac_quadratic,
                                  phi_vac_response, predicted_double_time_moment,
                                  predicted_moment, predicted_normal_moment,
                                  predicted_weyl_moment, quad_form,
@@ -186,20 +185,20 @@ def phi_in_matrix_oracle(state, eta, params):
 def test_phi_in_vacuum_and_coherent():
     g = reference_grid()
     eta = spike(g, 0.0, 0.3)
-    assert phi_in("vacuum", eta, P) == 1.0
+    assert phi_in_state(fock.make_state("vacuum", 40), eta, P) == 1.0
 
     # weight w at t=0 and alpha=1 gives log Phi = w*dt*sqrt(2)
     w = 0.25
-    log_phi = log_phi_in_coherent(1.0, spike(g, 0.0, w), P)
+    coh = fock.make_state("coherent", 40, alpha=1.0)
+    log_phi = np.log(phi_in_state(coh, spike(g, 0.0, w), P))
     assert log_phi == pytest.approx(w * g.dt * np.sqrt(2.0), abs=1e-14)
 
     # matrix oracle agreement for a complex alpha and a spread-out probe
     rng = np.random.default_rng(6)
     eta = random_signal(g, rng, 0.2)
-    alpha = 0.6 - 0.3j
-    state = fock.make_state("coherent", 40, alpha=alpha)
+    state = fock.make_state("coherent", 40, alpha=0.6 - 0.3j)
     oracle = phi_in_matrix_oracle(state, eta, P)
-    assert abs(phi_in_coherent(alpha, eta, P) - oracle) < 1e-9
+    assert abs(phi_in_state(state, eta, P) - oracle) < 1e-9
 
 
 def test_phi_in_state_matches_closed_forms():
@@ -218,11 +217,6 @@ def test_phi_in_state_matches_closed_forms():
     for state, exact in cases:
         assert abs(phi_in_state(state, eta, P) - exact) < 1e-12 * max(1.0, abs(exact))
 
-    state = fock.make_state("fock", 40, n=1)
-    assert phi_in("fock", eta, P, state=state) == phi_in_state(state, eta, P)
-    with pytest.raises(FunctionalError):
-        phi_in("fock", eta, P)
-
 
 # -- full functional ------------------------------------------------------------------
 
@@ -232,15 +226,16 @@ def test_phi_full_two_arrangements_agree():
     g = reference_grid(128, 4)
     kers = osc_kernels(P, g)
     sc = step_scenario(P, g, 1.0)
-    for kind, alpha in [("vacuum", 0.0), ("coherent", 0.5)]:
+    vac = fock.make_state("vacuum", 40)
+    for state in (vac, fock.make_state("coherent", 40, alpha=0.5)):
         ps = ProbeSet(random_signal(g, rng, 0.1), random_signal(g, rng, 0.1),
                       hbar=P.hbar)
-        out = phi_full(ps, sc.current, kers, kind, alpha=alpha)
+        out = phi_full(ps, sc.current, kers, state)
         assert abs(out.factored - out.response_form) < 1e-10 * abs(out.factored)
 
     zero = SampledSignal(g, np.zeros(g.n))
     ps0 = ProbeSet(zero, zero, hbar=P.hbar)
-    out = phi_full(ps0, zero, kers, "vacuum")
+    out = phi_full(ps0, zero, kers, vac)
     assert out.factored == pytest.approx(1.0)
     assert out.response_form == pytest.approx(1.0)
 
@@ -315,7 +310,7 @@ def test_gaussian_moments_against_finite_differences():
         approx = finite_difference_moment(quad, lin, h=0.03)
         assert abs(exact - approx) < 1e-3
     with pytest.raises(FunctionalError):
-        gaussian_moments(np.zeros((7, 7)), np.zeros(7))
+        gaussian_moments(np.zeros((9, 9)), np.zeros(9))
 
 
 # -- current maps -----------------------------------------------------------------------

@@ -152,8 +152,8 @@ branches = st.sampled_from(("plus", "minus"))
 
 
 @PROPERTY
-@given(fock_states(headroom=4, least=8),
-       st.lists(st.tuples(branches, times), min_size=1, max_size=4),
+@given(fock_states(headroom=8, least=12),
+       st.lists(st.tuples(branches, times), min_size=1, max_size=8),
        st.builds(OscillatorParams, near_one, near_one, near_one))
 def test_wick_expansion_on_random_states(state, factors, p):
     assert verify_wick(state, factors, p) < 1e-10
@@ -171,10 +171,11 @@ def test_commutator_is_the_response_kernel_in_random_states(state, osc, i1, i2):
 
 @st.composite
 def ordered_products(draw):
-    """An OrderedProductSpec of up to 6 q factors, with or without a callable shift."""
+    """An OrderedProductSpec of up to 8 q factors, with or without a callable shift."""
     ordering = draw(st.sampled_from(fock.ORDERINGS))
     branch = branches if ordering == "double_time" else st.none()
-    factors = draw(st.lists(st.tuples(st.just("q"), times, branch), max_size=6))
+    factors = draw(st.lists(st.tuples(st.just("q"), times, branch),
+                            max_size=fock.MAX_FACTORS))
     shift = None
     if draw(st.booleans()):
         a, b = draw(st.complex_numbers(max_magnitude=0.5)), draw(st.floats(-0.5, 0.5))

@@ -139,5 +139,9 @@ def test_randomized_states_branches_and_times():
 
 def test_verify_cap():
     vac = fock.make_state("vacuum", 10)
+    assert fock.MAX_FACTORS == 8
+    assert verify_wick(vac, [("plus", 0.1 * k) for k in range(8)], P) < 1e-12
     with pytest.raises(WickError):
-        verify_wick(vac, [("plus", 0.1)] * 7, P)
+        verify_wick(vac, [("plus", 0.1)] * 9, P)
+    with pytest.raises(WickError):
+        enumerate_pairings(9)
