@@ -18,6 +18,7 @@ ladder moments (``ladder_moments``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
@@ -335,20 +336,34 @@ def ordered_average(state: FockState, spec: OrderedProductSpec,
 Probe = Sequence[tuple]          # sequence of (time, weight)
 
 
+@functools.lru_cache
+def _ladder_exp_sizes(dim: int) -> np.ndarray:
+    """sqrt(j!/i!) / (j-i)! at (i, j >= i), zero below the diagonal; read-only.
+
+    Each entry is sqrt(comb(j, i) / (j-i)!) from exact integers: the int
+    division and the square root each round once, so every entry is
+    within about one ulp.
+    """
+    sizes = np.zeros((dim, dim))
+    for j in range(dim):
+        for i in range(j + 1):
+            sizes[i, j] = math.sqrt(math.comb(j, i) / math.factorial(j - i))
+    sizes.flags.writeable = False
+    return sizes
+
+
 def _ladder_exp(c: complex, dim: int) -> np.ndarray:
     """exp(c*a) in the truncated basis, c^(j-i) sqrt(j!/i!) / (j-i)! at (i, j >= i).
 
     a is nilpotent there, so the series ends and the matrix is exact.
     exp(d*adag) is the transpose of exp(d*a), because a is real.
     """
-    log_fact = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, dim)))))
     n = np.arange(dim)
     lag = n[None, :] - n[:, None]                                     # j - i
     upper = lag >= 0
     k = np.where(upper, lag, 0)
     powers = np.cumprod(np.concatenate(([1.0 + 0.0j], np.full(dim - 1, c))))
-    size = np.exp(0.5 * (log_fact[None, :] - log_fact[:, None]) - log_fact[k])
-    return np.where(upper, powers[k] * size, 0.0)
+    return np.where(upper, powers[k] * _ladder_exp_sizes(dim), 0.0)
 
 
 def _double_ordered(state: FockState, minus_probe: Probe, plus_probe: Probe,

@@ -494,10 +494,10 @@ def suite_driven(cfg: Config):
 
     # continuum cross-check at the pinned fine step
     fine_grid = make_grid(2048, 0.005)
+    fine_d_r = osc_kernels(p, fine_grid, loose=True).d_r
     for name, build in [("step", driven.step_scenario), ("sin", driven.sin_scenario)]:
         sc = build(p, fine_grid, 1.0)
-        kers = osc_kernels(p, fine_grid, loose=True)
-        q_conv = driven.classical_displacement(sc, kers.d_r)
+        q_conv = driven.classical_displacement(sc, fine_d_r)
         q_ode = driven.ode_oscillator(sc, error_tol=1e-6)
         window = driven.causal_window(fine_grid, sc.t_on)
         res = float(np.max(np.abs(q_conv.values.real - q_ode.values.real)[window]))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oscresp import fock
-from oscresp.driven import (DriveError, DriveScenario, OdeAccuracyError,
+from oscresp.driven import (DriveError, DriveScenario, OdeAccuracyError, _rk4,
                             causal_window, classical_displacement,
                             ode_oscillator, sin_scenario, step_scenario,
                             verify_driven_factorization)
@@ -44,9 +44,15 @@ def test_scenario_validation():
 @pytest.mark.parametrize("build", [step_scenario, sin_scenario])
 @pytest.mark.parametrize("amplitude", [float("nan"), float("inf")])
 def test_non_finite_currents_are_refused(build, amplitude):
-    with np.errstate(invalid="ignore"):
-        with pytest.raises(DriveError):
-            build(P, make_grid(32, 0.1), amplitude)
+    # refused before any sample is taken, so inf * sin(0) never warns
+    with pytest.raises(DriveError, match="amplitude"):
+        build(P, make_grid(32, 0.1), amplitude)
+
+
+@pytest.mark.parametrize("omega", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_drive_frequency_is_refused(omega):
+    with pytest.raises(DriveError, match="omega"):
+        sin_scenario(P, make_grid(32, 0.1), 1.0, omega=omega)
 
 
 def test_step_scenario_samples_carry_half_at_the_jump():
@@ -155,6 +161,49 @@ def test_resonant_displacement_falls_at_fourth_order():
         gaps[dt] = np.max(np.abs(q_j.values.real - resonant_analytic(g.times()))[causal_window(g)])
         assert gaps[dt] < dt ** 4
     assert gaps[0.02] / gaps[0.005] == pytest.approx(256.0, rel=0.05)
+
+
+def stage_loop_rk4(sc, h, steps):
+    """The RK4 oracle one step and one stage at a time: the reference for _rk4.
+
+    Stage times are t0 + k h + eps, t0 + k h + h/2 and t0 + k h + h - eps,
+    as in the affine form.
+    """
+    p = sc.params
+    w2 = p.omega0 ** 2
+    eps = 1e-9 * h
+
+    def accel(t, q):
+        return -float(sc.current_fn(np.float64(t))) / p.mass - w2 * q
+
+    q = v = 0.0
+    out = np.zeros(steps + 1)
+    for k in range(steps):
+        t = sc.grid.t0 + k * h
+        k1q = v
+        k1v = accel(t + eps, q)
+        k2q = v + 0.5 * h * k1v
+        k2v = accel(t + 0.5 * h, q + 0.5 * h * k1q)
+        k3q = v + 0.5 * h * k2v
+        k3v = accel(t + 0.5 * h, q + 0.5 * h * k2q)
+        k4q = v + h * k3v
+        k4v = accel(t + h - eps, q + h * k3q)
+        q += h * (k1q + 2 * k2q + 2 * k3q + k4q) / 6.0
+        v += h * (k1v + 2 * k2v + 2 * k3v + k4v) / 6.0
+        out[k + 1] = q
+    return out
+
+
+@pytest.mark.parametrize("build", [step_scenario, sin_scenario])
+@pytest.mark.parametrize("wh", [0.005, 0.2, 1.0, 2.5])
+@pytest.mark.parametrize("onset", ["on-sample", "between-samples", "grid-start"])
+def test_rk4_recurrence_matches_the_stage_loop(build, wh, onset):
+    g = make_grid(256, wh / P.omega0)
+    t_on = {"on-sample": 0.0, "between-samples": 0.3 * g.dt, "grid-start": g.t0}[onset]
+    sc = build(P, g, 1.0, t_on=t_on)
+    ref = stage_loop_rk4(sc, g.dt, g.n - 1)
+    assert np.max(np.abs(ref)) > 0.0
+    assert np.max(np.abs(_rk4(sc, g.dt, g.n - 1) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_ode_matches_analytic_step_solution():

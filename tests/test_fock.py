@@ -1,6 +1,7 @@
 import math
 from itertools import permutations, product
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -253,6 +254,20 @@ def test_ladder_exp_is_the_terminating_series():
         for c in (0.0, 0.5, 0.3 - 0.4j):
             ref = expm(c * a)
             assert np.max(np.abs(fock._ladder_exp(c, dim) - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("dim", [40, 80])
+def test_ladder_exp_entries_are_correctly_rounded(dim):
+    sizes = fock._ladder_exp_sizes(dim)
+    assert not sizes.flags.writeable
+    assert np.array_equal(fock._ladder_exp(1.0, dim), sizes)
+    with mpmath.workdps(40):
+        for j in range(dim):
+            for i in range(j + 1):
+                exact = (mpmath.sqrt(mpmath.factorial(j) / mpmath.factorial(i))
+                         / mpmath.factorial(j - i))
+                assert abs(mpmath.mpf(sizes[i, j]) - exact) <= 4.5e-16 * exact
+    assert not np.any(np.tril(sizes, -1))
 
 
 @pytest.mark.parametrize("kind", ["vacuum", "thermal", "coherent"])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from oscresp import fock
+from oscresp.driven import _rk4, sin_scenario, step_scenario
 from oscresp.functionals import (ProbeSet, _eta_ladder_coefficients,
                                  charged_substitution_residual, coherent_mean,
                                  inverse_substitution, moment_residual, phi_in_state,
@@ -20,6 +21,7 @@ from oscresp.kernels import (ChargedModeSet, OscillatorParams, charged_field_ker
                              commutator_kernel, contraction_from_retarded,
                              feynman_from_retarded, osc_kernels)
 from oscresp.wick import verify_wick
+from test_driven import stage_loop_rk4
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=25)
 
@@ -193,3 +195,14 @@ def test_every_ordered_moment_matches_its_prediction(spec, alpha):
         state, mean = fock.make_state("coherent", 40, alpha=alpha), coherent_mean(alpha, p)
     bound = 1e-10 * max(1.0, abs(predicted_moment(spec, p, mean)))
     assert moment_residual(state, spec, p, mean) <= bound
+
+
+@PROPERTY
+@given(st.sampled_from((step_scenario, sin_scenario)), positive, positive, sizes,
+       st.floats(0.005, 2.5), st.floats(-10.0, 10.0), st.floats(0.0, 0.999))
+def test_rk4_recurrence_on_random_oscillators(build, omega0, mass, n, wh, amplitude, onset):
+    p = OscillatorParams(mass=mass, omega0=omega0)
+    grid = make_grid(n, wh / omega0)
+    sc = build(p, grid, amplitude, t_on=grid.t0 + onset * grid.period)
+    ref = stage_loop_rk4(sc, grid.dt, n - 1)
+    assert np.max(np.abs(_rk4(sc, grid.dt, n - 1) - ref)) <= 1e-12 * np.max(np.abs(ref))
