@@ -107,7 +107,7 @@ def _cmd_drive(args) -> int:
     sc = build(params, grid, amp, t_on=args.t_on)
     kers = osc_kernels(params, grid, loose=True)
     q_conv = driven.classical_displacement(sc, kers.d_r)
-    q_ode = driven.ode_oscillator(sc, error_tol=None)
+    q_ode = driven.ode_oscillator(sc)
     path = _output_path(args.out)
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -230,8 +230,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, GridError, driven.DriveError, fock.FockError, wick.WickError,
-            OSError) as exc:
+    except (ConfigError, GridError, driven.DriveError, driven.OdeAccuracyError, fock.FockError,
+            wick.WickError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

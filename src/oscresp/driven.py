@@ -1,29 +1,30 @@
 """Classical driven-oscillator dynamics and the drive factorization checks.
 
-The displacement radiated by a causal current is a retarded-kernel
-convolution.  On the causal window (the half of the periodic grid
-following drive onset, where the circular wrap cannot reach) the
-dt-weighted periodic sum is the trapezoid rule for the causal integral;
-an Euler-Maclaurin end correction raises it to fourth order in dt, and an
-independent fixed-step fourth-order (RK4) integration of the equation of
-motion, which reads the current on whole arrays of stage times,
-cross-checks the result there.  The driven quantum system
-differs from the free one only by this c-number displacement, so ordered
-moments of the shifted operators must factorize; those checks compare the
-matrix oracle with the functional predictions.
+A drive scenario holds one current, a function of time, and derives its
+grid samples from it.  The displacement it radiates is a retarded-kernel
+convolution of those samples.  On the causal window (the half of the
+periodic grid following drive onset, where the circular wrap cannot
+reach) the dt-weighted periodic sum is the trapezoid rule for the causal
+integral; an Euler-Maclaurin end correction raises it to fourth order in
+dt, and an independent fixed-step fourth-order (RK4) integration of the
+equation of motion, which reads the same current on whole arrays of stage
+times, cross-checks the result there.  The driven quantum system differs
+from the free one only by this c-number displacement, so ordered moments
+of the shifted operators must factorize; those checks compare the matrix
+oracle with the functional predictions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import fock
 from .functionals import Mean, moment_residual
-from .grids import Kernel, SampledSignal, TimeGrid, circular_convolve
+from .grids import Kernel, SampledSignal, TimeGrid, _snap, circular_convolve
 from .kernels import OscillatorParams
 
 
@@ -37,34 +38,49 @@ class OdeAccuracyError(RuntimeError):
 
 @dataclass(frozen=True)
 class DriveScenario:
-    """A causal current driving the oscillator.
+    """A causal current driving the oscillator, given once as a function of time.
 
-    current holds the grid samples (zero before onset, jump samples at
-    half value).  current_fn is the continuum current read by the ODE
-    integrator, right-continuous at the onset, which lies in
-    [t0, t0 + period).  It takes an ndarray of times and returns the real
-    current at each, elementwise; a scalar result broadcasts to the times'
-    shape, so a constant such as ``lambda t: 0.0`` is a valid current.
+    current_fn maps an ndarray of times to the real current, elementwise (a
+    scalar broadcasts, so ``lambda t: 0.0`` is valid); it is zero before the
+    onset t_on in [t0, t0 + period) and right-continuous there.  The RK4
+    oracle reads it directly; the convolution reads the derived samples
+    ``current``: current_fn at each sample, but half of current_fn(t_on) on
+    a sample that carries the onset (the trapezoid end weight of a jump).
     """
 
     params: OscillatorParams
     grid: TimeGrid
-    current: SampledSignal
-    current_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    current_fn: Callable[[np.ndarray], np.ndarray]
     t_on: float = 0.0
+    current: SampledSignal = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         start, end = self.grid.t0, self.grid.t0 + self.grid.period
         if not start <= self.t_on < end:
             raise DriveError(f"drive onset {self.t_on} lies outside the grid [{start}, {end})")
-        if not np.all(np.isfinite(self.current.values)):
+        # one call reads every sample and, last, the onset itself
+        times = np.append(self.grid.times(), self.t_on)
+        values = np.broadcast_to(self.current_fn(times), times.shape).astype(complex)
+        if not np.all(np.isfinite(values)):
             raise DriveError("drive current must be finite")
-        if np.max(np.abs(self.current.values.imag)) > 1e-12:
+        first, on_grid = _onset(self.grid, self.t_on)
+        if on_grid:
+            values[first] = values[-1] / 2.0
+        values = values[:-1]
+        if np.max(np.abs(values.imag)) > 1e-12:
             raise DriveError("drive current must be real")
-        times = self.grid.times()
-        before = times < self.t_on - 1e-12 * max(1.0, abs(self.t_on))
-        if np.max(np.abs(self.current.values[before]), initial=0.0) > 0.0:
+        if np.max(np.abs(values[:first]), initial=0.0) > 0.0:
             raise DriveError("drive current must vanish before onset")
+        object.__setattr__(self, "current", SampledSignal(self.grid, values))
+
+
+def _onset(grid: TimeGrid, t_on: float):
+    """(first sample at or after t_on, whether t_on lies on it by ``grids._snap``'s rule)."""
+    x = (t_on - grid.t0) / grid.dt
+    k = _snap(x)
+    if k is not None and 0 <= k < grid.n:
+        return k, True
+    return math.ceil(x), False
 
 
 def _require_finite(**values: float) -> None:
@@ -77,16 +93,7 @@ def step_scenario(params: OscillatorParams, grid: TimeGrid, amplitude: float = 1
                   t_on: float = 0.0) -> DriveScenario:
     """Constant current switched on at t_on; the onset sample carries half."""
     _require_finite(amplitude=amplitude)
-    times = grid.times()
-    values = np.where(times > t_on, amplitude, 0.0).astype(complex)
-    on_grid = np.isclose(times, t_on, rtol=0.0, atol=1e-9 * grid.dt)
-    values[on_grid] = amplitude / 2.0
-
-    def fn(t: np.ndarray) -> np.ndarray:
-        return np.where(t >= t_on, amplitude, 0.0)
-
-    return DriveScenario(params=params, grid=grid, current=SampledSignal(grid, values),
-                         current_fn=fn, t_on=t_on)
+    return DriveScenario(params, grid, lambda t: np.where(t >= t_on, amplitude, 0.0), t_on)
 
 
 def sin_scenario(params: OscillatorParams, grid: TimeGrid, amplitude: float = 1.0,
@@ -94,29 +101,14 @@ def sin_scenario(params: OscillatorParams, grid: TimeGrid, amplitude: float = 1.
     """Sinusoidal current from t_on on (continuous at onset)."""
     w = params.omega0 if omega is None else float(omega)
     _require_finite(amplitude=amplitude, omega=w)
-    times = grid.times()
-    values = np.where(times >= t_on, amplitude * np.sin(w * (times - t_on)), 0.0)
-
-    def fn(t: np.ndarray) -> np.ndarray:
-        return np.where(t >= t_on, amplitude * np.sin(w * (t - t_on)), 0.0)
-
-    return DriveScenario(params=params, grid=grid,
-                         current=SampledSignal(grid, values.astype(complex)),
-                         current_fn=fn, t_on=t_on)
-
-
-def _window_bounds(grid: TimeGrid, t_on: float):
-    """Index of the first sample at or after t_on, and [t_on, t_on + period/2) as a slice."""
-    first = math.ceil((t_on - grid.t0) / grid.dt - 1e-9)
-    n = grid.n
-    return first, slice(min(max(first, 0), n), min(max(first + n // 2, 0), n))
+    return DriveScenario(params, grid, lambda t: np.where(
+        t >= t_on, amplitude * np.sin(w * (t - t_on)), 0.0), t_on)
 
 
 def causal_window(grid: TimeGrid, t_on: float = 0.0) -> np.ndarray:
     """Samples in [t_on, t_on + period/2): where the wrap cannot reach."""
-    mask = np.zeros(grid.n, dtype=bool)
-    mask[_window_bounds(grid, t_on)[1]] = True
-    return mask
+    k = np.arange(grid.n) - _onset(grid, t_on)[0]
+    return (k >= 0) & (k < grid.n // 2)
 
 
 def classical_displacement(sc: DriveScenario, d_r: Kernel) -> SampledSignal:
@@ -156,9 +148,8 @@ def _end_correction(sc: DriveScenario, d_r: Kernel):
     grid, j = sc.grid, sc.current.values
     dt, half = grid.dt, grid.n // 2
     weight = dt * dt / 12.0
-    start, window = _window_bounds(grid, sc.t_on)
-    on_grid = window.start == start and abs(grid.t0 + start * dt - sc.t_on) <= 1e-9 * dt
-    after = slice(start + 1, window.stop) if on_grid else window
+    start, on_grid = _onset(grid, sc.t_on)
+    after = slice(start + 1 if on_grid else start, min(start + half, grid.n))
     correction = j[after] * (weight / sc.params.mass)
     count = len(correction)
     if not on_grid or count == 0:
@@ -201,11 +192,14 @@ def _rk4(sc: DriveScenario, h: float, steps: int) -> np.ndarray:
     is read from the correct side.  The current is evaluated once on all
     of them, and x_{k+1} = S x_k + u_k is solved by a doubling
     (Hillis-Steele) scan: about log2(steps) products with the powers
-    S^(2^r), which stay bounded wherever RK4 is stable.
+    S^(2^r).  S has eigenvalues R(+-i w0 h), R(z) = 1 + z + ... + z^4/24 with
+    |R(iy)|^2 = 1 - y^6/72 + y^8/576: its powers grow, and the step is
+    refused, once w0 h exceeds 2 sqrt(2).
     """
-    if sc.current_fn is None:
-        raise DriveError("scenario carries no continuum current for the integrator")
     p = sc.params
+    if p.omega0 * h > 2.0 * math.sqrt(2.0):
+        raise OdeAccuracyError(
+            f"RK4 step {h} is unstable: omega0*dt = {p.omega0 * h:.3g} exceeds 2*sqrt(2)")
     eye = np.eye(2)
     hA = np.array([[0.0, h], [-h * p.omega0 ** 2, 0.0]])
     hA2 = hA @ hA
@@ -227,25 +221,25 @@ def _rk4(sc: DriveScenario, h: float, steps: int) -> np.ndarray:
     return np.concatenate(([0.0], x[0]))
 
 
-def ode_oscillator(sc: DriveScenario, error_tol: Optional[float] = 1e-6) -> SampledSignal:
+def ode_oscillator(sc: DriveScenario, error_tol: float = 1e-6) -> SampledSignal:
     """Integrate the driven equation of motion on the grid from rest.
 
-    A half-step rerun provides a Richardson error estimate; if it exceeds
-    error_tol the step is considered too coarse and the run is refused.
+    A half-step rerun provides a Richardson error estimate; a step past
+    RK4's stability limit, or one whose estimate is not within error_tol,
+    is too coarse and the run is refused.
     """
     n, h = sc.grid.n, sc.grid.dt
     coarse = _rk4(sc, h, n - 1)
-    if error_tol is not None:
-        fine = _rk4(sc, h / 2.0, 2 * (n - 1))[::2]
-        estimate = float(np.max(np.abs(coarse - fine))) / 15.0
-        if estimate > error_tol:
-            raise OdeAccuracyError(
-                f"estimated integration error {estimate:.3e} exceeds {error_tol:.3e}")
+    fine = _rk4(sc, h / 2.0, 2 * (n - 1))[::2]
+    estimate = float(np.max(np.abs(coarse - fine))) / 15.0
+    if not estimate <= error_tol:
+        raise OdeAccuracyError(
+            f"estimated integration error {estimate:.3e} exceeds {error_tol:.3e}")
     return SampledSignal(sc.grid, coarse.astype(complex))
 
 
 def verify_driven_factorization(sc: DriveScenario, d_r: Kernel, state: fock.FockState,
-                                mean: Mean = None, times=None) -> dict:
+                                mean: Mean = None) -> dict:
     """Moment residuals of the drive factorization, by check name.
 
     Matrix-oracle averages in the initial state of the operators shifted
@@ -255,13 +249,10 @@ def verify_driven_factorization(sc: DriveScenario, d_r: Kernel, state: fock.Fock
     symmetric and normal second moments: the shift drops out of each.
     """
     q_j = classical_displacement(sc, d_r)
-    if times is None:
-        window = np.flatnonzero(causal_window(sc.grid, sc.t_on))
-        grid_times = sc.grid.times()
-        t1 = float(grid_times[window[len(window) // 4]])
-        t2 = float(grid_times[window[(3 * len(window)) // 5]])
-    else:
-        t1, t2 = times
+    window = np.flatnonzero(causal_window(sc.grid, sc.t_on))
+    grid_times = sc.grid.times()
+    t1 = float(grid_times[window[len(window) // 4]])
+    t2 = float(grid_times[window[(3 * len(window)) // 5]])
     table = [
         ("first_moment_forward", "double_time", [(t1, "plus")]),
         ("first_moment_backward", "double_time", [(t2, "minus")]),

@@ -58,11 +58,18 @@ class TimeGrid:
 
     def index_of(self, t: float) -> int:
         """Index of the sample at time t; t must lie on the grid."""
-        k = (t - self.t0) / self.dt
-        ki = int(round(k))
-        if abs(k - ki) > 1e-9 * max(1.0, abs(k)) or not 0 <= ki < self.n:
+        k = _snap((t - self.t0) / self.dt)
+        if k is None or not 0 <= k < self.n:
             raise GridError(f"time {t} is not a sample of this grid")
-        return ki
+        return k
+
+
+def _snap(x: float):
+    """The integer within 1e-9 max(1, |x|) of x, or None: puts times, lags and bins on the grid."""
+    if not math.isfinite(x):
+        return None
+    k = round(x)
+    return k if abs(x - k) <= 1e-9 * max(1.0, abs(x)) else None
 
 
 def make_grid(n: int, dt: float) -> TimeGrid:
@@ -120,11 +127,10 @@ class Kernel(SampledSignal):
 
     def value_at_tau(self, tau: float) -> complex:
         """Kernel value at a (periodically wrapped) grid time difference."""
-        k = tau / self.grid.dt
-        ki = int(round(k))
-        if abs(k - ki) > 1e-9 * max(1.0, abs(k)):
+        k = _snap(tau / self.grid.dt)
+        if k is None:
             raise GridError(f"tau {tau} is not a grid time difference")
-        return complex(self.values[(ki + self.grid.n // 2) % self.grid.n])
+        return complex(self.values[(k + self.grid.n // 2) % self.grid.n])
 
 
 def _require_same_grid(a, b) -> None:

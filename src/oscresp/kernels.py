@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import (Kernel, TimeGrid, frequency_split, half_step, kernel_adjoint,
+from .grids import (Kernel, TimeGrid, _snap, frequency_split, half_step, kernel_adjoint,
                     reflect_values, split_values)
 
 
@@ -55,12 +55,11 @@ def check_commensurate(omega: float, grid: TimeGrid, *, loose: bool = False) -> 
     k = omega * grid.n * grid.dt / (2.0 * math.pi)
     if loose:
         return k
-    ki = round(k)
-    if abs(k - ki) > 1e-9 * max(1.0, abs(k)) or not 1 <= ki < grid.n // 2:
+    ki = _snap(k)
+    if ki is None or not 1 <= ki < grid.n // 2:
         raise CommensurabilityError(
             f"omega={omega} sits on bin {k:.6g} of the grid; an integer bin in "
-            f"[1, {grid.n // 2}) is required (osc_kernels takes loose=True to override)"
-        )
+            f"[1, {grid.n // 2}) is required")
     return float(ki)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -514,10 +514,8 @@ def suite_driven(cfg: Config):
     window = driven.causal_window(grid)
     probe_idx = np.flatnonzero(window)[len(np.flatnonzero(window)) // 3]
     t_probe = float(times[probe_idx])
-    bumped = sc.current.values.copy()
-    later = times > t_probe + 1e-9
-    bumped[later] += 0.8
-    sc_bumped = replace(sc, current=SampledSignal(grid, bumped))
+    sc_bumped = driven.DriveScenario(
+        p, grid, lambda t, j=sc.current_fn: j(t) + np.where(t > t_probe + 1e-9, 0.8, 0.0))
     q_j2 = driven.classical_displacement(sc_bumped, kers.d_r)
     rows.add("displacement-causality",
              "displacement before a current change is untouched by it",
@@ -526,9 +524,8 @@ def suite_driven(cfg: Config):
 
     sc1 = driven.step_scenario(p, grid, 0.7)
     sc2 = driven.sin_scenario(p, grid, 0.4)
-    mixed = SampledSignal(grid, 2.0 * sc1.current.values - 3.0 * sc2.current.values)
-    sc_mix = driven.DriveScenario(params=p, grid=grid, current=mixed,
-                                  current_fn=lambda t: 0.0)
+    sc_mix = driven.DriveScenario(
+        p, grid, lambda t: 2.0 * sc1.current_fn(t) - 3.0 * sc2.current_fn(t))
     lhs = driven.classical_displacement(sc_mix, kers.d_r).values
     rhs = (2.0 * driven.classical_displacement(sc1, kers.d_r).values
            - 3.0 * driven.classical_displacement(sc2, kers.d_r).values)

@@ -206,6 +206,8 @@ def test_wick_export(tmp_path, capsys):
     ["drive", "--n", "7"],
     ["drive", "--dt", "0"],
     ["drive", "--dt", "nan"],
+    ["drive", "--dt", "3.0"],
+    ["drive", "--dt", "10"],
     ["wick", "--factors", ",".join(f"+t{k}.0" for k in range(9))],
     ["drive", "--t-on", "100"],
     ["drive", "--t-on=-100"],

@@ -7,7 +7,7 @@ from oscresp.driven import (DriveError, DriveScenario, OdeAccuracyError, _rk4,
                             ode_oscillator, sin_scenario, step_scenario,
                             verify_driven_factorization)
 from oscresp.functionals import coherent_mean
-from oscresp.grids import SampledSignal, circular_convolve, make_grid
+from oscresp.grids import circular_convolve, make_grid
 from oscresp.kernels import OscillatorParams, osc_kernels
 
 P = OscillatorParams()
@@ -26,14 +26,14 @@ def resonant_analytic(t, amp=1.0, p=P):
 
 def test_scenario_validation():
     g = make_grid(32, 0.1)
-    t = g.times()
-    with pytest.raises(DriveError):
-        DriveScenario(params=P, grid=g, current=SampledSignal(g, 1j * np.ones(32)))
-    with pytest.raises(DriveError):
-        DriveScenario(params=P, grid=g, current=SampledSignal(g, np.ones(32)))
+    with pytest.raises(DriveError, match="real"):
+        DriveScenario(P, g, lambda t: np.where(t >= 0, 1j, 0.0))
+    with pytest.raises(DriveError, match="finite"):
+        DriveScenario(P, g, lambda t: np.where(t >= 0, np.inf, 0.0))
+    with pytest.raises(DriveError, match="vanish"):
+        DriveScenario(P, g, lambda t: 1.0)
     # zero before onset is fine
-    ok = np.where(t >= 0, 1.0, 0.0).astype(complex)
-    DriveScenario(params=P, grid=g, current=SampledSignal(g, ok))
+    DriveScenario(P, g, lambda t: np.where(t >= 0, 1.0, 0.0))
     # the onset must lie on the grid's span [t0, t0 + period)
     step_scenario(P, g, 1.0, t_on=g.t0)
     for t_on in (g.t0 - g.dt, g.t0 + g.period, float("nan")):
@@ -68,8 +68,7 @@ def test_step_scenario_samples_carry_half_at_the_jump():
 def test_zero_current_radiates_nothing():
     g = make_grid(64, 0.1)
     kers = osc_kernels(P, g, loose=True)
-    sc = DriveScenario(params=P, grid=g, current=SampledSignal(g, np.zeros(64)),
-                       current_fn=lambda t: 0.0)
+    sc = DriveScenario(P, g, lambda t: 0.0)
     assert np.max(np.abs(classical_displacement(sc, kers.d_r).values)) == 0.0
     assert np.max(np.abs(ode_oscillator(sc).values)) == 0.0
 
@@ -77,10 +76,10 @@ def test_zero_current_radiates_nothing():
 def test_spike_current_reads_back_the_kernel():
     g = make_grid(64, 0.1)
     kers = osc_kernels(P, g, loose=True)
-    values = np.zeros(64, dtype=complex)
-    values[g.index_of(0.0)] = 1.0
-    sc = DriveScenario(params=P, grid=g, current=SampledSignal(g, values),
-                       current_fn=lambda t: 0.0)
+    # a current of 2 on the onset sample alone, which carries half of it
+    sc = DriveScenario(P, g, lambda t: np.where(t == 0.0, 2.0, 0.0))
+    assert np.count_nonzero(sc.current.values) == 1
+    assert sc.current.value_at(0.0) == 1.0
     # impulse response of the rectangle-sum convolution; a one-sample spike
     # is not a piecewise-smooth current, so the end-corrected displacement
     # makes no such promise for it
@@ -98,16 +97,14 @@ def test_displacement_causality_and_linearity():
     # the first probe sits one sample after onset, where the onset slope
     # may only read the samples up to it
     for t_probe in (g.dt, 2.0):
-        bumped = sc.current.values.copy()
-        bumped[t > t_probe + 1e-9] += 0.5
-        sc2 = DriveScenario(params=P, grid=g, current=SampledSignal(g, bumped))
+        sc2 = DriveScenario(P, g, lambda t, t_probe=t_probe:
+                            sc.current_fn(t) + np.where(t > t_probe + 1e-9, 0.5, 0.0))
         shifted = classical_displacement(sc2, kers.d_r)
         window = causal_window(g) & (t <= t_probe)
         assert np.max(np.abs((shifted.values - base.values)[window])) < 1e-14
 
     sc3 = sin_scenario(P, g, 1.0)
-    combo = SampledSignal(g, 2.0 * sc.current.values - 0.5 * sc3.current.values)
-    sc4 = DriveScenario(params=P, grid=g, current=combo)
+    sc4 = DriveScenario(P, g, lambda t: 2.0 * sc.current_fn(t) - 0.5 * sc3.current_fn(t))
     lhs = classical_displacement(sc4, kers.d_r).values
     rhs = (2.0 * base.values - 0.5 * classical_displacement(sc3, kers.d_r).values)
     assert np.max(np.abs(lhs - rhs)) < 1e-13
@@ -229,11 +226,16 @@ def test_ode_refuses_too_coarse_steps():
     sc = step_scenario(P, g, 1.0)
     with pytest.raises(OdeAccuracyError):
         ode_oscillator(sc, error_tol=1e-12)
-    # without a bound the integration still runs
-    ode_oscillator(sc, error_tol=None)
-    bare = DriveScenario(params=P, grid=g, current=SampledSignal(g, np.zeros(64)))
-    with pytest.raises(DriveError):
-        ode_oscillator(bare)
+    # past w0 dt = 2 sqrt(2) the step matrix amplifies, and the scan never runs
+    with pytest.raises(OdeAccuracyError, match="unstable"):
+        ode_oscillator(step_scenario(P, make_grid(64, 2.9), 1.0))
+    # a current that is finite on the samples but NaN between them gives a
+    # NaN error estimate, which is refused too
+    times = g.times()
+    nan_between = DriveScenario(
+        P, g, lambda t: np.where(t < 0, 0.0, np.where(np.isin(t, times), 1.0, np.nan)))
+    with pytest.raises(OdeAccuracyError):
+        ode_oscillator(nan_between)
 
 
 def reference_grid(n=256, bin_index=8):
@@ -243,8 +245,7 @@ def reference_grid(n=256, bin_index=8):
 def test_factorization_trivial_current_reduces_to_free_case():
     g = reference_grid()
     kers = osc_kernels(P, g)
-    sc = DriveScenario(params=P, grid=g, current=SampledSignal(g, np.zeros(g.n)),
-                       current_fn=lambda t: 0.0)
+    sc = DriveScenario(P, g, lambda t: 0.0)
     residuals = verify_driven_factorization(
         sc, kers.d_r, fock.make_state("coherent", 40, alpha=0.5), coherent_mean(0.5, P))
     assert max(residuals.values()) < 1e-10

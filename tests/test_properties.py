@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from oscresp import fock
-from oscresp.driven import _rk4, sin_scenario, step_scenario
+from oscresp.driven import _rk4, causal_window, sin_scenario, step_scenario
 from oscresp.functionals import (ProbeSet, _eta_ladder_coefficients,
                                  charged_substitution_residual, coherent_mean,
                                  inverse_substitution, moment_residual, phi_in_state,
@@ -206,3 +206,37 @@ def test_rk4_recurrence_on_random_oscillators(build, omega0, mass, n, wh, amplit
     sc = build(p, grid, amplitude, t_on=grid.t0 + onset * grid.period)
     ref = stage_loop_rk4(sc, grid.dt, n - 1)
     assert np.max(np.abs(_rk4(sc, grid.dt, n - 1) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+
+@st.composite
+def onsets(draw):
+    """(grid, t_on, first sample at or after the onset, whether it carries the onset).
+
+    The onset lies on a sample, within 1e-10 dt of one, or between two.
+    """
+    grid = make_grid(draw(sizes), draw(st.floats(0.01, 1.0)))
+    k = draw(st.integers(0, grid.n - 1))
+    where = draw(st.sampled_from(("on", "near", "between")))
+    if where == "between":
+        return grid, grid.t0 + (k + draw(st.floats(0.01, 0.99))) * grid.dt, k + 1, False
+    offset = 0.0
+    if where == "near":
+        sign = 1.0 if k == 0 else draw(st.sampled_from((-1.0, 1.0)))
+        offset = sign * draw(st.floats(1e-11, 1e-10))
+    return grid, grid.t0 + (k + offset) * grid.dt, k, True
+
+
+@settings(PROPERTY, max_examples=100)
+@given(st.sampled_from((step_scenario, sin_scenario)), onsets(), st.floats(-10.0, 10.0))
+def test_every_scenario_reads_its_onset_by_one_rule(build, onset, amplitude):
+    grid, t_on, first, on_grid = onset
+    sc = build(OscillatorParams(), grid, amplitude, t_on=t_on)
+    values, expected = sc.current.values, sc.current_fn(grid.times())
+    assert np.all(values[:first] == 0.0)
+    rest = np.arange(grid.n) > first if on_grid else np.arange(grid.n) >= first
+    if on_grid:
+        assert values[first] == sc.current_fn(np.array([t_on]))[0] / 2.0
+    np.testing.assert_allclose(values[rest], expected[rest], rtol=1e-15, atol=0.0)
+    window = np.flatnonzero(causal_window(grid, t_on))
+    assert window[0] == first if first < grid.n else window.size == 0
