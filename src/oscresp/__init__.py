@@ -13,8 +13,7 @@ from .kernels import (ChargedModeSet, CommensurabilityError, ModeSet,
                       OscillatorParams, charged_field_kernels,
                       commutator_kernel, contraction_from_retarded,
                       feynman_from_retarded, neutral_field_kernels,
-                      osc_kernels, qp_commutator_kernel,
-                      retarded_from_contractions)
+                      osc_kernels, qp_commutator_kernel)
 from .fock import (Factor, FockState, OrderedProductSpec, TruncationError,
                    heisenberg_p, heisenberg_q, ladder, make_state,
                    ordered_average, reality_check)
@@ -44,7 +43,7 @@ __all__ = [
     "neutral_field_kernels", "ode_oscillator", "ordered_average",
     "osc_kernels", "phi_cl", "phi_full", "phi_vac_quadratic",
     "phi_vac_response", "qp_commutator_kernel", "reality_check",
-    "response_substitution", "retarded_from_contractions", "run_suite",
+    "response_substitution", "run_suite",
     "schwinger_map", "sin_scenario", "step_scenario", "verify_wick",
     "verify_driven_factorization", "zero_nyquist_fraction",
 ]

@@ -148,8 +148,7 @@ def _cmd_wick(args) -> int:
     payload = [
         {"pairs": [list(pair) for pair in term.pairs],
          "kinds": list(term.kinds),
-         "rest": list(term.rest),
-         "coefficient": term.coefficient}
+         "rest": list(term.rest)}
         for term in terms
     ]
     text = json.dumps(payload, indent=1)

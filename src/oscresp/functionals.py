@@ -5,8 +5,8 @@ quadratic form of contraction kernels; rewritten through the substitution
 (eta+, eta-) -> (eta, sigma) it collapses to the emission form
 exp[sum eta D_R sigma], i.e. a classical source radiating through the
 retarded kernel.  This module evaluates both forms, the initial-state and
-classical-drive factors, the forward/backward current maps for the three
-ordering variants, and predicts the ordered moments of every ordering
+classical-drive factors, the normal-ordered forward/backward current map,
+and predicts the ordered moments of every ordering
 through the pairing formula (``predicted_moment``); ``moment_residual``
 is the one place where the matrix oracle meets that prediction.
 
@@ -27,7 +27,7 @@ import numpy as np
 from . import fock
 from .grids import (Kernel, SampledSignal, circular_convolve, frequency_split,
                     zero_nyquist_fraction)
-from .kernels import ChargedKernels, OscKernels, OscillatorParams, osc_d_value
+from .kernels import ChargedKernels, OscKernels, OscillatorParams, osc_d_value, reconstruct
 from .wick import contraction_value, enumerate_pairings
 
 
@@ -289,44 +289,30 @@ def predicted_normal_moment(times, mean: Mean = None) -> complex:
     return out
 
 
-# -- forward/backward current maps ---------------------------------------------------
-
-VARIANTS = ("normal", "weyl", "antinormal")
-
+# -- forward/backward current map ---------------------------------------------------
 
 @dataclass(frozen=True)
 class CurrentPair:
-    """Independent forward/backward drive currents and an ordering variant."""
+    """Independent forward/backward drive currents."""
 
     j_plus: SampledSignal
     j_minus: SampledSignal
-    variant: str = "normal"
 
     def __post_init__(self):
         if self.j_plus.grid != self.j_minus.grid:
             raise FunctionalError("current pair lives on different grids")
-        if self.variant not in VARIANTS:
-            raise FunctionalError(f"unknown variant {self.variant!r}")
 
 
 def schwinger_map(cp: CurrentPair, hbar: float):
     """(eta, physical current) from the forward/backward pair.
 
-    eta = -i (j+ - j-)/hbar for every variant; the physical current is
-    the variant-specific recombination: frequency-split halves for the
-    normal and antinormal variants, the arithmetic mean for the symmetric
-    one.
+    eta = -i (j+ - j-)/hbar; the physical current is the normal-ordered
+    recombination j+^(+) + j-^(-) of the frequency-split halves.
     """
     eta = (-1j / hbar) * (cp.j_plus - cp.j_minus)
-    plus_p, plus_m = frequency_split(cp.j_plus)
-    minus_p, minus_m = frequency_split(cp.j_minus)
-    if cp.variant == "normal":
-        kubo = plus_p + minus_m
-    elif cp.variant == "weyl":
-        kubo = 0.5 * (cp.j_plus + cp.j_minus)
-    else:
-        kubo = plus_m + minus_p
-    return eta, kubo
+    plus_p, _ = frequency_split(cp.j_plus)
+    _, minus_m = frequency_split(cp.j_minus)
+    return eta, plus_p + minus_m
 
 
 # -- symmetric-ordering kernel identity ------------------------------------------------
@@ -335,14 +321,13 @@ def weyl_kernel_identity_residual(eta: SampledSignal, d: Kernel, d_r: Kernel) ->
     """Residual of rewriting the Gaussian factor through the retarded kernel.
 
     Three forms of the same quadratic functional of eta must agree: the
-    retarded kernel acting on the split difference of eta, the split
-    halves of the retarded kernel recombined, and the plain contraction.
+    retarded kernel acting on the split difference of eta, the plain
+    contraction rebuilt from the retarded kernel (``kernels.reconstruct``),
+    and the plain contraction.
     """
     eta_p, eta_m = frequency_split(eta)
     form_a = quad_form(eta, d_r, eta_p - eta_m)
-    dr_p, dr_m = frequency_split(d_r)
-    mid = Kernel(d_r.grid, dr_p.values - dr_m.reflected().values)
-    form_b = quad_form(eta, mid, eta)
+    form_b = quad_form(eta, Kernel(d_r.grid, reconstruct(d_r.values)["forward"]()), eta)
     form_c = quad_form(eta, d, eta)
     return max(abs(form_a - form_b), abs(form_b - form_c), abs(form_a - form_c))
 

@@ -121,10 +121,6 @@ class SampledSignal:
 class Kernel(SampledSignal):
     """Samples of a two-point kernel as a function of tau on the grid."""
 
-    def reflected(self) -> "Kernel":
-        """Kernel of -tau, with periodic index reflection."""
-        return Kernel(self.grid, reflect_values(self.values))
-
     def value_at_tau(self, tau: float) -> complex:
         """Kernel value at a (periodically wrapped) grid time difference."""
         k = _snap(tau / self.grid.dt)
@@ -141,6 +137,18 @@ def _require_same_grid(a, b) -> None:
 def reflect_values(values: np.ndarray) -> np.ndarray:
     """values[..., (n - k) % n]: time (or tau) inversion of the last axis."""
     return np.roll(values[..., ::-1], 1, axis=-1)
+
+
+def swap_reflect(values: np.ndarray) -> np.ndarray:
+    """K_{b a}(-tau) from K_{a b}(tau): swap the label halves and reflect tau.
+
+    The leading axes hold two equal halves of labels (a, b); tau is the
+    last axis.  A 1-d kernel has no labels, so for it this is plain
+    reflection.
+    """
+    half = (values.ndim - 1) // 2
+    order = (*range(half, 2 * half), *range(half), values.ndim - 1)
+    return reflect_values(np.transpose(values, order))
 
 
 # -- frequency-sign decomposition -------------------------------------------
@@ -212,9 +220,18 @@ def circular_convolve(k: Kernel, s: SampledSignal) -> SampledSignal:
     return SampledSignal(s.grid, out)
 
 
+def adjoint(values: np.ndarray) -> np.ndarray:
+    """Hermitian conjugate conj(swap_reflect(K)) of a kernel or a kernel family.
+
+    Reflection and conjugation each swap the frequency halves, so the
+    adjoint keeps the frequency sign.
+    """
+    return np.conj(swap_reflect(values))
+
+
 def kernel_adjoint(k: Kernel) -> Kernel:
     """Hermitian conjugate of a c-number kernel: conj(k(-tau))."""
-    return Kernel(k.grid, np.conj(reflect_values(k.values)))
+    return Kernel(k.grid, adjoint(k.values))
 
 
 # -- serialization ------------------------------------------------------------

@@ -2,9 +2,10 @@
 
 The plain contraction D of the oscillator is sampled from its closed form
 on a periodic grid; one time-ordering rule (``time_order``) turns it, and
-the fields' forward and backward contractions, into D_F and D_R.  Every
-kernel can then be rebuilt from D_R alone by keeping half of its frequency
-spectrum; those reconstruction rules are the identities the suites drive.
+the fields' forward and backward contractions, into D_F and D_R.  One
+reconstruction rule (``reconstruct``) rebuilds every kernel of each family
+from the two frequency halves of D_R alone, and ``reconstruction_residuals``
+measures it; those are the identities the suites drive.
 
 All grid kernels require the frequencies in play to sit exactly on DFT
 bins (omega = 2*pi*k/(n*dt), 0 < k < n/2); the discrete identities are
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import (Kernel, TimeGrid, _snap, frequency_split, half_step, kernel_adjoint,
-                    reflect_values, split_values)
+from .grids import (Kernel, TimeGrid, _snap, adjoint, half_step, reflect_values,
+                    split_values, swap_reflect)
 
 
 class CommensurabilityError(ValueError):
@@ -98,6 +99,54 @@ def time_order(forward: np.ndarray, backward: np.ndarray):
     return theta * forward + (1.0 - theta) * backward, theta * (forward - backward)
 
 
+# -- the reconstruction rule -----------------------------------------------------
+
+RECONSTRUCTED = ("d_r_two_defs", "forward", "backward", "d_f", "d_f_dag")
+
+
+def reconstruct(d_r: np.ndarray) -> dict:
+    """The kernels of a family rebuilt from one frequency split P, M of D_R.
+
+    forward = P - P^dag, backward = M^dag - M, D_F = P + M^dag and
+    D_F^dag = P^dag + M, with ^dag the ``adjoint``.  The rule holds for the
+    oscillator and for neutral and charged fields alike: each forward
+    contraction is frequency-positive, each backward one frequency-negative,
+    and both are anti-Hermitian, so D_R - D_R^dag = forward - backward.
+    Each entry builds its kernel only when it is called.
+    """
+    plus, minus = split_values(d_r)
+    return {
+        "forward": lambda: plus - adjoint(plus),
+        "backward": lambda: adjoint(minus) - minus,
+        "d_f": lambda: plus + adjoint(minus),
+        "d_f_dag": lambda: adjoint(plus) + minus,
+    }
+
+
+def reconstruction_residuals(forward: np.ndarray, d_f: np.ndarray, d_r: np.ndarray, *,
+                             backward=None, names=RECONSTRUCTED) -> dict[str, float]:
+    """Max residual of each named kernel rebuilt from D_R against its definition.
+
+    The definitions are the family's forward and backward contractions,
+    D_F and D_R from ``time_order``, and D_F^dag = adjoint(D_F).  A neutral
+    field, the oscillator included, passes no backward contraction: its
+    backward one is swap_reflect(forward).  "d_r_two_defs" checks the second
+    definition D_R = D_F^dag - forward^dag.  The kernels are built, compared
+    and dropped one at a time, so a large family holds one rebuilt kernel at
+    once.
+    """
+    rebuilt = {**reconstruct(d_r),
+               "d_r_two_defs": lambda: adjoint(d_f) - adjoint(forward)}
+    defined = {
+        "forward": lambda: forward,
+        "backward": lambda: swap_reflect(forward) if backward is None else backward,
+        "d_f": lambda: d_f,
+        "d_f_dag": lambda: adjoint(d_f),
+        "d_r_two_defs": lambda: d_r,
+    }
+    return {name: float(np.max(np.abs(rebuilt[name]() - defined[name]()))) for name in names}
+
+
 # -- oscillator kernels on a grid ---------------------------------------------
 
 @dataclass(frozen=True)
@@ -113,7 +162,7 @@ def osc_kernels(p: OscillatorParams, grid: TimeGrid, *, loose: bool = False) -> 
     """Sample D on the grid and time-order it into D_F and D_R."""
     check_commensurate(p.omega0, grid, loose=loose)
     d = osc_d_value(grid.lags(), p)
-    d_f, d_r = time_order(d, reflect_values(d))
+    d_f, d_r = time_order(d, swap_reflect(d))
     return OscKernels(
         params=p,
         grid=grid,
@@ -123,29 +172,14 @@ def osc_kernels(p: OscillatorParams, grid: TimeGrid, *, loose: bool = False) -> 
     )
 
 
-def retarded_from_contractions(d_f: Kernel, d: Kernel) -> Kernel:
-    """D_R(tau) = D_F(tau) - D(-tau)."""
-    if d_f.grid != d.grid:
-        raise ValueError("kernels live on different grids")
-    return Kernel(d_f.grid, d_f.values - reflect_values(d.values))
-
-
 def contraction_from_retarded(d_r: Kernel) -> Kernel:
-    """D(tau) = D_R^(+)(tau) - D_R^(-)(-tau): keep half the spectrum."""
-    plus, minus = frequency_split(d_r)
-    return Kernel(d_r.grid, plus.values - reflect_values(minus.values))
+    """The forward contraction D rebuilt from D_R by ``reconstruct``."""
+    return Kernel(d_r.grid, reconstruct(d_r.values)["forward"]())
 
 
 def feynman_from_retarded(d_r: Kernel) -> Kernel:
-    """D_F(tau) = D_R^(+)(tau) + D_R^(+)(-tau)."""
-    plus, _ = frequency_split(d_r)
-    return Kernel(d_r.grid, plus.values + reflect_values(plus.values))
-
-
-def feynman_conj_from_retarded(d_r: Kernel) -> Kernel:
-    """conj(D_F)(tau) = D_R^(-)(tau) + D_R^(-)(-tau)."""
-    _, minus = frequency_split(d_r)
-    return Kernel(d_r.grid, minus.values + reflect_values(minus.values))
+    """D_F rebuilt from D_R by ``reconstruct``."""
+    return Kernel(d_r.grid, reconstruct(d_r.values)["d_f"]())
 
 
 def commutator_kernel(d_r: Kernel, hbar: float) -> Kernel:
@@ -209,14 +243,6 @@ class NeutralFieldKernels:
     d_f: np.ndarray
     d_r: np.ndarray
 
-    def kernel(self, kind: str, mu: int, r: int, mu_p: int, r_p: int) -> Kernel:
-        return Kernel(self.grid, getattr(self, kind)[mu, r, mu_p, r_p])
-
-
-def swap_reflect(family: np.ndarray) -> np.ndarray:
-    """K_{mu' r', mu r}(-tau) from K_{mu r, mu' r'}(tau)."""
-    return reflect_values(np.transpose(family, (2, 3, 0, 1, 4)))
-
 
 def neutral_field_kernels(ms: ModeSet, grid: TimeGrid) -> NeutralFieldKernels:
     """Mode-sum kernels of a neutral field on the grid."""
@@ -231,14 +257,9 @@ def neutral_field_kernels(ms: ModeSet, grid: TimeGrid) -> NeutralFieldKernels:
 
 
 def neutral_identity_residuals(nk: NeutralFieldKernels) -> dict[str, float]:
-    """Max residual of the D-from-D_R and D_F-from-D_R reconstructions."""
-    dr_plus, dr_minus = split_values(nk.d_r)
-    d_rebuilt = dr_plus - swap_reflect(dr_minus)
-    df_rebuilt = dr_plus + swap_reflect(dr_plus)
-    return {
-        "d": float(np.max(np.abs(d_rebuilt - nk.d))),
-        "d_f": float(np.max(np.abs(df_rebuilt - nk.d_f))),
-    }
+    """``reconstruction_residuals`` of D and D_F of a neutral field, keyed d and d_f."""
+    res = reconstruction_residuals(nk.d, nk.d_f, nk.d_r, names=("forward", "d_f"))
+    return {"d": res["forward"], "d_f": res["d_f"]}
 
 
 # -- charged bosonic fields ----------------------------------------------------
@@ -290,7 +311,7 @@ def charged_field_kernels(cms: ChargedModeSet, grid: TimeGrid) -> ChargedKernels
     d_a = -1j * np.exp(-1j * np.outer(cms.omegas_a, tau)).T @ cms.weights_a
     d_b = -1j * np.exp(+1j * np.outer(cms.omegas_b, tau)).T @ cms.weights_b
     d_f, d_r = time_order(d_a, d_b)
-    d_f_dag = np.conj(reflect_values(d_f))
+    d_f_dag = adjoint(d_f)
     return ChargedKernels(
         grid=grid,
         d_a=Kernel(grid, d_a),
@@ -302,20 +323,8 @@ def charged_field_kernels(cms: ChargedModeSet, grid: TimeGrid) -> ChargedKernels
 
 
 def charged_identity_residuals(ck: ChargedKernels) -> dict[str, float]:
-    """Residuals of the charged-field kernel reconstructions.
-
-    Checks the two equivalent definitions of D_R, the recovery of D^A and
-    D^B from the frequency halves of D_R and of its adjoint, and the two
-    rebuilt time-ordered kernels.
-    """
-    d_r_alt = Kernel(ck.grid, ck.d_f_dag.values - kernel_adjoint(ck.d_a).values)
-    dr_p, dr_m = frequency_split(ck.d_r)
-    d_r_dag = kernel_adjoint(ck.d_r)
-    drd_p, drd_m = frequency_split(d_r_dag)
-    return {
-        "d_r_two_defs": float(np.max(np.abs(ck.d_r.values - d_r_alt.values))),
-        "d_a": float(np.max(np.abs(dr_p.values - drd_p.values - ck.d_a.values))),
-        "d_b": float(np.max(np.abs(drd_m.values - dr_m.values - ck.d_b.values))),
-        "d_f": float(np.max(np.abs(dr_p.values + drd_m.values - ck.d_f.values))),
-        "d_f_dag": float(np.max(np.abs(drd_p.values + dr_m.values - ck.d_f_dag.values))),
-    }
+    """``reconstruction_residuals`` of a charged field, with D^A and D^B keyed d_a and d_b."""
+    res = reconstruction_residuals(ck.d_a.values, ck.d_f.values, ck.d_r.values,
+                                   backward=ck.d_b.values)
+    return {"d_r_two_defs": res["d_r_two_defs"], "d_a": res["forward"],
+            "d_b": res["backward"], "d_f": res["d_f"], "d_f_dag": res["d_f_dag"]}

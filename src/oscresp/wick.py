@@ -39,7 +39,6 @@ class WickTerm:
     pairs: tuple          # ((i, j), ...) with i < j
     kinds: tuple          # 'F', 'Fstar' or 'cross' per pair
     rest: tuple           # uncontracted factor indices, ascending
-    coefficient: int = 1
 
 
 def enumerate_pairings(m: int):

@@ -79,7 +79,6 @@ def test_criterion_8_neutral_field_suite():
 
 
 def test_criterion_9_symmetric_ordering_checks():
-    # the four-point row is conjecture-level: reported, not gated
     check(9, "functional", 9, ["weyl-two-point", "weyl-kernel-rearrangement",
                                "weyl-four-point"])
 

@@ -189,6 +189,7 @@ def test_wick_export(tmp_path, capsys):
     assert main(["wick", "--factors", "+t0.0,+t1.3,-t0.7"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert len(payload) == 4
+    assert all(set(term) == {"pairs", "kinds", "rest"} for term in payload)
     kinds = sorted(k for term in payload for k in term["kinds"])
     assert kinds == ["F", "cross", "cross"]
 

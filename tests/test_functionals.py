@@ -319,18 +319,16 @@ def test_equal_currents_collapse():
     rng = np.random.default_rng(10)
     g = reference_grid()
     j = SampledSignal(g, rng.standard_normal(g.n).astype(complex))
-    for variant in ("normal", "weyl", "antinormal"):
-        cp = CurrentPair(j, j, variant=variant)
-        eta, kubo = schwinger_map(cp, P.hbar)
-        assert np.max(np.abs(eta.values)) < 1e-15
-        assert np.max(np.abs(kubo.values - j.values)) < 1e-13
+    eta, kubo = schwinger_map(CurrentPair(j, j), P.hbar)
+    assert np.max(np.abs(eta.values)) < 1e-15
+    assert np.max(np.abs(kubo.values - j.values)) < 1e-13
 
 
 def test_conjugate_currents_make_eta_real():
     rng = np.random.default_rng(11)
     g = reference_grid()
     jp = random_signal(g, rng, clean=False)
-    cp = CurrentPair(jp, jp.conj(), variant="weyl")
+    cp = CurrentPair(jp, jp.conj())
     eta, kubo = schwinger_map(cp, P.hbar)
     assert np.max(np.abs(eta.values.imag)) < 1e-13
     assert np.max(np.abs(kubo.values.imag)) < 1e-13
@@ -341,21 +339,10 @@ def test_normal_variant_matches_response_substitution():
     g = reference_grid()
     jp = random_signal(g, rng, clean=False)
     jm = random_signal(g, rng, clean=False)
-    eta_c, kubo = schwinger_map(CurrentPair(jp, jm, variant="normal"), P.hbar)
+    eta_c, kubo = schwinger_map(CurrentPair(jp, jm), P.hbar)
     eta_s, sigma = response_substitution((1 / P.hbar) * jp, (1 / P.hbar) * jm, P.hbar)
     assert np.max(np.abs(eta_c.values - eta_s.values)) < 1e-13
     assert np.max(np.abs(kubo.values - sigma.values)) < 1e-13
-
-
-def test_antinormal_variant_keeps_the_other_halves():
-    rng = np.random.default_rng(13)
-    g = reference_grid()
-    jp = random_signal(g, rng)
-    jm = random_signal(g, rng)
-    _, kubo_n = schwinger_map(CurrentPair(jp, jm, "normal"), P.hbar)
-    _, kubo_a = schwinger_map(CurrentPair(jp, jm, "antinormal"), P.hbar)
-    total = kubo_n.values + kubo_a.values
-    assert np.max(np.abs(total - jp.values - jm.values)) < 1e-13
 
 
 # -- symmetric-ordering checks --------------------------------------------------------------

@@ -2,17 +2,14 @@ import numpy as np
 import pytest
 
 from oscresp import fock
-from oscresp.grids import (Kernel, frequency_split, half_step, kernel_adjoint,
-                           make_grid, reflect_values)
-from oscresp.kernels import (ChargedModeSet, CommensurabilityError, ModeSet,
-                             OscillatorParams, charged_field_kernels,
-                             charged_identity_residuals, commutator_kernel,
-                             contraction_from_retarded,
-                             feynman_conj_from_retarded, feynman_from_retarded,
-                             neutral_field_kernels, neutral_identity_residuals,
-                             osc_d_value, osc_df_value, osc_dr_value,
-                             osc_kernels, qp_commutator_kernel,
-                             retarded_from_contractions)
+from oscresp.grids import (frequency_split, half_step, kernel_adjoint, make_grid,
+                           reflect_values, swap_reflect)
+from oscresp.kernels import (RECONSTRUCTED, ChargedModeSet, CommensurabilityError,
+                             ModeSet, OscillatorParams, charged_field_kernels,
+                             commutator_kernel, neutral_field_kernels, osc_d_value,
+                             osc_df_value, osc_dr_value, osc_kernels,
+                             qp_commutator_kernel, reconstruct,
+                             reconstruction_residuals, time_order)
 from oscresp.suites import _demo_charged_modes, _demo_mode_set
 
 P = OscillatorParams()          # m = omega0 = hbar = 1
@@ -62,32 +59,41 @@ def test_incommensurate_frequency_is_rejected_unless_loose():
     assert kers.grid is g
 
 
-def test_identity_chain_on_reference_grid():
-    g = reference_grid()
-    kers = osc_kernels(P, g)
-    rebuilt_dr = retarded_from_contractions(kers.d_f, kers.d)
-    assert np.max(np.abs(rebuilt_dr.values - kers.d_r.values)) < 1e-10
+def family(kind, g):
+    """(forward, d_f, d_r, backward) of the oscillator or a demo field; backward None if neutral."""
+    if kind == "oscillator":
+        kers = osc_kernels(P, g)
+        return kers.d.values, kers.d_f.values, kers.d_r.values, None
+    if kind == "neutral":
+        nk = neutral_field_kernels(_demo_mode_set(g, np.random.default_rng(11)), g)
+        return nk.d, nk.d_f, nk.d_r, None
+    ck = charged_field_kernels(_demo_charged_modes(g), g)
+    return ck.d_a.values, ck.d_f.values, ck.d_r.values, ck.d_b.values
 
-    lhs = kers.d_r.values - reflect_values(kers.d_r.values)
-    rhs = kers.d.values - reflect_values(kers.d.values)
-    assert np.max(np.abs(lhs - rhs)) < 1e-10
 
-    assert np.max(np.abs(contraction_from_retarded(kers.d_r).values - kers.d.values)) < 1e-10
-    assert np.max(np.abs(feynman_from_retarded(kers.d_r).values - kers.d_f.values)) < 1e-10
-    assert np.max(np.abs(feynman_conj_from_retarded(kers.d_r).values
-                         - np.conj(kers.d_f.values))) < 1e-10
+@pytest.mark.parametrize("kind", ["oscillator", "neutral", "charged"])
+def test_every_family_is_rebuilt_from_its_retarded_kernel(kind):
+    g = reference_grid(128, 4)
+    forward, d_f, d_r, backward = family(kind, g)
+    res = reconstruction_residuals(forward, d_f, d_r, backward=backward)
+    assert tuple(res) == RECONSTRUCTED
+    assert res["d_r_two_defs"] < 1e-12
+    for name in RECONSTRUCTED[1:]:
+        assert res[name] < 1e-10, name
 
 
 def test_retarded_from_contractions_equals_stepped_difference():
     g = reference_grid(64, 3)
-    kers = osc_kernels(P, g)
+    d = osc_kernels(P, g).d.values
     theta = half_step(g.n)
-    stepped = theta * (kers.d.values - reflect_values(kers.d.values))
-    out = retarded_from_contractions(kers.d_f, kers.d)
-    assert np.max(np.abs(out.values - stepped)) < 1e-14
+    d_f, d_r = time_order(d, reflect_values(d))
+    assert np.max(np.abs(d_r - theta * (d - reflect_values(d)))) < 1e-14
+    assert np.max(np.abs(d_f - d_r - reflect_values(d))) < 1e-14
+    # antisymmetrized retarded equals antisymmetrized plain
+    assert np.max(np.abs(d_r - reflect_values(d_r) - d + reflect_values(d))) < 1e-10
 
-    z = Kernel(g, np.zeros(g.n))
-    assert np.max(np.abs(retarded_from_contractions(z, z).values)) == 0.0
+    z = np.zeros(g.n)
+    assert np.max(np.abs(time_order(z, z)[1])) == 0.0
 
 
 def test_plain_contraction_is_frequency_positive_and_retarded_is_real():
@@ -136,24 +142,18 @@ def test_single_unit_mode_reduces_to_oscillator_contraction():
     assert np.max(np.abs(nk.d[0, 0, 0, 0] / (2 * P.mass * P.omega0) - kers.d.values)) < 1e-14
 
 
-def test_field_identities_on_three_modes():
-    rng = np.random.default_rng(11)
-    g = reference_grid(128, 4)
-    nk = neutral_field_kernels(_demo_mode_set(g, rng), g)
-    res = neutral_identity_residuals(nk)
-    assert res["d"] < 1e-10
-    assert res["d_f"] < 1e-10
-
-
 def test_field_swap_reflection_gives_minus_conjugate():
     # [Q^(+), Q^(-)] structure forces K_{b a}(-tau) = -conj(K_{a b}(tau))
     rng = np.random.default_rng(12)
     g = reference_grid(128, 4)
     nk = neutral_field_kernels(_demo_mode_set(g, rng), g)
+    swapped_family = swap_reflect(nk.d)
     for mu, r, mup, rp in [(0, 0, 1, 1), (1, 0, 0, 1), (0, 1, 0, 0)]:
-        swapped = nk.kernel("d", mup, rp, mu, r).reflected()
-        original = nk.kernel("d", mu, r, mup, rp)
-        assert np.max(np.abs(swapped.values + np.conj(original.values))) < 1e-13
+        swapped = reflect_values(nk.d[mup, rp, mu, r])
+        assert np.array_equal(swapped_family[mu, r, mup, rp], swapped)
+        assert np.max(np.abs(swapped + np.conj(nk.d[mu, r, mup, rp]))) < 1e-13
+    # a 1-d kernel has no labels: swap_reflect is plain reflection
+    assert np.array_equal(swap_reflect(nk.d[0, 0, 0, 0]), reflect_values(nk.d[0, 0, 0, 0]))
 
 
 def test_field_rejects_incommensurate_or_invalid_modes():
@@ -168,15 +168,6 @@ def test_field_rejects_incommensurate_or_invalid_modes():
 
 
 # -- charged fields ----------------------------------------------------------
-
-def test_charged_identities():
-    g = reference_grid()
-    ck = charged_field_kernels(_demo_charged_modes(g), g)
-    res = charged_identity_residuals(ck)
-    assert res["d_r_two_defs"] < 1e-12
-    for key in ("d_a", "d_b", "d_f", "d_f_dag"):
-        assert res[key] < 1e-10
-
 
 def test_charged_anti_hermiticity_and_frequency_signs():
     g = reference_grid()
@@ -230,11 +221,10 @@ def test_loose_mode_tracks_small_commensurability_jitter():
     dt = 2.0 * np.pi * bin_index / n
     g = make_grid(n, dt * (1.0 + 1e-5))
     kers = osc_kernels(P, g, loose=True)
-    res = np.max(np.abs(contraction_from_retarded(kers.d_r).values - kers.d.values))
+    res = np.max(np.abs(reconstruct(kers.d_r.values)["forward"]() - kers.d.values))
     assert res < 1e-3
 
     g_far = make_grid(n, 0.1)                    # far off every bin
     kers_far = osc_kernels(P, g_far, loose=True)
-    res_far = np.max(np.abs(contraction_from_retarded(kers_far.d_r).values
-                            - kers_far.d.values))
+    res_far = np.max(np.abs(reconstruct(kers_far.d_r.values)["forward"]() - kers_far.d.values))
     assert 1e-3 < res_far < 1.0                  # degraded but bounded

@@ -17,9 +17,9 @@ from oscresp.functionals import (ProbeSet, _eta_ladder_coefficients,
                                  inverse_substitution, moment_residual, phi_in_state,
                                  predicted_moment, response_substitution)
 from oscresp.grids import SampledSignal, frequency_split, make_grid, without_zero_nyquist
-from oscresp.kernels import (ChargedModeSet, OscillatorParams, charged_field_kernels,
-                             commutator_kernel, contraction_from_retarded,
-                             feynman_from_retarded, osc_kernels)
+from oscresp.kernels import (ChargedModeSet, ModeSet, OscillatorParams,
+                             charged_field_kernels, commutator_kernel,
+                             neutral_field_kernels, osc_kernels, reconstruction_residuals)
 from oscresp.wick import verify_wick
 from test_driven import stage_loop_rk4
 
@@ -56,19 +56,6 @@ def test_split_is_additive_and_idempotent(n, dt, seed):
 
 
 @PROPERTY
-@given(oscillators())
-def test_contractions_from_the_retarded_kernel(osc):
-    p, grid = osc
-    kers = osc_kernels(p, grid)
-    # kernels are of size 1/(m w0); phases reach pi*n/2, so their rounding grows with n
-    scale = grid.n / (p.mass * p.omega0)
-    d = contraction_from_retarded(kers.d_r)
-    d_f = feynman_from_retarded(kers.d_r)
-    assert np.max(np.abs(d.values - kers.d.values)) < 1e-14 * scale
-    assert np.max(np.abs(d_f.values - kers.d_f.values)) < 1e-14 * scale
-
-
-@PROPERTY
 @given(sizes, positive, positive, seeds)
 def test_substitution_round_trip(n, dt, hbar, seed):
     grid = make_grid(n, dt)
@@ -92,6 +79,37 @@ def charged_modes(draw):
         weights = draw(st.lists(positive, min_size=len(bins), max_size=len(bins)))
         species += [np.array(bins, dtype=float) * scale, np.array(weights)]
     return grid, ChargedModeSet(*species)
+
+
+@st.composite
+def families(draw):
+    """(forward, d_f, d_r, backward) of a random oscillator, neutral or charged field."""
+    kind = draw(st.sampled_from(("oscillator", "neutral", "charged")))
+    if kind == "oscillator":
+        kers = osc_kernels(*draw(oscillators()))
+        return kers.d.values, kers.d_f.values, kers.d_r.values, None
+    if kind == "charged":
+        grid, modes = draw(charged_modes())
+        ck = charged_field_kernels(modes, grid)
+        return ck.d_a.values, ck.d_f.values, ck.d_r.values, ck.d_b.values
+    grid = make_grid(draw(sizes), draw(positive))
+    bins = draw(st.lists(st.integers(1, grid.n // 2 - 1), min_size=1, max_size=4, unique=True))
+    shape = (len(bins), draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    rng = np.random.default_rng(draw(seeds))
+    amplitudes = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    nk = neutral_field_kernels(
+        ModeSet(np.array(bins) * 2.0 * np.pi / grid.period, amplitudes), grid)
+    return nk.d, nk.d_f, nk.d_r, None
+
+
+@settings(PROPERTY, max_examples=75)
+@given(families())
+def test_contractions_from_the_retarded_kernel(family):
+    forward, d_f, d_r, backward = family
+    res = reconstruction_residuals(forward, d_f, d_r, backward=backward)
+    # kernels are of size max|D_F|; phases reach pi*n/2, so their rounding grows with n
+    bound = 2e-14 * d_r.shape[-1] * np.max(np.abs(d_f))
+    assert max(res.values()) < bound, res
 
 
 @PROPERTY

@@ -47,7 +47,6 @@ def test_hori_kind_assignment():
     assert len(terms) == 2
     paired = [t for t in terms if t.pairs]
     assert paired[0].kinds == ("F",)
-    assert all(t.coefficient == 1 for t in terms)
 
     terms = hori_expand([("minus", 0.7), ("plus", 0.0)])
     paired = [t for t in terms if t.pairs][0]
