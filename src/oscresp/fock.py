@@ -1,23 +1,28 @@
 """Truncated number-basis oracle for operator products and orderings.
 
-Dense matrices in a truncated Fock basis provide the brute-force side of
-every identity check: Heisenberg-picture position/momentum operators,
-density matrices for the standard state families, and averages of
-operator products under the orderings used throughout (forward/backward
-time ordering on the two contour branches, normal, antinormal, symmetric,
-or none).  The driven system enters exactly through a c-number shift of
-the position factors, so no time-dependent integration is ever needed.
+Matrices in a truncated Fock basis provide the brute-force side of every
+identity check: Heisenberg-picture position/momentum operators, density
+matrices for the standard state families, and averages of operator
+products under the orderings used throughout (forward/backward time
+ordering on the two contour branches, normal, antinormal, symmetric, or
+none).  The driven system enters exactly through a c-number shift of the
+position factors, so no time-dependent integration is ever needed.
 
-Plain and contour-ordered products are one chain of matrix products.  The
-symmetric (Weyl) product comes from the polarization identity: 2^(m-1)
-m-th powers of signed factor sums, ceil(m/2) matrix products each, in
-place of m! permutations.  Normal and antinormal products contract the
-coefficients of the factors' a / a^dag / identity parts with one table of
-ladder moments (``ladder_moments``).
+Every factor is c*a + d*adag + s, bidiagonal in the number basis, so a
+product of m factors reaches only the diagonals -m..m, and so does its
+trace against rho.  No ordered average forms a dim x dim product.  Plain
+and contour-ordered products are built as bands (``_band_step``) and
+traced against those diagonals of rho (``_diagonals``).  Normal,
+antinormal and symmetric (Weyl) products contract the coefficients of the
+factors' a / adag / identity parts with one table of ordered ladder
+moments per ordering (``ladder_moments``), read from the same diagonals.
+Only the truncated a and adag enter, never [a, adag] = 1, so the oracle
+stays independent of the pairing rules that it checks.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -66,14 +71,20 @@ def ladder_parts(observable: str, t, p: OscillatorParams):
     raise FockError(f"unknown observable {observable!r}")
 
 
+def _quadrature(observable: str, p: OscillatorParams, t: float, dim: int) -> np.ndarray:
+    c, d = ladder_parts(observable, t, p)
+    a, adag = ladder(dim)
+    return c * a + d * adag
+
+
 def heisenberg_q(p: OscillatorParams, t: float, dim: int) -> np.ndarray:
     """Matrix of q(t) in the truncated basis."""
-    return _factor_matrix(Factor("q", t), p, dim, None)
+    return _quadrature("q", p, t, dim)
 
 
 def heisenberg_p(p: OscillatorParams, t: float, dim: int) -> np.ndarray:
     """Matrix of p(t) in the truncated basis."""
-    return _factor_matrix(Factor("p", t), p, dim, None)
+    return _quadrature("p", p, t, dim)
 
 
 @dataclass(frozen=True)
@@ -102,10 +113,14 @@ def make_state(kind: str, dim: int, *, alpha: complex = 0.0, n: int = 0,
 
     States that lose weight to truncation are renormalised; if the lost
     weight exceeds 1e-10 the truncation is refused rather than silently
-    degraded.
+    degraded.  A coherent state with |alpha|^2 >= dim loses more than
+    that (its Poisson weight past the mean), so it is refused before its
+    amplitudes, which could overflow, are formed.
     """
     if dim < 2:
         raise FockError("need dim >= 2")
+    if not (cmath.isfinite(alpha) and math.isfinite(nbar)):
+        raise FockError(f"alpha and nbar must be finite, got alpha={alpha}, nbar={nbar}")
     if kind in ("vacuum", "fock"):
         level = n if kind == "fock" else 0
         if not 0 <= level < dim:
@@ -114,6 +129,9 @@ def make_state(kind: str, dim: int, *, alpha: complex = 0.0, n: int = 0,
         rho[level, level] = 1.0
         return FockState(rho, 0.0)
     if kind == "coherent":
+        if abs(alpha) >= math.sqrt(dim):
+            raise TruncationError(f"coherent(alpha={alpha}) has mean occupation "
+                                  f"|alpha|^2 >= dim={dim}")
         amps = np.zeros(dim, dtype=complex)
         amps[0] = 1.0
         for k in range(1, dim):
@@ -140,7 +158,8 @@ def make_state(kind: str, dim: int, *, alpha: complex = 0.0, n: int = 0,
 
 
 def expectation(state: FockState, op: np.ndarray) -> complex:
-    return complex(np.trace(state.rho @ op))
+    """Tr[rho O] as the elementwise sum of rho * O^T."""
+    return complex(np.sum(state.rho * op.T))
 
 
 def require_headroom(state: FockState, m: int) -> None:
@@ -204,9 +223,10 @@ class OrderedProductSpec:
 def _shift_value(shift: Shift, t: float) -> complex:
     if shift is None:
         return 0.0
-    if isinstance(shift, SampledSignal):
-        return shift.value_at(t)
-    return complex(shift(t))
+    value = shift.value_at(t) if isinstance(shift, SampledSignal) else complex(shift(t))
+    if not cmath.isfinite(value):
+        raise FockError(f"shift must be finite, got {value} at t={t}")
+    return value
 
 
 def _factor_parts(f: Factor, p: OscillatorParams, shift: Shift):
@@ -215,43 +235,117 @@ def _factor_parts(f: Factor, p: OscillatorParams, shift: Shift):
     return c, d, (_shift_value(shift, f.time) if f.observable == "q" else 0.0)
 
 
-def _factor_matrix(f: Factor, p: OscillatorParams, dim: int, shift: Shift) -> np.ndarray:
-    c, d, s = _factor_parts(f, p, shift)
-    a, adag = ladder(dim)
-    op = c * a + d * adag
-    return op + s * np.eye(dim) if s else op
+def _diagonals(rho: np.ndarray, m: int) -> np.ndarray:
+    """R[m+k, i] = rho[i+k, i] for k = -m..m, zero where i+k leaves the basis.
 
-
-def ladder_moments(state: FockState, order: int, antinormal: bool = False) -> np.ndarray:
-    """M[j, k] = <adag^j a^k>, or <a^k adag^j> if antinormal, for j, k <= order.
-
-    <adag^j a^k> = Tr(a^k rho adag^j) is the sum of (a^k rho) * a^j taken
-    elementwise, because a is real; likewise <a^k adag^j> with rho a^k.
-    a^j is nonzero only on its j-th superdiagonal, sqrt(n!/(n-j)!) at
-    (n-j, n), so the table costs `order` matrix products.
+    With band(P)[m+k, i] = P[i, i+k], Tr[rho P] = sum(band(P) * R).
     """
-    dim = state.dim
-    a = ladder(dim)[0].real
-    shifted = [state.rho]                      # a^k rho, or rho a^k
-    for _ in range(order):
-        shifted.append(shifted[-1] @ a if antinormal else a @ shifted[-1])
-    moments = np.empty((order + 1, order + 1), dtype=complex)
-    weight = np.ones(dim)                      # superdiagonal j of a^j
-    for j in range(order + 1):
-        if j:
-            weight = weight[:-1] * np.sqrt(np.arange(j, dim))
-        for k in range(order + 1):
-            moments[j, k] = np.dot(np.diagonal(shifted[k], offset=j), weight)
-    return moments
+    dim = rho.shape[0]
+    padded = np.zeros((dim + 2 * m, dim), dtype=complex)
+    padded[m:m + dim] = rho
+    i = np.arange(dim)
+    return padded[np.arange(2 * m + 1)[:, None] + i, i]
+
+
+def _band_step(band: np.ndarray, c: complex, d: complex, s: complex) -> np.ndarray:
+    """band(F P) from band(P), for F = c*a + d*adag + s.
+
+    (F P)[i, i+k] = c sqrt(i+1) P[i+1, i+k] + d sqrt(i) P[i-1, i+k] + s P[i, i+k]:
+    a moves an entry one diagonal up, adag one diagonal down.
+    """
+    root = np.sqrt(np.arange(1, band.shape[1]))
+    out = s * band
+    out[1:, :-1] += c * root * band[:-1, 1:]
+    out[:-1, 1:] += d * root * band[1:, :-1]
+    return out
+
+
+def _product_average(rho: np.ndarray, parts) -> complex:
+    """Tr[rho F_1 ... F_m] for factors F = (c, d, s), leftmost first."""
+    m = len(parts)
+    band = np.zeros((2 * m + 1, rho.shape[0]), dtype=complex)
+    band[m] = 1.0
+    for c, d, s in reversed(parts):
+        band = _band_step(band, c, d, s)
+    return complex(np.sum(band * _diagonals(rho, m)))
+
+
+def _ladder_roots(dim: int, order: int) -> np.ndarray:
+    """S[j, n] = sqrt(n!/(n-j)!), the entry of a^j at (n-j, n); zero for n < j."""
+    roots = np.zeros((order + 1, dim))
+    roots[0] = 1.0
+    for j in range(1, min(order, dim - 1) + 1):
+        roots[j, j:] = roots[j - 1, j:] * np.sqrt(np.arange(1, dim - j + 1))
+    return roots
+
+
+def _padded(diagonals: np.ndarray, order: int) -> np.ndarray:
+    """The diagonals with `order` zero columns on each side: column i at i + order."""
+    out = np.zeros((diagonals.shape[0], diagonals.shape[1] + 2 * order), dtype=complex)
+    out[:, order:-order or None] = diagonals
+    return out
+
+
+def _normal_table(diagonals: np.ndarray, order: int) -> np.ndarray:
+    """<adag^j a^k> = sum_l rho[l+k, l+j] S[j, l+j] S[k, l+k], l the level a^k lowers to."""
+    dim = diagonals.shape[1]
+    rise = _ladder_roots(dim + order, order)
+    j, k, lvl = np.ogrid[:order + 1, :order + 1, :dim]
+    read = _padded(diagonals, order)[order + k - j, order + lvl + j]
+    return np.sum(rise[j, lvl + j] * rise[k, lvl + k] * read, axis=-1)
+
+
+def _antinormal_table(diagonals: np.ndarray, order: int) -> np.ndarray:
+    """<a^k adag^j> = sum_u rho[u-j, u-k] S[j, u] S[k, u], u the level adag^j raises to."""
+    dim = diagonals.shape[1]
+    fall = _ladder_roots(dim, order)
+    j, k, lvl = np.ogrid[:order + 1, :order + 1, :dim]
+    read = _padded(diagonals, order)[order + k - j, order + lvl - k]
+    return np.sum(fall[j, lvl] * fall[k, lvl] * read, axis=-1)
+
+
+def _weyl_table(diagonals: np.ndarray, order: int) -> np.ndarray:
+    """<Sym(adag^j a^k)> for j + k <= order, zero beyond.
+
+    (a + adag)^n sums every word of n ladder factors once, and its
+    diagonal k - j holds exactly the comb(n, k) words with j adag and k a,
+    n = j + k; their average is the symmetric product.
+    """
+    table = np.zeros((order + 1, order + 1), dtype=complex)
+    band = np.zeros_like(diagonals, dtype=float)
+    band[order] = 1.0
+    for n in range(order + 1):
+        if n:
+            band = _band_step(band, 1.0, 1.0, 0.0)
+        traces = np.sum(band * diagonals, axis=1)
+        for k in range(n + 1):
+            table[n - k, k] = traces[order + 2 * k - n] / math.comb(n, k)
+    return table
+
+
+_MOMENT_TABLES = {"normal": _normal_table, "antinormal": _antinormal_table,
+                  "weyl": _weyl_table}
+
+
+def ladder_moments(state: FockState, order: int, ordering: str = "normal") -> np.ndarray:
+    """T[j, k] = <adag^j a^k> in the given ordering, for j, k <= order.
+
+    normal <adag^j a^k>; antinormal <a^k adag^j>; weyl the equal-weight
+    average over every order of the j adag and k a factors, for
+    j + k <= order.  Each entry is read from the diagonals -order..order
+    of rho with the truncated ladder matrix elements.
+    """
+    if ordering not in _MOMENT_TABLES:
+        raise FockError(f"no ladder-moment table for ordering {ordering!r}")
+    return _MOMENT_TABLES[ordering](_diagonals(state.rho, order), order)
 
 
 def contract_moments(moments: np.ndarray, parts) -> complex:
     """Average of the product of factors c*a + d*adag + s, one (c, d, s) per factor.
 
     The coefficients P[j, k] of x^k y^j in the product of (c x + d y + s)
-    are contracted with the leading block of a ``ladder_moments`` table,
-    which must reach order len(parts): normal order for <adag^j a^k>,
-    antinormal for <a^k adag^j>.
+    are contracted with the leading block of a ``ladder_moments`` table
+    of the wanted ordering, which must reach order len(parts).
     """
     m = len(parts)
     poly = np.zeros((m + 1, m + 1), dtype=complex)     # [adag power, a power]
@@ -262,27 +356,6 @@ def contract_moments(moments: np.ndarray, parts) -> complex:
         grown[1:, :] += d * poly[:-1, :]
         poly = grown
     return complex(np.sum(poly * moments[:m + 1, :m + 1]))
-
-
-def _weyl_average(state: FockState, mats) -> complex:
-    """<Sym(X_1 ... X_m)> by polarization.
-
-    Sym(X_1 ... X_m) = 2^(1-m)/m! sum over eps in {+-1}^m with eps_1 = +1 of
-    (prod eps) S^m, S = sum eps_i X_i.  Each <S^m> is Tr[(S^r rho) S^h] with
-    h = ceil(m/2) and r = m - h: h matrix products per sign pattern.
-    """
-    m = len(mats)
-    h = (m + 1) // 2
-    stack = np.array(mats)
-    total = 0.0j
-    for bits in range(2 ** (m - 1)):
-        signs = [1] + [-1 if bits >> i & 1 else 1 for i in range(m - 1)]
-        powers = [np.tensordot(signs, stack, axes=1)]          # S^1 ... S^h
-        while len(powers) < h:
-            powers.append(powers[-1] @ powers[0])
-        left = powers[m - h - 1] @ state.rho if m > h else state.rho
-        total += math.prod(signs) * np.einsum("ij,ji->", left, powers[-1])
-    return complex(total) * 2.0 ** (1 - m) / math.factorial(m)
 
 
 def _contour_order(labels) -> list:
@@ -303,32 +376,20 @@ def ordered_average(state: FockState, spec: OrderedProductSpec,
                     p: OscillatorParams) -> complex:
     """Tr[rho O] with O assembled according to the requested ordering.
 
-    double_time: the factors in contour order (``_contour_order``), so
-    contour-earlier operators go right.
-    weyl: the equal-weight average over all factor orders, evaluated by
-    the polarization identity.  normal/antinormal: every factor is
-    c*a + d*adag + s, contracted with ``ladder_moments`` by
-    ``contract_moments``.
+    plain: the factors as given.  double_time: the factors in contour
+    order (``_contour_order``), so contour-earlier operators go right.
+    Both are one banded product.  normal, antinormal and weyl: every
+    factor is c*a + d*adag + s, contracted with the ordering's
+    ``ladder_moments`` table by ``contract_moments``.
     """
-    dim = state.dim
     factors = spec.factors
-    if not factors:
-        return complex(np.trace(state.rho))
     require_headroom(state, len(factors))
-
-    if spec.ordering in ("normal", "antinormal"):
-        moments = ladder_moments(state, len(factors), antinormal=spec.ordering == "antinormal")
-        return contract_moments(moments, [_factor_parts(f, p, spec.shift) for f in factors])
-
-    mats = [_factor_matrix(f, p, dim, spec.shift) for f in factors]
-    if spec.ordering == "weyl":
-        return _weyl_average(state, mats)
+    parts = [_factor_parts(f, p, spec.shift) for f in factors]
+    if spec.ordering in _MOMENT_TABLES:
+        return contract_moments(ladder_moments(state, len(parts), spec.ordering), parts)
     if spec.ordering == "double_time":
-        mats = [mats[i] for i in _contour_order([(f.branch, f.time) for f in factors])]
-    op = mats[0]
-    for m in mats[1:]:
-        op = op @ m
-    return expectation(state, op)
+        parts = [parts[i] for i in _contour_order([(f.branch, f.time) for f in factors])]
+    return _product_average(state.rho, parts)
 
 
 # -- double-ordered exponential pair ---------------------------------------------

@@ -8,7 +8,7 @@ retarded kernel.  This module evaluates both forms, the initial-state and
 classical-drive factors, the normal-ordered forward/backward current map,
 and predicts the ordered moments of every ordering
 through the pairing formula (``predicted_moment``); ``moment_residual``
-is the one place where the matrix oracle meets that prediction.
+is the one place where the Fock oracle meets that prediction.
 
 Probes are grid signals; functional derivatives are represented as
 polynomial coefficients in the weights of grid spikes and evaluated
@@ -264,7 +264,7 @@ def predicted_moment(spec: fock.OrderedProductSpec, p: OscillatorParams,
 
 def moment_residual(state: fock.FockState, spec: fock.OrderedProductSpec,
                     p: OscillatorParams, mean: Mean = None) -> float:
-    """|matrix-oracle average - functional prediction| of an ordered q product."""
+    """|Fock-oracle average - functional prediction| of an ordered q product."""
     predicted = predicted_moment(spec, p, mean)
     return abs(fock.ordered_average(state, spec, p) - predicted)
 

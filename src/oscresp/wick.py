@@ -108,7 +108,7 @@ def contraction_value(t_i: float, branch_i: str, t_j: float, branch_j: str,
 def verify_wick(state: fock.FockState, factors, p: OscillatorParams) -> float:
     """|double-ordered average - pair expansion| for the given factors.
 
-    The left side is the matrix-product average of the branch-ordered
+    The left side is the banded Fock-oracle average of the branch-ordered
     position factors; the right side sums, over all contraction patterns,
     the product of contraction values times the normally ordered average
     of the leftover factors, all read from one table of ladder moments.

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oscresp
 from oscresp.cli import main
 from oscresp.grids import read_kernel_csv, read_kernel_json
 from oscresp.suites import Config, ConfigError, SuiteReport, run_suite
@@ -232,3 +237,16 @@ def test_malformed_reports_exit_with_the_usage_code(tmp_path, capsys, text):
     path.write_text(text)
     assert main(["report", "--path", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: cannot read report")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "field", "--seed", "7"], 0),
+    (["verify", "nosuchsuite"], 2),
+], ids=["passing-suite", "usage-error"])
+def test_python_dash_m_runs_the_cli(tmp_path, argv, code):
+    src = str(Path(oscresp.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "oscresp", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == code, done.stderr

@@ -99,9 +99,31 @@ NAN, INF = float("nan"), float("inf")
 ], ids=["coherent-nan", "coherent-inf", "thermal-nan", "thermal-inf", "rho-nan",
         "factor-nan", "factor-inf"])
 def test_non_finite_inputs_are_refused(build):
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        with pytest.raises(FockError):
-            build()
+    # refused before any arithmetic: a numpy warning would fail the test
+    with pytest.raises(FockError):
+        build()
+
+
+@pytest.mark.parametrize("alpha", [1e200, 1e200j, 4.5, -4.5j])
+def test_coherent_amplitude_past_the_basis_is_refused_before_computing(alpha):
+    # |alpha|^2 >= dim: the Poisson weight at and past the mean leaves the basis
+    with pytest.raises(TruncationError):
+        make_state("coherent", 20, alpha=alpha)
+
+
+@pytest.mark.parametrize("ordering", fock.ORDERINGS)
+@pytest.mark.parametrize("bad", [NAN, INF, complex(0.0, -INF)], ids=["nan", "inf", "imag-inf"])
+def test_non_finite_shift_is_refused(ordering, bad):
+    factors = (("q", 0.2, "plus"), ("q", 0.5, "minus"))
+    spec = OrderedProductSpec(factors, ordering, lambda t: bad if t > 0.3 else 0.1)
+    with pytest.raises(FockError, match="shift must be finite"):
+        ordered_average(make_state("vacuum", 20), spec, P)
+    grid = make_grid(64, 0.1)
+    values = np.zeros(64, dtype=complex)
+    values[grid.index_of(0.5)] = bad
+    with pytest.raises(FockError, match="shift must be finite"):
+        ordered_average(make_state("vacuum", 20), OrderedProductSpec(
+            factors, ordering, SampledSignal(grid, values)), P)
 
 
 @pytest.mark.parametrize("ordering", fock.ORDERINGS)
@@ -374,6 +396,65 @@ def test_orderings_match_explicit_operator_oracles(m, kind, shift):
         assert abs(value - ref) <= 1e-12 * max(1.0, abs(ref)), ordering
 
 
+# -- the dense oracle that the banded one replaced, kept as a reference -----------
+
+def chain_average(state, mats):
+    """Tr[rho X_1 ... X_m] by m dense matrix products."""
+    op = np.eye(state.dim, dtype=complex)
+    for x in mats:
+        op = op @ x
+    return complex(np.trace(state.rho @ op))
+
+
+def polarization_average(state, mats):
+    """<Sym(X_1 ... X_m)> by polarization.
+
+    Sym(X_1 ... X_m) = 2^(1-m)/m! sum over eps in {+-1}^m with eps_1 = +1 of
+    (prod eps) S^m, S = sum eps_i X_i.
+    """
+    m = len(mats)
+    if m == 0:
+        return complex(np.trace(state.rho))
+    total = 0.0j
+    for bits in range(2 ** (m - 1)):
+        signs = [1] + [-1 if bits >> i & 1 else 1 for i in range(m - 1)]
+        s = np.tensordot(signs, np.array(mats), axes=1)
+        total += math.prod(signs) * np.trace(state.rho @ np.linalg.matrix_power(s, m))
+    return complex(total) * 2.0 ** (1 - m) / math.factorial(m)
+
+
+def dense_ladder_moments(state, order, antinormal):
+    """<adag^j a^k> (or <a^k adag^j>) for j, k <= order, from dense matrix powers."""
+    a, adag = ladder(state.dim)
+    a_pow = [np.linalg.matrix_power(a, k) for k in range(order + 1)]
+    adag_pow = [np.linalg.matrix_power(adag, k) for k in range(order + 1)]
+    table = np.empty((order + 1, order + 1), dtype=complex)
+    for j in range(order + 1):
+        for k in range(order + 1):
+            op = a_pow[k] @ adag_pow[j] if antinormal else adag_pow[j] @ a_pow[k]
+            table[j, k] = np.trace(state.rho @ op)
+    return table
+
+
+def dense_average(state, spec):
+    """ordered_average of spec from dense matrices, for the weyl, chain and moment forms."""
+    factors = spec.factors
+    mats = oracle_matrices([(f.observable, f.time, f.branch) for f in factors],
+                           spec.shift, state.dim)
+    if spec.ordering == "weyl":
+        return polarization_average(state, mats)
+    if spec.ordering in ("normal", "antinormal"):
+        table = dense_ladder_moments(state, len(mats), spec.ordering == "antinormal")
+        return fock.contract_moments(table, [(x[0, 1], x[1, 0], x[0, 0]) for x in mats])
+    if spec.ordering == "double_time":
+        # backward branch leftmost, earliest first; then the forward branch, latest first
+        order = sorted(range(len(factors)), key=lambda i: (
+            factors[i].branch == "plus",
+            factors[i].time if factors[i].branch == "minus" else -factors[i].time))
+        mats = [mats[i] for i in order]
+    return chain_average(state, mats)
+
+
 def test_weyl_at_max_factors_gives_gaussian_moments():
     vac = make_state("vacuum", 40)
     m = fock.MAX_FACTORS
@@ -391,10 +472,15 @@ def test_ladder_moments_in_closed_form():
     j, k = np.indices((order + 1, order + 1))
     same = j == k
     factorial = np.array([math.factorial(n) for n in range(order + 1)])
-    vac = fock.ladder_moments(make_state("vacuum", 20), order, antinormal=True)
+    vac = fock.ladder_moments(make_state("vacuum", 20), order, "antinormal")
     assert np.max(np.abs(vac - np.where(same, factorial[j], 0.0))) < 1e-10
-    th = fock.ladder_moments(make_state("thermal", 60, nbar=0.3), order)
+    thermal = make_state("thermal", 60, nbar=0.3)
+    th = fock.ladder_moments(thermal, order)
     assert np.max(np.abs(th - np.where(same, factorial[j] * 0.3 ** j, 0.0))) < 1e-10
+    # symmetric moments of a thermal state are j! (nbar + 1/2)^j on the diagonal; the weyl
+    # table holds j + k <= its order only, so order 2 * order covers every j, k <= order
+    sym = fock.ladder_moments(thermal, 2 * order, "weyl")[:order + 1, :order + 1]
+    assert np.max(np.abs(sym - np.where(same, factorial[j] * 0.8 ** j, 0.0))) < 1e-10
     alpha = 0.5 - 0.3j
     coh = fock.ladder_moments(make_state("coherent", 40, alpha=alpha), order)
     assert np.max(np.abs(coh - np.conj(alpha) ** j * alpha ** k)) < 1e-10

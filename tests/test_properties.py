@@ -5,6 +5,8 @@ database is written, so every run checks the same cases.  Sample values
 come from a numpy generator seeded by the drawn integer.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from oscresp.kernels import (ChargedModeSet, ModeSet, OscillatorParams,
                              neutral_field_kernels, osc_kernels, reconstruction_residuals)
 from oscresp.wick import verify_wick
 from test_driven import stage_loop_rk4
+from test_fock import dense_average, oracle_matrices
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=25)
 
@@ -127,9 +130,9 @@ def test_charged_doubled_substitution(field, hbar, seed):
 
 
 @st.composite
-def fock_states(draw, headroom=2, least=3):
+def fock_states(draw, headroom=2, least=3, most=30):
     """A random density matrix whose support lies inside the lowest dim - headroom levels."""
-    dim = draw(st.integers(least, 30))
+    dim = draw(st.integers(least, most))
     rng = np.random.default_rng(draw(seeds))
     size = dim - headroom
     g = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
@@ -213,6 +216,55 @@ def test_every_ordered_moment_matches_its_prediction(spec, alpha):
         state, mean = fock.make_state("coherent", 40, alpha=alpha), coherent_mean(alpha, p)
     bound = 1e-10 * max(1.0, abs(predicted_moment(spec, p, mean)))
     assert moment_residual(state, spec, p, mean) <= bound
+
+
+@st.composite
+def random_products(draw, headroom=True, most=40):
+    """(state, spec): q and p factors in any ordering, on a random state.
+
+    With headroom the state's support lies inside dim - m, as ordered_average
+    requires; without it the state fills the whole truncated basis.
+    """
+    m = draw(st.integers(0, fock.MAX_FACTORS))
+    state = draw(fock_states(headroom=m if headroom else 0, least=max(2, m + 1), most=most))
+    ordering = draw(st.sampled_from(fock.ORDERINGS))
+    branch = branches if ordering == "double_time" else st.none()
+    factors = draw(st.lists(st.tuples(st.sampled_from("qp"), times, branch),
+                            min_size=m, max_size=m))
+    shift = None
+    if draw(st.booleans()):
+        a, b = (draw(st.complex_numbers(max_magnitude=1.0)) for _ in range(2))
+        shift = lambda t: a + b * t    # noqa: E731
+    return state, fock.OrderedProductSpec(tuple(factors), ordering, shift)
+
+
+def term_scale(state, spec):
+    """Tr[|rho| |X_1| ... |X_m|], every matrix entrywise absolute: the summed size of all terms."""
+    mats = oracle_matrices([(f.observable, f.time, f.branch) for f in spec.factors],
+                           spec.shift, state.dim)
+    op = np.eye(state.dim)
+    for x in mats:
+        op = op @ np.abs(x)
+    return float(np.sum(np.abs(state.rho) * op.T))
+
+
+@settings(PROPERTY, max_examples=100)
+@given(random_products())
+def test_banded_oracle_matches_the_dense_oracle(case):
+    state, spec = case
+    value = fock.ordered_average(state, spec, OscillatorParams())
+    assert abs(value - dense_average(state, spec)) <= 1e-14 * term_scale(state, spec)
+
+
+@settings(PROPERTY, max_examples=50)
+@given(random_products(headroom=False, most=12))
+def test_banded_oracle_keeps_the_truncated_products_on_full_support(case):
+    # past the headroom the truncated a, adag no longer obey [a, adag] = 1; with the
+    # headroom refusal lifted, the banded forms must still give the dense truncated products
+    state, spec = case
+    with mock.patch.object(fock, "require_headroom", lambda state, m: None):
+        value = fock.ordered_average(state, spec, OscillatorParams())
+    assert abs(value - dense_average(state, spec)) <= 1e-14 * term_scale(state, spec)
 
 
 @PROPERTY
