@@ -18,10 +18,9 @@ from .fock import (Factor, FockState, OrderedProductSpec, TruncationError,
                    heisenberg_p, heisenberg_q, ladder, make_state,
                    ordered_average, reality_check)
 from .wick import WickTerm, enumerate_pairings, hori_expand, verify_wick
-from .functionals import (CurrentPair, ProbeSet, gaussian_moments,
-                          inverse_substitution, phi_cl, phi_full,
-                          phi_vac_quadratic, phi_vac_response,
-                          response_substitution, schwinger_map)
+from .functionals import (ProbeSet, gaussian_moments, inverse_substitution,
+                          phi_cl, phi_full, phi_vac_quadratic,
+                          phi_vac_response, response_substitution)
 from .driven import (DriveScenario, classical_displacement, ode_oscillator,
                      sin_scenario, step_scenario,
                      verify_driven_factorization)
@@ -30,7 +29,7 @@ from .suites import Config, SuiteReport, run_suite
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChargedModeSet", "CommensurabilityError", "Config", "CurrentPair",
+    "ChargedModeSet", "CommensurabilityError", "Config",
     "DriveScenario", "Factor", "FockState", "GridError", "Kernel",
     "ModeSet", "OrderedProductSpec", "OscillatorParams", "ProbeSet",
     "SampledSignal", "SuiteReport", "TimeGrid", "TruncationError",
@@ -43,7 +42,6 @@ __all__ = [
     "neutral_field_kernels", "ode_oscillator", "ordered_average",
     "osc_kernels", "phi_cl", "phi_full", "phi_vac_quadratic",
     "phi_vac_response", "qp_commutator_kernel", "reality_check",
-    "response_substitution", "run_suite",
-    "schwinger_map", "sin_scenario", "step_scenario", "verify_wick",
-    "verify_driven_factorization", "zero_nyquist_fraction",
+    "response_substitution", "run_suite", "sin_scenario", "step_scenario",
+    "verify_wick", "verify_driven_factorization", "zero_nyquist_fraction",
 ]

@@ -4,11 +4,14 @@ The vacuum functional of the two probe functions is an exponential of a
 quadratic form of contraction kernels; rewritten through the substitution
 (eta+, eta-) -> (eta, sigma) it collapses to the emission form
 exp[sum eta D_R sigma], i.e. a classical source radiating through the
-retarded kernel.  This module evaluates both forms, the initial-state and
-classical-drive factors, the normal-ordered forward/backward current map,
-and predicts the ordered moments of every ordering
-through the pairing formula (``predicted_moment``); ``moment_residual``
-is the one place where the Fock oracle meets that prediction.
+retarded kernel.  ``phi_cl`` is that one emission form: with the source
+sigma it is the vacuum functional, with a drive current the classical-drive
+factor, and forward/backward currents j+- enter ``response_substitution``
+as eta+- = j+-/hbar.  This module also evaluates the quadratic vacuum form
+and the initial-state factor, and predicts the ordered moments of every
+ordering through the pairing formula (``predicted_moment``);
+``moment_residual`` is the one place where the Fock oracle meets that
+prediction.
 
 Probes are grid signals; functional derivatives are represented as
 polynomial coefficients in the weights of grid spikes and evaluated
@@ -26,7 +29,7 @@ import numpy as np
 
 from . import fock
 from .grids import (Kernel, SampledSignal, circular_convolve, frequency_split,
-                    zero_nyquist_fraction)
+                    kernel_adjoint, zero_nyquist_fraction)
 from .kernels import ChargedKernels, OscKernels, OscillatorParams, osc_d_value, reconstruct
 from .wick import contraction_value, enumerate_pairings
 
@@ -41,7 +44,9 @@ def response_substitution(eta_plus: SampledSignal, eta_minus: SampledSignal,
                           hbar: float):
     """(eta+, eta-) -> (eta, sigma).
 
-    eta = -i (eta+ - eta-); sigma = hbar [eta+^(+) + eta-^(-)].
+    eta = -i (eta+ - eta-); sigma = hbar [eta+^(+) + eta-^(-)].  Forward and
+    backward drive currents enter as eta+- = j+-/hbar; sigma is then the
+    normal-ordered physical current j+^(+) + j-^(-).
     """
     eta = -1j * (eta_plus - eta_minus)
     plus_part, _ = frequency_split(eta_plus)
@@ -115,27 +120,18 @@ def phi_vac_quadratic(ps: ProbeSet, kers: OscKernels) -> complex:
     return complex(np.exp(log_phi_vac_quadratic(ps, kers)))
 
 
-def log_phi_vac_response(ps: ProbeSet, d_r: Kernel) -> complex:
-    """log of the vacuum functional in classical-emission form: sum eta D_R sigma."""
-    return quad_form(ps.eta, d_r, ps.sigma)
+def phi_cl(eta: SampledSignal, current: SampledSignal, d_r: Kernel) -> complex:
+    """Emission factor exp[dt^2 sum eta(t) D_R(t - t') current(t')].
+
+    The source radiates through the plain dt-weighted periodic convolution
+    with D_R, so the identity holds exactly in the discrete algebra.
+    """
+    return complex(np.exp(quad_form(eta, d_r, current)))
 
 
 def phi_vac_response(ps: ProbeSet, d_r: Kernel) -> complex:
-    return complex(np.exp(log_phi_vac_response(ps, d_r)))
-
-
-def log_phi_cl(eta: SampledSignal, current: SampledSignal, d_r: Kernel) -> complex:
-    """log of the classical-drive factor: dt * sum eta(t) q_j(t).
-
-    q_j is the plain dt-weighted periodic convolution of D_R with the
-    sampled current, so the identity holds exactly in the discrete algebra.
-    """
-    q_j = circular_convolve(d_r, current)
-    return complex(eta.grid.dt * np.sum(eta.values * q_j.values))
-
-
-def phi_cl(eta: SampledSignal, current: SampledSignal, d_r: Kernel) -> complex:
-    return complex(np.exp(log_phi_cl(eta, current, d_r)))
+    """The vacuum functional in emission form: sigma radiating through D_R."""
+    return phi_cl(ps.eta, ps.sigma, d_r)
 
 
 # -- initial-state functional -----------------------------------------------------
@@ -289,32 +285,6 @@ def predicted_normal_moment(times, mean: Mean = None) -> complex:
     return out
 
 
-# -- forward/backward current map ---------------------------------------------------
-
-@dataclass(frozen=True)
-class CurrentPair:
-    """Independent forward/backward drive currents."""
-
-    j_plus: SampledSignal
-    j_minus: SampledSignal
-
-    def __post_init__(self):
-        if self.j_plus.grid != self.j_minus.grid:
-            raise FunctionalError("current pair lives on different grids")
-
-
-def schwinger_map(cp: CurrentPair, hbar: float):
-    """(eta, physical current) from the forward/backward pair.
-
-    eta = -i (j+ - j-)/hbar; the physical current is the normal-ordered
-    recombination j+^(+) + j-^(-) of the frequency-split halves.
-    """
-    eta = (-1j / hbar) * (cp.j_plus - cp.j_minus)
-    plus_p, _ = frequency_split(cp.j_plus)
-    _, minus_m = frequency_split(cp.j_minus)
-    return eta, plus_p + minus_m
-
-
 # -- symmetric-ordering kernel identity ------------------------------------------------
 
 def weyl_kernel_identity_residual(eta: SampledSignal, d: Kernel, d_r: Kernel) -> float:
@@ -347,7 +317,7 @@ def charged_substitution_residual(bar_probes: ProbeSet, probes: ProbeSet,
     hbar = probes.hbar
     lhs = 1j * hbar * (
         -quad_form(bar_probes.eta_plus, ck.d_f, probes.eta_plus)
-        + quad_form(bar_probes.eta_minus, ck.d_f_dag, probes.eta_minus)
+        + quad_form(bar_probes.eta_minus, kernel_adjoint(ck.d_f), probes.eta_minus)
         + quad_form(bar_probes.eta_minus, ck.d_a, probes.eta_plus)
         + quad_form(bar_probes.eta_plus, ck.d_b, probes.eta_minus)
     )

@@ -51,17 +51,14 @@ class OscillatorParams:
         return math.sqrt(self.hbar * self.mass * self.omega0)
 
 
-def check_commensurate(omega: float, grid: TimeGrid, *, loose: bool = False) -> float:
-    """Bin index omega*n*dt/(2*pi); must be an integer in (0, n/2) unless loose."""
+def check_commensurate(omega: float, grid: TimeGrid) -> None:
+    """Refuse omega unless its bin omega*n*dt/(2*pi) is an integer in (0, n/2)."""
     k = omega * grid.n * grid.dt / (2.0 * math.pi)
-    if loose:
-        return k
     ki = _snap(k)
     if ki is None or not 1 <= ki < grid.n // 2:
         raise CommensurabilityError(
             f"omega={omega} sits on bin {k:.6g} of the grid; an integer bin in "
             f"[1, {grid.n // 2}) is required")
-    return float(ki)
 
 
 # -- closed forms at exact time differences ----------------------------------
@@ -160,7 +157,8 @@ class OscKernels:
 
 def osc_kernels(p: OscillatorParams, grid: TimeGrid, *, loose: bool = False) -> OscKernels:
     """Sample D on the grid and time-order it into D_F and D_R."""
-    check_commensurate(p.omega0, grid, loose=loose)
+    if not loose:
+        check_commensurate(p.omega0, grid)
     d = osc_d_value(grid.lags(), p)
     d_f, d_r = time_order(d, swap_reflect(d))
     return OscKernels(
@@ -298,12 +296,11 @@ class ChargedKernels:
     d_a: Kernel
     d_b: Kernel
     d_f: Kernel
-    d_f_dag: Kernel
     d_r: Kernel
 
 
 def charged_field_kernels(cms: ChargedModeSet, grid: TimeGrid) -> ChargedKernels:
-    """Charged-field kernels: D^A, D^B, D_F, its adjoint, and D_R."""
+    """Charged-field kernels: D^A, D^B, D_F and D_R."""
     for w in np.concatenate([cms.omegas_a, cms.omegas_b]):
         check_commensurate(float(w), grid)
     tau = grid.lags()
@@ -311,13 +308,11 @@ def charged_field_kernels(cms: ChargedModeSet, grid: TimeGrid) -> ChargedKernels
     d_a = -1j * np.exp(-1j * np.outer(cms.omegas_a, tau)).T @ cms.weights_a
     d_b = -1j * np.exp(+1j * np.outer(cms.omegas_b, tau)).T @ cms.weights_b
     d_f, d_r = time_order(d_a, d_b)
-    d_f_dag = adjoint(d_f)
     return ChargedKernels(
         grid=grid,
         d_a=Kernel(grid, d_a),
         d_b=Kernel(grid, d_b),
         d_f=Kernel(grid, d_f),
-        d_f_dag=Kernel(grid, d_f_dag),
         d_r=Kernel(grid, d_r),
     )
 

@@ -250,3 +250,10 @@ def test_python_dash_m_runs_the_cli(tmp_path, argv, code):
     done = subprocess.run([sys.executable, "-m", "oscresp", *argv], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == code, done.stderr
+
+
+def test_every_exported_name_resolves_once():
+    names = oscresp.__all__
+    assert len(names) == len(set(names))
+    missing = [name for name in names if not hasattr(oscresp, name)]
+    assert missing == []

@@ -6,17 +6,16 @@ from scipy.linalg import expm
 from scipy.special import eval_laguerre
 
 from oscresp import fock
-from oscresp.functionals import (CurrentPair, FunctionalError, ProbeSet,
+from oscresp.functionals import (FunctionalError, ProbeSet,
                                  _eta_ladder_coefficients,
                                  charged_substitution_residual, coherent_mean,
                                  gaussian_moments, inverse_substitution,
-                                 log_phi_cl, log_phi_vac_quadratic,
-                                 log_phi_vac_response, moment_residual, phi_cl,
+                                 log_phi_vac_quadratic, moment_residual, phi_cl,
                                  phi_full, phi_in_state, phi_vac_quadratic,
                                  phi_vac_response, predicted_double_time_moment,
                                  predicted_moment, predicted_normal_moment,
                                  predicted_weyl_moment, quad_form,
-                                 response_substitution, schwinger_map,
+                                 response_substitution,
                                  weyl_kernel_identity_residual)
 from oscresp.grids import SampledSignal, make_grid, without_zero_nyquist
 from oscresp.kernels import (OscillatorParams, charged_field_kernels,
@@ -126,7 +125,7 @@ def test_quadratic_form_equals_emission_form():
         a, b = phi_vac_quadratic(ps, kers), phi_vac_response(ps, kers.d_r)
         worst_phi = max(worst_phi, abs(a - b) / abs(a))
         worst_log = max(worst_log, abs(log_phi_vac_quadratic(ps, kers)
-                                       - log_phi_vac_response(ps, kers.d_r)))
+                                       - quad_form(ps.eta, kers.d_r, ps.sigma)))
     assert worst_phi < 1e-10
     assert worst_log < 1e-12
 
@@ -152,7 +151,7 @@ def test_phi_cl_examples():
 
     j = spike(g, 0.0, 1.0)
     # a spike current radiates a dt-scaled copy of the kernel
-    log_phi = log_phi_cl(eta, j, kers.d_r)
+    log_phi = quad_form(eta, kers.d_r, j)
     expected = g.dt * 0.5 * (g.dt * osc_dr_value(3 * g.dt, P))
     assert log_phi == pytest.approx(expected, abs=1e-15)
 
@@ -169,7 +168,7 @@ def test_phi_cl_matches_displacement_oracle():
     q_j = g.dt * kers.d_r.values[lag] @ sc.current.values
     eta = random_signal(g, rng, 0.3)
     log_direct = g.dt * np.sum(eta.values * q_j)
-    assert abs(log_phi_cl(eta, sc.current, kers.d_r) - log_direct) < 1e-12
+    assert abs(quad_form(eta, kers.d_r, sc.current) - log_direct) < 1e-12
 
 
 # -- initial-state factor ----------------------------------------------------------
@@ -319,30 +318,21 @@ def test_equal_currents_collapse():
     rng = np.random.default_rng(10)
     g = reference_grid()
     j = SampledSignal(g, rng.standard_normal(g.n).astype(complex))
-    eta, kubo = schwinger_map(CurrentPair(j, j), P.hbar)
-    assert np.max(np.abs(eta.values)) < 1e-15
-    assert np.max(np.abs(kubo.values - j.values)) < 1e-13
+    for hbar in (1.0, 0.7):
+        # forward/backward currents enter the substitution as j+-/hbar
+        eta, sigma = response_substitution((1 / hbar) * j, (1 / hbar) * j, hbar)
+        assert np.max(np.abs(eta.values)) < 1e-15
+        assert np.max(np.abs(sigma.values - j.values)) < 1e-13
 
 
 def test_conjugate_currents_make_eta_real():
     rng = np.random.default_rng(11)
     g = reference_grid()
     jp = random_signal(g, rng, clean=False)
-    cp = CurrentPair(jp, jp.conj())
-    eta, kubo = schwinger_map(cp, P.hbar)
-    assert np.max(np.abs(eta.values.imag)) < 1e-13
-    assert np.max(np.abs(kubo.values.imag)) < 1e-13
-
-
-def test_normal_variant_matches_response_substitution():
-    rng = np.random.default_rng(12)
-    g = reference_grid()
-    jp = random_signal(g, rng, clean=False)
-    jm = random_signal(g, rng, clean=False)
-    eta_c, kubo = schwinger_map(CurrentPair(jp, jm), P.hbar)
-    eta_s, sigma = response_substitution((1 / P.hbar) * jp, (1 / P.hbar) * jm, P.hbar)
-    assert np.max(np.abs(eta_c.values - eta_s.values)) < 1e-13
-    assert np.max(np.abs(kubo.values - sigma.values)) < 1e-13
+    for hbar in (1.0, 0.7):
+        eta, sigma = response_substitution((1 / hbar) * jp, (1 / hbar) * jp.conj(), hbar)
+        assert np.max(np.abs(eta.values.imag)) < 1e-13
+        assert np.max(np.abs(sigma.values.imag)) < 1e-13
 
 
 # -- symmetric-ordering checks --------------------------------------------------------------
