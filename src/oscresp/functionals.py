@@ -28,8 +28,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import fock
-from .grids import (Kernel, SampledSignal, circular_convolve, frequency_split,
-                    kernel_adjoint, zero_nyquist_fraction)
+from .grids import (Kernel, SampledSignal, _require_same_grid, circular_convolve,
+                    frequency_split, kernel_adjoint, zero_nyquist_fraction)
 from .kernels import ChargedKernels, OscKernels, OscillatorParams, osc_d_value, reconstruct
 from .wick import contraction_value, enumerate_pairings
 
@@ -100,7 +100,8 @@ class ProbeSet:
 # -- quadratic forms and the vacuum functional -----------------------------------
 
 def quad_form(f: SampledSignal, k: Kernel, g: SampledSignal) -> complex:
-    """dt^2 * sum_{t,t'} f(t) k(t - t') g(t')."""
+    """dt^2 * sum_{t,t'} f(t) k(t - t') g(t'); f, k and g must share one grid."""
+    _require_same_grid(f, k)
     conv = circular_convolve(k, g)
     return complex(f.grid.dt * np.sum(f.values * conv.values))
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import (Kernel, TimeGrid, _snap, adjoint, half_step, reflect_values,
-                    split_values, swap_reflect)
+from .grids import (Kernel, TimeGrid, _snap, adjoint, reflect_values, split_values,
+                    swap_reflect)
 
 
 class CommensurabilityError(ValueError):
@@ -91,9 +91,23 @@ def time_order(forward: np.ndarray, backward: np.ndarray):
     """(D_F, D_R) = (theta*f + (1 - theta)*b, theta*(f - b)), tau on the last axis.
 
     f and b are the forward and backward contractions, theta the half step.
+    The halves of theta are written as slices: f and f - b above n/2, b and
+    0 below, and the 1/2-weighted sums at the shared samples 0 and n/2, so
+    the result equals the masked formula value for value without its
+    full-size temporaries (the zeros of D_R below n/2 are all +0, where
+    0*(f - b) would carry a sign).
     """
-    theta = half_step(forward.shape[-1])
-    return theta * forward + (1.0 - theta) * backward, theta * (forward - backward)
+    h = forward.shape[-1] // 2
+    dtype = np.result_type(forward, backward, float)
+    d_f = np.empty(forward.shape, dtype)
+    d_r = np.empty(forward.shape, dtype)
+    d_f[..., h + 1:] = forward[..., h + 1:]
+    d_f[..., 1:h] = backward[..., 1:h]
+    d_f[..., ::h] = 0.5 * forward[..., ::h] + 0.5 * backward[..., ::h]
+    np.subtract(forward[..., h + 1:], backward[..., h + 1:], out=d_r[..., h + 1:])
+    d_r[..., 1:h] = 0.0
+    d_r[..., ::h] = 0.5 * (forward[..., ::h] - backward[..., ::h])
+    return d_f, d_r
 
 
 # -- the reconstruction rule -----------------------------------------------------
@@ -206,8 +220,8 @@ def qp_commutator_kernel(p: OscillatorParams, grid: TimeGrid) -> Kernel:
 class ModeSet:
     """Positive-frequency modes of a neutral field over labels and points.
 
-    frequencies: shape (n_modes,), all > 0.
-    amplitudes:  complex, shape (n_modes, n_labels, n_points); entry
+    frequencies: shape (n_modes,), all finite and > 0.
+    amplitudes:  finite complex, shape (n_modes, n_labels, n_points); entry
                  [k, mu, r] is the mode-k amplitude at label mu, point r.
     Mode normalisation is the caller's business; no condition is imposed.
     """
@@ -218,10 +232,12 @@ class ModeSet:
     def __post_init__(self):
         freq = np.asarray(self.frequencies, dtype=float)
         amp = np.asarray(self.amplitudes, dtype=complex)
-        if freq.ndim != 1 or np.any(freq <= 0):
-            raise ValueError("mode frequencies must be a 1-d array of positives")
+        if freq.ndim != 1 or not np.all(np.isfinite(freq) & (freq > 0)):
+            raise ValueError("mode frequencies must be a 1-d array of finite positives")
         if amp.ndim != 3 or amp.shape[0] != freq.shape[0]:
             raise ValueError("amplitudes must have shape (n_modes, n_labels, n_points)")
+        if not np.all(np.isfinite(amp)):
+            raise ValueError("mode amplitudes must be finite")
         object.__setattr__(self, "frequencies", freq)
         object.__setattr__(self, "amplitudes", amp)
 
@@ -246,10 +262,13 @@ def neutral_field_kernels(ms: ModeSet, grid: TimeGrid) -> NeutralFieldKernels:
     """Mode-sum kernels of a neutral field on the grid."""
     for w in ms.frequencies:
         check_commensurate(float(w), grid)
-    tau = grid.lags()
-    phases = np.exp(-1j * np.outer(ms.frequencies, tau))  # (n_modes, n)
-    # D_{mu mu'}(r, r', tau) = -i sum_k e^{-i w_k tau} A[k,mu,r] conj(A[k,mu',r'])
-    d = -1j * np.einsum("kab,kcd,kt->abcdt", ms.amplitudes, np.conj(ms.amplitudes), phases)
+    n_modes, labels, points = ms.amplitudes.shape
+    phases = np.exp(-1j * np.outer(ms.frequencies, grid.lags()))  # (n_modes, n)
+    # D_{mu mu'}(r, r', tau) = -i sum_k e^{-i w_k tau} A[k,mu,r] conj(A[k,mu',r']):
+    # one product of the (mu r mu' r', k) coefficients with the phases
+    amp = ms.amplitudes.reshape(n_modes, labels * points)
+    coef = np.einsum("ka,kc->ack", -1j * amp, np.conj(amp)).reshape(-1, n_modes)
+    d = (coef @ phases).reshape(labels, points, labels, points, grid.n)
     d_f, d_r = time_order(d, swap_reflect(d))
     return NeutralFieldKernels(grid=grid, d=d, d_f=d_f, d_r=d_r)
 
@@ -266,9 +285,9 @@ def neutral_identity_residuals(nk: NeutralFieldKernels) -> dict[str, float]:
 class ChargedModeSet:
     """Particle (A) and antiparticle (B) mode frequencies and weights.
 
-    Weights are positive reals; the stored kernels carry the -i factor so
-    that D^A and D^B come out anti-Hermitian, as the commutator structure
-    of a conjugated field pair requires.
+    Frequencies and weights are finite positive reals; the stored kernels
+    carry the -i factor so that D^A and D^B come out anti-Hermitian, as the
+    commutator structure of a conjugated field pair requires.
     """
 
     omegas_a: np.ndarray
@@ -281,8 +300,8 @@ class ChargedModeSet:
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.ndim != 1:
                 raise ValueError(f"{name} must be a 1-d array")
-            if np.any(arr <= 0):
-                raise ValueError(f"{name} must be strictly positive")
+            if not np.all(np.isfinite(arr) & (arr > 0)):
+                raise ValueError(f"{name} must be finite and strictly positive")
             object.__setattr__(self, name, arr)
         if self.omegas_a.shape != self.weights_a.shape:
             raise ValueError("particle frequencies and weights differ in length")

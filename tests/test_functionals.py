@@ -17,7 +17,7 @@ from oscresp.functionals import (FunctionalError, ProbeSet,
                                  predicted_weyl_moment, quad_form,
                                  response_substitution,
                                  weyl_kernel_identity_residual)
-from oscresp.grids import SampledSignal, make_grid, without_zero_nyquist
+from oscresp.grids import GridError, SampledSignal, make_grid, without_zero_nyquist
 from oscresp.kernels import (OscillatorParams, charged_field_kernels,
                              ChargedModeSet, osc_df_value, osc_dr_value,
                              osc_kernels)
@@ -154,6 +154,17 @@ def test_phi_cl_examples():
     log_phi = quad_form(eta, kers.d_r, j)
     expected = g.dt * 0.5 * (g.dt * osc_dr_value(3 * g.dt, P))
     assert log_phi == pytest.approx(expected, abs=1e-15)
+
+
+def test_quadratic_forms_refuse_a_left_signal_on_another_grid():
+    g = reference_grid(16, 2)
+    kers = osc_kernels(P, g)
+    current = spike(g, 0.0, 1.0)
+    eta = SampledSignal(make_grid(16, 0.3), np.ones(16))
+    with pytest.raises(GridError):
+        phi_cl(eta, current, kers.d_r)
+    with pytest.raises(GridError):
+        quad_form(eta, kers.d_r, current)
 
 
 def test_phi_cl_matches_displacement_oracle():

@@ -167,6 +167,32 @@ def test_field_rejects_incommensurate_or_invalid_modes():
         ModeSet(frequencies=np.array([1.0]), amplitudes=np.ones((2, 1, 1), dtype=complex))
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_field_rejects_non_finite_modes(value):
+    amplitudes = np.ones((2, 1, 1), dtype=complex)
+    with pytest.raises(ValueError):
+        ModeSet(frequencies=np.array([1.0, value]), amplitudes=amplitudes)
+    amplitudes[1, 0, 0] = complex(0.0, value)
+    with pytest.raises(ValueError):
+        ModeSet(frequencies=np.array([1.0, 2.0]), amplitudes=amplitudes)
+
+
+@pytest.mark.parametrize("modes, labels, points", [(1, 2, 3), (3, 2, 3), (4, 3, 2), (2, 1, 1)])
+def test_field_kernels_match_a_sum_over_modes(modes, labels, points):
+    rng = np.random.default_rng(modes * 100 + labels * 10 + points)
+    g = reference_grid(128, 4)
+    bins = rng.choice(np.arange(1, g.n // 2), size=modes, replace=False)
+    shape = (modes, labels, points)
+    amplitudes = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    ms = ModeSet(bins * 2.0 * np.pi / g.period, amplitudes)
+    direct = np.zeros((labels, points, labels, points, g.n), dtype=complex)
+    for w, a in zip(ms.frequencies, ms.amplitudes):
+        phase = np.exp(-1j * w * g.lags())
+        direct += -1j * a[:, :, None, None, None] * np.conj(a)[None, None, :, :, None] * phase
+    scale = sum(np.max(np.abs(a)) ** 2 for a in ms.amplitudes)
+    assert np.max(np.abs(neutral_field_kernels(ms, g).d - direct)) <= 1e-13 * scale
+
+
 # -- charged fields ----------------------------------------------------------
 
 def test_charged_anti_hermiticity_and_frequency_signs():
@@ -212,6 +238,16 @@ def test_charged_rejects_bad_weights():
     with pytest.raises(ValueError):
         ChargedModeSet(omegas_a=np.array([-1.0]), weights_a=np.array([1.0]),
                        omegas_b=np.array([]), weights_b=np.array([]))
+
+
+@pytest.mark.parametrize("field", ["omegas_a", "weights_a", "omegas_b", "weights_b"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_charged_rejects_non_finite_modes(field, value):
+    species = {"omegas_a": [1.0, 2.0], "weights_a": [0.5, 0.5],
+               "omegas_b": [1.0], "weights_b": [0.3]}
+    species[field] = species[field][:-1] + [value]
+    with pytest.raises(ValueError):
+        ChargedModeSet(**{name: np.array(v) for name, v in species.items()})
 
 
 def test_loose_mode_tracks_small_commensurability_jitter():

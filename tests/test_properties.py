@@ -18,10 +18,12 @@ from oscresp.functionals import (ProbeSet, _eta_ladder_coefficients,
                                  charged_substitution_residual, coherent_mean,
                                  inverse_substitution, moment_residual, phi_in_state,
                                  predicted_moment, response_substitution)
-from oscresp.grids import SampledSignal, frequency_split, make_grid, without_zero_nyquist
+from oscresp.grids import (SampledSignal, frequency_split, half_step, make_grid,
+                           without_zero_nyquist)
 from oscresp.kernels import (ChargedModeSet, ModeSet, OscillatorParams,
                              charged_field_kernels, commutator_kernel,
-                             neutral_field_kernels, osc_kernels, reconstruction_residuals)
+                             neutral_field_kernels, osc_kernels, reconstruction_residuals,
+                             time_order)
 from oscresp.wick import verify_wick
 from test_driven import stage_loop_rk4
 from test_fock import dense_average, oracle_matrices
@@ -113,6 +115,27 @@ def test_contractions_from_the_retarded_kernel(family):
     # kernels are of size max|D_F|; phases reach pi*n/2, so their rounding grows with n
     bound = 2e-14 * d_r.shape[-1] * np.max(np.abs(d_f))
     assert max(res.values()) < bound, res
+
+
+@st.composite
+def contraction_pairs(draw):
+    """(forward, backward): two random 1-d kernels or two (mu, r, mu', r') families."""
+    labels = draw(st.sampled_from(((), (1, 1, 1, 1), (2, 3, 2, 3), (3, 2, 3, 2))))
+    shape = (*labels, draw(sizes))
+    rng = np.random.default_rng(draw(seeds))
+    scale = 10.0 ** draw(st.integers(-100, 100))
+    return tuple(scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+                 for _ in range(2))
+
+
+@settings(PROPERTY, max_examples=50)
+@given(contraction_pairs())
+def test_time_order_equals_the_masked_formula(pair):
+    forward, backward = pair
+    theta = half_step(forward.shape[-1])
+    d_f, d_r = time_order(forward, backward)
+    assert np.array_equal(d_f, theta * forward + (1.0 - theta) * backward)
+    assert np.array_equal(d_r, theta * (forward - backward))
 
 
 @PROPERTY
