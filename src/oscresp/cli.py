@@ -54,9 +54,8 @@ def _cmd_verify(args) -> int:
     report = run_suite(args.suite, cfg)
     for row in report.rows:
         status = "PASS" if row.passed else "FAIL"
-        gate = "" if row.gating else " (non-gating)"
         print(f"[{status}] {row.id}: residual={row.residual:.3e} "
-              f"tol={row.tolerance:.1e}{gate}  -- {row.tag}")
+              f"tol={row.tolerance:.1e}  -- {row.tag}")
     print(f"suite={report.suite} checks={len(report.rows)} "
           f"passed={report.passed} wall={report.wall_time_s:.2f}s")
     if args.out:
@@ -74,10 +73,7 @@ def _cmd_kernels(args) -> int:
     else:
         grid = make_grid(args.n, 2.0 * np.pi * args.bin / (args.n * params.omega0))
         loose = False
-    try:
-        kers = osc_kernels(params, grid, loose=loose)
-    except CommensurabilityError as exc:
-        raise ConfigError(str(exc)) from exc
+    kers = osc_kernels(params, grid, loose=loose)
     kernel = {"dr": kers.d_r, "d": kers.d, "df": kers.d_f}[args.kind]
     path = _output_path(args.out)
     if args.format == "csv":
@@ -229,8 +225,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, GridError, driven.DriveError, driven.OdeAccuracyError, fock.FockError,
-            wick.WickError, OSError) as exc:
+    except (ConfigError, CommensurabilityError, GridError, driven.DriveError,
+            driven.OdeAccuracyError, fock.FockError, wick.WickError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

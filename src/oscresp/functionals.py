@@ -30,8 +30,8 @@ import numpy as np
 from . import fock
 from .grids import (Kernel, SampledSignal, _require_same_grid, circular_convolve,
                     frequency_split, kernel_adjoint, zero_nyquist_fraction)
-from .kernels import ChargedKernels, OscKernels, OscillatorParams, osc_d_value, reconstruct
-from .wick import contraction_value, enumerate_pairings
+from .kernels import ChargedKernels, OscKernels, OscillatorParams, reconstruct
+from .wick import enumerate_pairings, pair_value
 
 
 class FunctionalError(ValueError):
@@ -223,28 +223,14 @@ def _mean_at(mean: Mean, t: float) -> complex:
     return complex(mean(t)) if mean is not None else 0.0j
 
 
-def _pair_value(ordering: str, f_i: fock.Factor, f_j: fock.Factor,
-                p: OscillatorParams) -> complex:
-    """Pair rule of an ordering for q factors f_i left of f_j, tau = t_i - t_j."""
-    if ordering == "double_time":
-        return contraction_value(f_i.time, f_i.branch, f_j.time, f_j.branch, p)
-    tau = f_i.time - f_j.time
-    if ordering == "plain":
-        return 1j * p.hbar * osc_d_value(tau, p)
-    both = osc_d_value(tau, p) + osc_d_value(-tau, p)
-    return (0.5j if ordering == "weyl" else 1j) * p.hbar * both
-
-
 def predicted_moment(spec: fock.OrderedProductSpec, p: OscillatorParams,
                      mean: Mean = None) -> complex:
     """Ordered moment of q factors predicted by the exponential functional.
 
-    The pairing sum (``gaussian_moments``) with one pair rule per
-    ordering, for f_i left of f_j at tau = t_i - t_j: double_time the
-    contraction of the pair's branch kind (``wick.contraction_value``),
-    plain i hbar D(tau), weyl (i hbar/2) [D(tau) + D(-tau)], antinormal
-    i hbar [D(tau) + D(-tau)], normal none.  The linear part at each time
-    is the c-number mean path (initial-state mean) plus the spec's shift.
+    The pairing sum (``gaussian_moments``) with the ordering's pair rule
+    (``wick.pair_value``; normal ordering has none).  The linear part at
+    each time is the c-number mean path (initial-state mean) plus the
+    spec's shift.
     """
     factors = spec.factors
     if any(f.observable != "q" for f in factors):
@@ -253,7 +239,7 @@ def predicted_moment(spec: fock.OrderedProductSpec, p: OscillatorParams,
     quad = np.zeros((m, m), dtype=complex)
     if spec.ordering != "normal":
         for i, j in combinations(range(m), 2):
-            quad[i, j] = quad[j, i] = _pair_value(spec.ordering, factors[i], factors[j], p)
+            quad[i, j] = quad[j, i] = pair_value(spec.ordering, factors[i], factors[j], p)
     lin = np.array([_mean_at(mean, f.time) + fock._shift_value(spec.shift, f.time)
                     for f in factors], dtype=complex)
     return gaussian_moments(quad, lin)

@@ -116,6 +116,41 @@ class SampledSignal:
     def value_at(self, t: float) -> complex:
         return complex(self.values[self.grid.index_of(t)])
 
+    @classmethod
+    def from_record(cls, rec: dict):
+        """Inverse of ``to_record``; a non-finite sample is refused."""
+        grid = TimeGrid(n=int(rec["n"]), dt=float(rec["dt"]), t0=float(rec["t0"]))
+        values = np.array([complex(re, im) for re, im in rec["values"]])
+        if not np.all(np.isfinite(values)):
+            raise GridError("samples read from a file must be finite")
+        return cls(grid, values)
+
+    @classmethod
+    def read_json(cls, path):
+        """Read a file written by ``write_json``."""
+        with open(path, encoding="utf-8") as fh:
+            return cls.from_record(json.load(fh))
+
+    @classmethod
+    def read_csv(cls, path):
+        """Read a file written by ``write_csv``, recovering its grid exactly.
+
+        The step is the float within 4 ulps of the mean spacing whose grid
+        regenerates every written time; a file with no such step is refused.
+        """
+        with open(path, newline="", encoding="utf-8") as fh:
+            body = list(csv.reader(fh))[1:]
+        t = np.array([float(r[1]) for r in body])
+        if len(t) < 2 or not np.all(np.isfinite(t)):
+            raise GridError("CSV must hold at least two samples at finite times")
+        mean_step = (t[-1] - t[0]) / (len(t) - 1)
+        ulps = np.array(sorted(range(-4, 5), key=abs))
+        for dt in (mean_step.view(np.int64) + ulps).view(np.float64):
+            if np.array_equal(t[0] + dt * np.arange(len(t)), t):
+                values = [(float(r[2]), float(r[3])) for r in body]
+                return cls.from_record({"n": len(t), "dt": dt, "t0": t[0], "values": values})
+        raise GridError("CSV times do not lie on a uniform grid")
+
 
 @dataclass(frozen=True, eq=False)
 class Kernel(SampledSignal):
@@ -246,30 +281,9 @@ def to_record(s) -> dict:
     }
 
 
-def signal_from_record(rec: dict) -> SampledSignal:
-    grid = TimeGrid(n=int(rec["n"]), dt=float(rec["dt"]), t0=float(rec["t0"]))
-    values = np.array([complex(re, im) for re, im in rec["values"]])
-    return SampledSignal(grid, values)
-
-
-def kernel_from_record(rec: dict) -> Kernel:
-    s = signal_from_record(rec)
-    return Kernel(s.grid, s.values)
-
-
 def write_json(s, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(to_record(s), fh)
-
-
-def read_signal_json(path) -> SampledSignal:
-    with open(path, encoding="utf-8") as fh:
-        return signal_from_record(json.load(fh))
-
-
-def read_kernel_json(path) -> Kernel:
-    with open(path, encoding="utf-8") as fh:
-        return kernel_from_record(json.load(fh))
 
 
 def write_csv(s, path) -> None:
@@ -281,24 +295,3 @@ def write_csv(s, path) -> None:
         for i, (t, v) in enumerate(zip(times, s.values)):
             writer.writerow([i, f"{t:.17g}", f"{v.real:.17g}", f"{v.imag:.17g}"])
 
-
-def _read_csv_values(path):
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    body = rows[1:]
-    t = np.array([float(r[1]) for r in body])
-    values = np.array([complex(float(r[2]), float(r[3])) for r in body])
-    if len(t) < 2:
-        raise GridError("CSV must contain at least two samples")
-    grid = TimeGrid(n=len(t), dt=float(t[1] - t[0]), t0=float(t[0]))
-    return grid, values
-
-
-def read_signal_csv(path) -> SampledSignal:
-    grid, values = _read_csv_values(path)
-    return SampledSignal(grid, values)
-
-
-def read_kernel_csv(path) -> Kernel:
-    grid, values = _read_csv_values(path)
-    return Kernel(grid, values)

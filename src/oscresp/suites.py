@@ -1,9 +1,9 @@
 """Named verification suites and their reports.
 
-Each suite runs a fixed list of residual checks at pinned tolerances and
-returns a self-describing report: one row per check with its identity
-tag, residual, tolerance and pass flag.  Runs are deterministic for a
-given seed.
+Each suite yields a fixed list of residual checks at pinned tolerances;
+``run_suite`` turns them into a self-describing report: one row per check
+with its identity tag, residual, tolerance and pass flag.  Runs are
+deterministic for a given seed.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -26,7 +26,6 @@ from .kernels import (ChargedModeSet, ModeSet, OscillatorParams,
                       reconstruction_residuals)
 
 SCHEMA_VERSION = 1
-SUITES = ("spectral", "kernels", "wick", "functional", "driven", "charged", "field")
 
 
 class ConfigError(ValueError):
@@ -50,11 +49,11 @@ class Config:
     def from_dict(cls, data: dict) -> "Config":
         known = {f for f in cls.__dataclass_fields__}
         flat = {k: v for k, v in data.items() if k not in ("params", "grid")}
-        merged = {**data.get("params", {}), **data.get("grid", {}), **flat}
-        unknown = set(merged) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         try:
+            merged = {**data.get("params", {}), **data.get("grid", {}), **flat}
+            unknown = set(merged) - known
+            if unknown:
+                raise ConfigError(f"unknown config keys: {sorted(unknown)}")
             cfg = cls(**merged)
             cfg.tolerances = {k: float(v) for k, v in dict(cfg.tolerances).items()}
             check_commensurate(cfg.params().omega0, cfg.grid())
@@ -127,17 +126,7 @@ class SuiteReport:
             "passed": self.passed,
             "wall_time_s": self.wall_time_s,
             "config": self.config,
-            "checks": [
-                {
-                    "id": r.id,
-                    "tag": r.tag,
-                    "residual": r.residual,
-                    "tolerance": r.tolerance,
-                    "passed": r.passed,
-                    "gating": r.gating,
-                }
-                for r in self.rows
-            ],
+            "checks": [{**asdict(r), "passed": r.passed} for r in self.rows],
         }
 
     @classmethod
@@ -171,19 +160,6 @@ class SuiteReport:
             return cls.from_dict(json.load(fh))
 
 
-class _Rows:
-    """Accumulator applying per-check tolerance overrides."""
-
-    def __init__(self, cfg: Config):
-        self.cfg = cfg
-        self.rows = []
-
-    def add(self, check_id, tag, residual, tolerance, gating=True):
-        tol = float(self.cfg.tolerances.get(check_id, tolerance))
-        self.rows.append(CheckRow(id=check_id, tag=tag, residual=float(residual),
-                                  tolerance=tol, gating=gating))
-
-
 def _random_signal(grid: TimeGrid, rng, scale=1.0, clean=True) -> SampledSignal:
     values = scale * (rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
     sig = SampledSignal(grid, values)
@@ -195,20 +171,19 @@ def _random_signal(grid: TimeGrid, rng, scale=1.0, clean=True) -> SampledSignal:
 def suite_spectral(cfg: Config):
     rng = np.random.default_rng(cfg.seed)
     grid = cfg.grid()
-    rows = _Rows(cfg)
 
     res = 0.0
     for _ in range(5):
         s = _random_signal(grid, rng, clean=False)
         plus, minus = frequency_split(s)
         res = max(res, float(np.max(np.abs(plus.values + minus.values - s.values))))
-    rows.add("split-additivity", "plus and minus parts re-add to the signal", res, 1e-14)
+    yield ("split-additivity", "plus and minus parts re-add to the signal", res, 1e-14)
 
     s = _random_signal(grid, rng, clean=True)
     plus, _ = frequency_split(s)
     pp, _ = frequency_split(plus)
-    rows.add("split-projection", "taking the plus part twice is idempotent",
-             float(np.max(np.abs(pp.values - plus.values))), 1e-14)
+    yield ("split-projection", "taking the plus part twice is idempotent",
+           float(np.max(np.abs(pp.values - plus.values))), 1e-14)
 
     s = _random_signal(grid, rng, clean=False)
     plus, minus = frequency_split(s)
@@ -218,12 +193,12 @@ def suite_spectral(cfg: Config):
         float(np.max(np.abs(rplus.values - reflect_values(minus.values)))),
         float(np.max(np.abs(rminus.values - reflect_values(plus.values)))),
     )
-    rows.add("split-time-inversion", "time inversion swaps the frequency halves", res, 1e-13)
+    yield ("split-time-inversion", "time inversion swaps the frequency halves", res, 1e-13)
 
     s = SampledSignal(grid, rng.standard_normal(grid.n).astype(complex))
     plus, minus = frequency_split(s)
-    rows.add("split-conjugation", "conjugating a real signal swaps the halves",
-             float(np.max(np.abs(np.conj(plus.values) - minus.values))), 1e-13)
+    yield ("split-conjugation", "conjugating a real signal swaps the halves",
+           float(np.max(np.abs(np.conj(plus.values) - minus.values))), 1e-13)
 
     s = _random_signal(grid, rng, clean=False)
     plus, minus = frequency_split(s)
@@ -231,30 +206,29 @@ def suite_spectral(cfg: Config):
     edge = 0.5 * (abs(spec[0]) ** 2 + abs(spec[grid.n // 2]) ** 2) / grid.n
     lhs = float(np.sum(np.abs(s.values) ** 2))
     rhs = float(np.sum(np.abs(plus.values) ** 2) + np.sum(np.abs(minus.values) ** 2) + edge)
-    rows.add("split-parseval", "energy splits across halves plus shared edge bins",
-             abs(lhs - rhs) / max(lhs, 1.0), 1e-13)
+    yield ("split-parseval", "energy splits across halves plus shared edge bins",
+           abs(lhs - rhs) / max(lhs, 1.0), 1e-13)
 
     delta = np.zeros(grid.n, dtype=complex)
     delta[grid.n // 2] = 1.0 / grid.dt
     k = Kernel(grid, delta)
     s = _random_signal(grid, rng, clean=False)
     out = circular_convolve(k, s)
-    rows.add("conv-identity-kernel", "the unit spike kernel convolves to the identity",
-             float(np.max(np.abs(out.values - s.values))), 1e-12)
+    yield ("conv-identity-kernel", "the unit spike kernel convolves to the identity",
+           float(np.max(np.abs(out.values - s.values))), 1e-12)
 
     k = Kernel(grid, rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
     s = _random_signal(grid, rng, clean=False)
     lhs_sig = circular_convolve(frequency_split(k)[0], s)
     rhs_sig = circular_convolve(k, frequency_split(s)[0])
     scale = max(float(np.max(np.abs(lhs_sig.values))), 1e-30)
-    rows.add("conv-split-shift", "frequency halves shift across a convolution",
-             float(np.max(np.abs(lhs_sig.values - rhs_sig.values))) / scale, 1e-12)
+    yield ("conv-split-shift", "frequency halves shift across a convolution",
+           float(np.max(np.abs(lhs_sig.values - rhs_sig.values))) / scale, 1e-12)
 
     k = Kernel(grid, rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
     twice = kernel_adjoint(kernel_adjoint(k))
-    rows.add("adjoint-involution", "kernel conjugation is an involution",
-             float(np.max(np.abs(twice.values - k.values))), 0.0)
-    return rows.rows
+    yield ("adjoint-involution", "kernel conjugation is an involution",
+           float(np.max(np.abs(twice.values - k.values))), 0.0)
 
 
 # -- kernels -------------------------------------------------------------------
@@ -264,33 +238,32 @@ def suite_kernels(cfg: Config):
     p = cfg.params()
     grid = cfg.grid()
     kers = osc_kernels(p, grid)
-    rows = _Rows(cfg)
 
     rebuilt = reconstruction_residuals(kers.d.values, kers.d_f.values, kers.d_r.values,
                                        names=("d_r_two_defs", "forward", "d_f", "d_f_dag"))
-    rows.add("dr-from-contractions", "retarded kernel from the two contractions",
-             rebuilt["d_r_two_defs"], 1e-10)
+    yield ("dr-from-contractions", "retarded kernel from the two contractions",
+           rebuilt["d_r_two_defs"], 1e-10)
 
     lhs = kers.d_r.values - reflect_values(kers.d_r.values)
     rhs = kers.d.values - reflect_values(kers.d.values)
-    rows.add("dr-antisymmetrized", "antisymmetrized retarded equals antisymmetrized plain",
-             float(np.max(np.abs(lhs - rhs))), 1e-10)
+    yield ("dr-antisymmetrized", "antisymmetrized retarded equals antisymmetrized plain",
+           float(np.max(np.abs(lhs - rhs))), 1e-10)
 
-    rows.add("d-from-dr", "plain contraction from half the retarded spectrum",
-             rebuilt["forward"], 1e-10)
-    rows.add("df-from-dr", "time-ordered contraction from the retarded halves",
-             rebuilt["d_f"], 1e-10)
-    rows.add("dfconj-from-dr", "conjugate time-ordered kernel from the retarded halves",
-             rebuilt["d_f_dag"], 1e-10)
+    yield ("d-from-dr", "plain contraction from half the retarded spectrum",
+           rebuilt["forward"], 1e-10)
+    yield ("df-from-dr", "time-ordered contraction from the retarded halves",
+           rebuilt["d_f"], 1e-10)
+    yield ("dfconj-from-dr", "conjugate time-ordered kernel from the retarded halves",
+           rebuilt["d_f_dag"], 1e-10)
 
     _, d_minus = frequency_split(kers.d)
-    rows.add("d-frequency-positive", "plain contraction has no negative frequencies",
-             float(np.max(np.abs(d_minus.values))), 1e-12)
-    rows.add("dr-real", "retarded kernel is real",
-             float(np.max(np.abs(kers.d_r.values.imag))), 1e-14)
+    yield ("d-frequency-positive", "plain contraction has no negative frequencies",
+           float(np.max(np.abs(d_minus.values))), 1e-12)
+    yield ("dr-real", "retarded kernel is real",
+           float(np.max(np.abs(kers.d_r.values.imag))), 1e-14)
     dr_p, dr_m = frequency_split(kers.d_r)
-    rows.add("dr-conjugation-swap", "conjugation swaps the retarded kernel halves",
-             float(np.max(np.abs(np.conj(dr_p.values) - dr_m.values))), 1e-13)
+    yield ("dr-conjugation-swap", "conjugation swaps the retarded kernel halves",
+           float(np.max(np.abs(np.conj(dr_p.values) - dr_m.values))), 1e-13)
 
     # matrix-oracle agreement for the three vacuum two-point orderings
     vac = fock.make_state("vacuum", 20)
@@ -302,12 +275,12 @@ def suite_kernels(cfg: Config):
         for name, ordering, branch in pairs:
             spec = fock.OrderedProductSpec((("q", t1, branch), ("q", t2, branch)), ordering)
             res[name] = max(res[name], functionals.moment_residual(vac, spec, p))
-    rows.add("two-point-forward", "forward-ordered vacuum pair equals the F kernel",
-             res["forward"], 1e-12)
-    rows.add("two-point-plain", "plain vacuum pair equals the plain kernel", res["plain"],
-             1e-12)
-    rows.add("two-point-backward", "backward-ordered vacuum pair equals the conjugate kernel",
-             res["backward"], 1e-12)
+    yield ("two-point-forward", "forward-ordered vacuum pair equals the F kernel",
+           res["forward"], 1e-12)
+    yield ("two-point-plain", "plain vacuum pair equals the plain kernel", res["plain"],
+           1e-12)
+    yield ("two-point-backward", "backward-ordered vacuum pair equals the conjugate kernel",
+           res["backward"], 1e-12)
 
     # commutators rebuilt from the response kernel, in three states
     dim = cfg.dim
@@ -322,9 +295,9 @@ def suite_kernels(cfg: Config):
             q2 = fock.heisenberg_q(p, t2, dim)
             measured = fock.expectation(state, q1 @ q2 - q2 @ q1)
             res = max(res, abs(measured - comm.value_at_tau(t1 - t2)))
-    rows.add("commutator-reconstruction",
-             "two-time commutator equals the response-kernel difference in any state",
-             res, 1e-10)
+    yield ("commutator-reconstruction",
+           "two-time commutator equals the response-kernel difference in any state",
+           res, 1e-10)
 
     qp = qp_commutator_kernel(p, grid)
     res = 0.0
@@ -336,15 +309,14 @@ def suite_kernels(cfg: Config):
         block = (q1 @ p2 - p2 @ q1)[: dim - 1, : dim - 1]
         expected = qp.value_at_tau(t1 - t2) * np.eye(dim - 1)
         res = max(res, float(np.max(np.abs(block - expected))))
-    rows.add("qp-commutator", "position-momentum commutator from the response kernel",
-             res, 1e-10)
+    yield ("qp-commutator", "position-momentum commutator from the response kernel",
+           res, 1e-10)
 
     q0 = fock.heisenberg_q(p, 0.7, dim)
     p0 = fock.heisenberg_p(p, 0.7, dim)
     block = (q0 @ p0 - p0 @ q0)[: dim - 1, : dim - 1]
-    rows.add("canonical-commutator", "equal-time commutator is i*hbar",
-             float(np.max(np.abs(block - 1j * p.hbar * np.eye(dim - 1)))), 1e-10)
-    return rows.rows
+    yield ("canonical-commutator", "equal-time commutator is i*hbar",
+           float(np.max(np.abs(block - 1j * p.hbar * np.eye(dim - 1)))), 1e-10)
 
 
 # -- wick ----------------------------------------------------------------------
@@ -352,7 +324,6 @@ def suite_kernels(cfg: Config):
 def suite_wick(cfg: Config):
     rng = np.random.default_rng(cfg.seed)
     p = cfg.params()
-    rows = _Rows(cfg)
 
     res = 0.0
     for m in (2, 4, 6, 8):
@@ -360,22 +331,22 @@ def suite_wick(cfg: Config):
         res = max(res, abs(perfect - math.prod(range(m - 1, 0, -2))))     # (m - 1)!!
     counts = wick.enumerate_pairings(3)
     res = max(res, abs(len(counts) - 4))
-    rows.add("pairing-counts", "pairing enumeration has the right cardinalities", res, 0.0)
+    yield ("pairing-counts", "pairing enumeration has the right cardinalities", res, 0.0)
 
     res = 0.0
     for m, napply in [(4, 2), (6, 3)]:
         counts = wick.pair_operator_counts(m, napply)
         expected = float(math.factorial(napply))
         res = max(res, max(abs(c - expected) for c in counts.values()))
-    rows.add("pair-operator-counts",
-             "n applications of the pairing operator make each n-pair pattern n! times",
-             res, 0.0)
+    yield ("pair-operator-counts",
+           "n applications of the pairing operator make each n-pair pattern n! times",
+           res, 0.0)
 
     vac = fock.make_state("vacuum", cfg.dim)
     times = [0.3, 0.9, 1.7, 2.2]
     res = wick.verify_wick(vac, [("plus", t) for t in times], p)
-    rows.add("four-point-forward", "forward four-point product equals the three-pairing sum",
-             res, 1e-11)
+    yield ("four-point-forward", "forward four-point product equals the three-pairing sum",
+           res, 1e-11)
 
     states = [fock.make_state("vacuum", cfg.dim),
               fock.make_state("coherent", cfg.dim, alpha=1.0),
@@ -387,9 +358,8 @@ def suite_wick(cfg: Config):
         factors = [("plus" if rng.random() < 0.5 else "minus",
                     float(rng.uniform(-2.0, 2.0))) for _ in range(m)]
         res = max(res, wick.verify_wick(state, factors, p))
-    rows.add("randomized-expansion", "pair expansion holds for random branches and states",
-             res, 1e-9)
-    return rows.rows
+    yield ("randomized-expansion", "pair expansion holds for random branches and states",
+           res, 1e-9)
 
 
 # -- functional ------------------------------------------------------------------
@@ -399,7 +369,6 @@ def suite_functional(cfg: Config):
     p = cfg.params()
     grid = cfg.grid()
     kers = osc_kernels(p, grid)
-    rows = _Rows(cfg)
 
     res = 0.0
     for _ in range(5):
@@ -409,7 +378,7 @@ def suite_functional(cfg: Config):
         ep2, em2 = functionals.inverse_substitution(eta, sigma, p.hbar)
         res = max(res, float(np.max(np.abs(ep2.values - ep.values))),
                   float(np.max(np.abs(em2.values - em.values))))
-    rows.add("substitution-roundtrip", "probe substitution inverts exactly", res, 1e-12)
+    yield ("substitution-roundtrip", "probe substitution inverts exactly", res, 1e-12)
 
     res = 0.0
     flagged = 0.0
@@ -421,27 +390,27 @@ def suite_functional(cfg: Config):
         quad = functionals.phi_vac_quadratic(ps, kers)
         resp = functionals.phi_vac_response(ps, kers.d_r)
         res = max(res, abs(quad - resp) / max(abs(quad), 1e-300))
-    rows.add("vacuum-emission-form", "quadratic vacuum functional equals its emission form",
-             res, 1e-10)
-    rows.add("probe-edge-content", "probe sets stay clear of the shared edge bins",
-             flagged, 1e-10)
+    yield ("vacuum-emission-form", "quadratic vacuum functional equals its emission form",
+           res, 1e-10)
+    yield ("probe-edge-content", "probe sets stay clear of the shared edge bins",
+           flagged, 1e-10)
 
     ep = _random_signal(grid, rng, scale=0.2, clean=False)
     ps = functionals.ProbeSet(ep, ep.conj(), hbar=p.hbar)
     phi = functionals.phi_vac_quadratic(ps, kers)
-    rows.add("vacuum-reality", "conjugate probe pairs give a real functional",
-             abs(phi.imag) / max(abs(phi), 1e-300), 1e-12)
+    yield ("vacuum-reality", "conjugate probe pairs give a real functional",
+           abs(phi.imag) / max(abs(phi), 1e-300), 1e-12)
 
     state = fock.make_state("coherent", cfg.dim, alpha=0.5)
     res = fock.reality_check(state, [(0.4, 0.3)], [(1.1, 0.2)], p)
-    rows.add("functional-reality",
-             "double-ordered exponential pair obeys the conjugation symmetry",
-             res, 1e-10)
+    yield ("functional-reality",
+           "double-ordered exponential pair obeys the conjugation symmetry",
+           res, 1e-10)
 
     eta = _random_signal(grid, rng, scale=0.3)
-    rows.add("weyl-kernel-rearrangement",
-             "symmetric Gaussian factor rewrites through the retarded kernel",
-             functionals.weyl_kernel_identity_residual(eta, kers.d, kers.d_r), 1e-10)
+    yield ("weyl-kernel-rearrangement",
+           "symmetric Gaussian factor rewrites through the retarded kernel",
+           functionals.weyl_kernel_identity_residual(eta, kers.d, kers.d_r), 1e-10)
 
     states = {None: (fock.make_state("vacuum", cfg.dim), None)}
     for alpha in (1.0, 0.5):
@@ -455,20 +424,18 @@ def suite_functional(cfg: Config):
 
     res = max(weyl_residual([0.0, 0.0]), weyl_residual([0.3, 1.1]),
               weyl_residual([0.3, 1.1], alpha=1.0))
-    rows.add("weyl-two-point", "symmetric two-point average matches the Gaussian factor",
-             res, 1e-10)
+    yield ("weyl-two-point", "symmetric two-point average matches the Gaussian factor",
+           res, 1e-10)
 
     times = [0.2, 0.7, 1.3, 1.9]
-    rows.add("weyl-four-point", "four-point symmetric average matches the Gaussian factor",
-             max(weyl_residual(times), weyl_residual(times, alpha=0.5)), 1e-9)
-    return rows.rows
+    yield ("weyl-four-point", "four-point symmetric average matches the Gaussian factor",
+           max(weyl_residual(times), weyl_residual(times, alpha=0.5)), 1e-9)
 
 
 # -- driven ----------------------------------------------------------------------
 
 def suite_driven(cfg: Config):
     p = cfg.params()
-    rows = _Rows(cfg)
 
     # continuum cross-check at the pinned fine step
     fine_grid = make_grid(2048, 0.005)
@@ -479,9 +446,9 @@ def suite_driven(cfg: Config):
         q_ode = driven.ode_oscillator(sc, error_tol=1e-6)
         window = driven.causal_window(fine_grid, sc.t_on)
         res = float(np.max(np.abs(q_conv.values.real - q_ode.values.real)[window]))
-        rows.add(f"displacement-vs-ode-{name}",
-                 f"convolved displacement tracks the integrated motion ({name} drive)",
-                 res, 1e-6)
+        yield (f"displacement-vs-ode-{name}",
+               f"convolved displacement tracks the integrated motion ({name} drive)",
+               res, 1e-6)
 
     grid = cfg.grid()
     kers = osc_kernels(p, grid)
@@ -495,10 +462,10 @@ def suite_driven(cfg: Config):
     sc_bumped = driven.DriveScenario(
         p, grid, lambda t, j=sc.current_fn: j(t) + np.where(t > t_probe + 1e-9, 0.8, 0.0))
     q_j2 = driven.classical_displacement(sc_bumped, kers.d_r)
-    rows.add("displacement-causality",
-             "displacement before a current change is untouched by it",
-             float(np.max(np.abs((q_j2.values - q_j.values)[window & (times <= t_probe)]))),
-             1e-14)
+    yield ("displacement-causality",
+           "displacement before a current change is untouched by it",
+           float(np.max(np.abs((q_j2.values - q_j.values)[window & (times <= t_probe)]))),
+           1e-14)
 
     sc1 = driven.step_scenario(p, grid, 0.7)
     sc2 = driven.sin_scenario(p, grid, 0.4)
@@ -507,8 +474,8 @@ def suite_driven(cfg: Config):
     lhs = driven.classical_displacement(sc_mix, kers.d_r).values
     rhs = (2.0 * driven.classical_displacement(sc1, kers.d_r).values
            - 3.0 * driven.classical_displacement(sc2, kers.d_r).values)
-    rows.add("displacement-linearity", "displacement is linear in the current",
-             float(np.max(np.abs(lhs - rhs))), 1e-13)
+    yield ("displacement-linearity", "displacement is linear in the current",
+           float(np.max(np.abs(lhs - rhs))), 1e-13)
 
     states = {"vacuum": (fock.make_state("vacuum", cfg.dim), None),
               "coherent": (fock.make_state("coherent", cfg.dim, alpha=0.5),
@@ -518,10 +485,9 @@ def suite_driven(cfg: Config):
         for kind, (state, mean) in states.items():
             residuals = driven.verify_driven_factorization(sc, kers.d_r, state, mean)
             for check, res in residuals.items():
-                rows.add(f"factorization-{current_name}-{kind}-{check}",
-                         f"drive factorization: {check} ({current_name}, {kind})",
-                         res, 1e-9)
-    return rows.rows
+                yield (f"factorization-{current_name}-{kind}-{check}",
+                       f"drive factorization: {check} ({current_name}, {kind})",
+                       res, 1e-9)
 
 
 # -- charged ---------------------------------------------------------------------
@@ -541,33 +507,32 @@ def suite_charged(cfg: Config):
     p = cfg.params()
     grid = cfg.grid()
     ck = charged_field_kernels(_demo_charged_modes(grid), grid)
-    rows = _Rows(cfg)
 
     ident = reconstruction_residuals(ck.d_a.values, ck.d_f.values, ck.d_r.values,
                                      backward=ck.d_b.values)
-    rows.add("charged-dr-two-defs", "the two retarded combinations coincide",
-             ident["d_r_two_defs"], 1e-12)
-    rows.add("charged-da-from-dr", "particle kernel from the retarded halves",
-             ident["forward"], 1e-10)
-    rows.add("charged-db-from-dr", "antiparticle kernel from the retarded halves",
-             ident["backward"], 1e-10)
-    rows.add("charged-df-from-dr", "time-ordered kernel from the retarded halves",
-             ident["d_f"], 1e-10)
-    rows.add("charged-dfdag-from-dr", "adjoint time-ordered kernel from the retarded halves",
-             ident["d_f_dag"], 1e-10)
+    yield ("charged-dr-two-defs", "the two retarded combinations coincide",
+           ident["d_r_two_defs"], 1e-12)
+    yield ("charged-da-from-dr", "particle kernel from the retarded halves",
+           ident["forward"], 1e-10)
+    yield ("charged-db-from-dr", "antiparticle kernel from the retarded halves",
+           ident["backward"], 1e-10)
+    yield ("charged-df-from-dr", "time-ordered kernel from the retarded halves",
+           ident["d_f"], 1e-10)
+    yield ("charged-dfdag-from-dr", "adjoint time-ordered kernel from the retarded halves",
+           ident["d_f_dag"], 1e-10)
 
     res = max(
         float(np.max(np.abs(kernel_adjoint(ck.d_a).values + ck.d_a.values))),
         float(np.max(np.abs(kernel_adjoint(ck.d_b).values + ck.d_b.values))),
     )
-    rows.add("charged-anti-hermitian", "species kernels are anti-Hermitian", res, 1e-14)
+    yield ("charged-anti-hermitian", "species kernels are anti-Hermitian", res, 1e-14)
 
     _, da_minus = frequency_split(ck.d_a)
     db_plus, _ = frequency_split(ck.d_b)
-    rows.add("charged-frequency-signs",
-             "particle kernel is frequency-positive, antiparticle negative",
-             max(float(np.max(np.abs(da_minus.values))),
-                 float(np.max(np.abs(db_plus.values)))), 1e-12)
+    yield ("charged-frequency-signs",
+           "particle kernel is frequency-positive, antiparticle negative",
+           max(float(np.max(np.abs(da_minus.values))),
+               float(np.max(np.abs(db_plus.values)))), 1e-12)
 
     res = 0.0
     for _ in range(5):
@@ -576,8 +541,8 @@ def suite_charged(cfg: Config):
         plain = functionals.ProbeSet(_random_signal(grid, rng, scale=0.3),
                                      _random_signal(grid, rng, scale=0.3), hbar=p.hbar)
         res = max(res, functionals.charged_substitution_residual(bar, plain, ck))
-    rows.add("charged-substitution", "doubled substitution collapses the four-block form",
-             res, 1e-10)
+    yield ("charged-substitution", "doubled substitution collapses the four-block form",
+           res, 1e-10)
 
     single = ChargedModeSet(
         omegas_a=np.array([9 * 2.0 * np.pi / grid.period]), weights_a=np.array([1.0]),
@@ -587,9 +552,8 @@ def suite_charged(cfg: Config):
         float(np.max(np.abs(ck1.d_b.values))),
         float(np.max(np.abs(ck1.d_r.values - half_step(grid.n) * ck1.d_a.values))),
     )
-    rows.add("charged-single-species", "with no antiparticle modes the retarded kernel is the stepped particle kernel",
-             res, 1e-14)
-    return rows.rows
+    yield ("charged-single-species", "with no antiparticle modes the retarded kernel is the stepped particle kernel",
+           res, 1e-14)
 
 
 # -- neutral field -----------------------------------------------------------------
@@ -605,17 +569,16 @@ def suite_field(cfg: Config):
     rng = np.random.default_rng(cfg.seed)
     grid = cfg.grid()
     p = cfg.params()
-    rows = _Rows(cfg)
 
     nk = neutral_field_kernels(_demo_mode_set(grid, rng), grid)
     ident = reconstruction_residuals(nk.d, nk.d_f, nk.d_r, names=("forward", "d_f"))
-    rows.add("field-d-from-dr", "field contraction from the retarded halves",
-             ident["forward"], 1e-10)
-    rows.add("field-df-from-dr", "field time-ordered kernel from the retarded halves",
-             ident["d_f"], 1e-10)
+    yield ("field-d-from-dr", "field contraction from the retarded halves",
+           ident["forward"], 1e-10)
+    yield ("field-df-from-dr", "field time-ordered kernel from the retarded halves",
+           ident["d_f"], 1e-10)
 
-    rows.add("field-swap-reflection", "label swap with time inversion conjugates and flips sign",
-             float(np.max(np.abs(adjoint(nk.d) + nk.d))), 1e-13)
+    yield ("field-swap-reflection", "label swap with time inversion conjugates and flips sign",
+           float(np.max(np.abs(adjoint(nk.d) + nk.d))), 1e-13)
 
     single = ModeSet(
         frequencies=np.array([p.omega0]),
@@ -624,10 +587,9 @@ def suite_field(cfg: Config):
     kers = osc_kernels(p, grid)
     res = float(np.max(np.abs(
         nk1.d[0, 0, 0, 0] / (2.0 * p.mass * p.omega0) - kers.d.values)))
-    rows.add("field-oscillator-reduction",
-             "a single unit mode reduces to the oscillator contraction",
-             res, 1e-14)
-    return rows.rows
+    yield ("field-oscillator-reduction",
+           "a single unit mode reduces to the oscillator contraction",
+           res, 1e-14)
 
 
 _SUITE_FUNCS = {
@@ -639,19 +601,22 @@ _SUITE_FUNCS = {
     "charged": suite_charged,
     "field": suite_field,
 }
+SUITES = tuple(_SUITE_FUNCS)
 
 
 def run_suite(name: str, cfg: Optional[Config] = None) -> SuiteReport:
-    """Run one named suite (or 'all') and assemble its report."""
+    """Run one named suite (or 'all') and assemble its report.
+
+    The one place where yielded (id, tag, residual, tolerance) checks
+    become rows and the config's tolerance overrides apply, by check id.
+    """
     cfg = cfg or Config()
     if name != "all" and name not in _SUITE_FUNCS:
         raise ConfigError(f"unknown suite {name!r}; choose from {SUITES + ('all',)}")
     start = time.perf_counter()
-    rows = []
-    if name == "all":
-        for suite_name in SUITES:
-            rows.extend(_SUITE_FUNCS[suite_name](cfg))
-    else:
-        rows = _SUITE_FUNCS[name](cfg)
+    rows = [CheckRow(id=check_id, tag=tag, residual=float(residual),
+                     tolerance=float(cfg.tolerances.get(check_id, tolerance)))
+            for suite in (SUITES if name == "all" else (name,))
+            for check_id, tag, residual, tolerance in _SUITE_FUNCS[suite](cfg)]
     wall = time.perf_counter() - start
     return SuiteReport(suite=name, rows=rows, config=cfg.to_dict(), wall_time_s=wall)

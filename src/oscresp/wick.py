@@ -93,16 +93,26 @@ def hori_expand(factors) -> list:
     return terms
 
 
-def contraction_value(t_i: float, branch_i: str, t_j: float, branch_j: str,
-                      p: OscillatorParams) -> complex:
-    """c-number value, with its i*hbar prefactor, of a pair of the kind its branches fix."""
-    kind = _pair_kind(branch_i, branch_j)
-    if kind == "F":
-        return 1j * p.hbar * osc_df_value(t_i - t_j, p)
-    if kind == "Fstar":
-        return -1j * p.hbar * np.conj(osc_df_value(t_i - t_j, p))
-    t_minus, t_plus = (t_i, t_j) if branch_i == "minus" else (t_j, t_i)
-    return 1j * p.hbar * osc_d_value(t_minus - t_plus, p)
+def pair_value(ordering: str, f_i: fock.Factor, f_j: fock.Factor,
+               p: OscillatorParams) -> complex:
+    """c-number pair rule of an ordering, i*hbar included, for q factors f_i left of f_j.
+
+    At tau = t_i - t_j: double_time the contraction of the kind the
+    branches fix, plain i hbar D(tau), weyl (i hbar/2) [D(tau) + D(-tau)],
+    antinormal i hbar [D(tau) + D(-tau)]; normal ordering has none.
+    """
+    tau = f_i.time - f_j.time
+    if ordering == "double_time":
+        kind = _pair_kind(f_i.branch, f_j.branch)
+        if kind == "F":
+            return 1j * p.hbar * osc_df_value(tau, p)
+        if kind == "Fstar":
+            return -1j * p.hbar * np.conj(osc_df_value(tau, p))
+        return 1j * p.hbar * osc_d_value(tau if f_i.branch == "minus" else -tau, p)
+    if ordering == "plain":
+        return 1j * p.hbar * osc_d_value(tau, p)
+    both = osc_d_value(tau, p) + osc_d_value(-tau, p)
+    return (0.5j if ordering == "weyl" else 1j) * p.hbar * both
 
 
 def verify_wick(state: fock.FockState, factors, p: OscillatorParams) -> float:
@@ -116,12 +126,13 @@ def verify_wick(state: fock.FockState, factors, p: OscillatorParams) -> float:
     factors = list(factors)
     m = len(factors)
     _require_factor_count(m)
-    lhs = fock.ordered_average(state, fock.OrderedProductSpec(
-        tuple(("q", t, branch) for branch, t in factors), "double_time"), p)
+    spec = fock.OrderedProductSpec(tuple(("q", t, branch) for branch, t in factors),
+                                   "double_time")
+    lhs = fock.ordered_average(state, spec, p)
     moments = fock.ladder_moments(state, m)
     parts = [(*fock.ladder_parts("q", t, p), 0.0) for _, t in factors]
     contractions = {
-        (i, j): contraction_value(factors[i][1], factors[i][0], factors[j][1], factors[j][0], p)
+        (i, j): pair_value("double_time", spec.factors[i], spec.factors[j], p)
         for i, j in combinations(range(m), 2)
     }
     rhs = 0.0j

@@ -21,8 +21,7 @@ def check(criterion, suite, seed, ids, budget=None):
                 if row.id == key or (key.endswith("-") and row.id.startswith(key))]
         assert rows, f"criterion {criterion}: no {suite} suite row matches {key!r}"
         for row in rows:
-            gate = "" if row.gating else " (non-gating)"
-            print(f"ACCEPTANCE {criterion:>3} {row.id}{gate}: "
+            print(f"ACCEPTANCE {criterion:>3} {row.id}: "
                   f"{'PASS' if row.passed else 'FAIL'} "
                   f"(residual={row.residual:.3e}, tolerance={row.tolerance:.1e})")
             if row.gating and not row.passed:

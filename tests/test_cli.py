@@ -10,7 +10,7 @@ import pytest
 
 import oscresp
 from oscresp.cli import main
-from oscresp.grids import read_kernel_csv, read_kernel_json
+from oscresp.grids import Kernel
 from oscresp.suites import Config, ConfigError, SuiteReport, run_suite
 
 
@@ -56,13 +56,17 @@ def test_config_loading_and_validation(tmp_path):
     {"dim": 4.5},
     {"tolerances": {"dr-real": "nan"}},
     {"tolerances": {"dr-real": -1.0}},
+    {"params": [1, 2]},
+    {"grid": 5},
+    {"grid": None},
 ])
-def test_bad_config_values_exit_with_the_usage_code(tmp_path, data):
+def test_bad_config_values_exit_with_the_usage_code(tmp_path, capsys, data):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(data))
     with pytest.raises(ConfigError):
         Config.from_dict(data)
     assert main(["verify", "all", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_unusable_runs_exit_with_the_usage_code(tmp_path, capsys):
@@ -71,6 +75,10 @@ def test_unusable_runs_exit_with_the_usage_code(tmp_path, capsys):
     cfg.write_text(json.dumps({"dim": 2}))
     assert main(["verify", "wick", "--config", str(cfg)]) == 2
     assert main(["verify", "wick", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    # a grid too short for the demo field modes, which sit on bins up to 14
+    cfg.write_text(json.dumps({"grid": {"n": 28, "bin_index": 1}}))
+    assert main(["verify", "all", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 
@@ -111,6 +119,8 @@ def test_reports_are_deterministic_for_a_seed():
 
     rows_c = run_suite("all", Config(seed=8)).rows
     assert [r.id for r in report_a.rows] == [r.id for r in rows_c]
+    # tolerance overrides are keyed on the id
+    assert len({r.id for r in report_a.rows}) == len(report_a.rows)
 
 
 def test_report_round_trip(tmp_path):
@@ -157,14 +167,14 @@ def test_kernel_export_csv_and_json(tmp_path):
     out_csv = tmp_path / "dr.csv"
     assert main(["kernels", "--n", "64", "--bin", "2", "--kind", "dr",
                  "--out", str(out_csv)]) == 0
-    k = read_kernel_csv(out_csv)
+    k = Kernel.read_csv(out_csv)
     assert k.grid.n == 64
     assert np.max(np.abs(k.values.imag)) < 1e-14
 
     out_json = tmp_path / "d.json"
     assert main(["kernels", "--n", "64", "--bin", "2", "--kind", "d",
                  "--format", "json", "--out", str(out_json)]) == 0
-    k = read_kernel_json(out_json)
+    k = Kernel.read_json(out_json)
     assert abs(k.value_at_tau(0.0) - (-0.5j)) < 1e-14
 
     assert main(["kernels", "--params", "1,2", "--out", str(out_csv)]) == 2
@@ -209,6 +219,7 @@ def test_wick_export(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["kernels", "--n", "7"],
     ["kernels", "--dt", "-1"],
+    ["kernels", "--n", "16", "--bin", "8"],
     ["drive", "--n", "7"],
     ["drive", "--dt", "0"],
     ["drive", "--dt", "nan"],

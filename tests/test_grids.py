@@ -5,9 +5,7 @@ import pytest
 
 from oscresp.grids import (GridError, Kernel, SampledSignal, TimeGrid,
                            circular_convolve, frequency_split, kernel_adjoint,
-                           kernel_from_record, make_grid, read_kernel_csv,
-                           read_signal_csv, read_signal_json, reflect_values,
-                           signal_from_record, to_record, without_zero_nyquist,
+                           make_grid, reflect_values, to_record, without_zero_nyquist,
                            write_csv, write_json, zero_nyquist_fraction)
 
 
@@ -219,35 +217,77 @@ def test_kernel_adjoint_is_an_involution():
     assert np.array_equal(kernel_adjoint(kernel_adjoint(k)).values, k.values)
 
 
+# t[1] - t[0] differs from dt on the second to fourth grid, and the mean
+# spacing (t[-1] - t[0])/(n - 1) is one ulp below dt on the fifth, above on the last
+ROUND_TRIP_GRIDS = [make_grid(16, np.pi / 5), make_grid(256, 2 * np.pi * 8 / 256),
+                    make_grid(2048, 0.005), make_grid(16384, 2 * np.pi * 8 / 16384),
+                    make_grid(16, 2 * np.pi / 16), make_grid(4, 0.1)]
+
+
 def test_json_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(9)
-    g = make_grid(16, np.pi / 7)
-    s = random_signal(g, rng)
     path = tmp_path / "sig.json"
-    write_json(s, path)
-    back = read_signal_json(path)
-    assert back.grid == s.grid
-    assert np.array_equal(back.values, s.values)
+    for g in [make_grid(16, np.pi / 7)] + ROUND_TRIP_GRIDS:
+        s = random_signal(g, rng)
+        write_json(s, path)
+        back = SampledSignal.read_json(path)
+        assert type(back) is SampledSignal
+        assert back.grid == s.grid
+        assert np.array_equal(back.values, s.values)
 
-    k = Kernel(g, s.values)
-    rec = json.loads(json.dumps(to_record(k)))
-    assert np.array_equal(kernel_from_record(rec).values, k.values)
-    assert np.array_equal(signal_from_record(rec).values, s.values)
+        k = Kernel(g, s.values)
+        back = Kernel.from_record(json.loads(json.dumps(to_record(k))))
+        assert type(back) is Kernel
+        assert back.grid == k.grid
+        assert np.array_equal(back.values, k.values)
 
 
 def test_csv_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(10)
-    g = make_grid(16, np.pi / 5)
-    s = random_signal(g, rng)
     path = tmp_path / "sig.csv"
-    write_csv(s, path)
-    back = read_signal_csv(path)
-    assert np.array_equal(back.values, s.values)
-    assert np.array_equal(back.grid.times()[0], s.grid.times()[0])
+    for g in ROUND_TRIP_GRIDS:
+        s = random_signal(g, rng)
+        write_csv(s, path)
+        back = SampledSignal.read_csv(path)
+        assert type(back) is SampledSignal
+        assert back.grid == s.grid
+        assert np.array_equal(back.values, s.values)
 
-    k = Kernel(g, s.values)
-    write_csv(k, path)
-    assert np.array_equal(read_kernel_csv(path).values, k.values)
+        k = Kernel(g, s.values)
+        write_csv(k, path)
+        back = Kernel.read_csv(path)
+        assert type(back) is Kernel
+        assert back.grid == k.grid
+        assert np.array_equal(back.values, k.values)
+        # the kernel read back convolves with a signal on the written grid
+        circular_convolve(back, s)
+
+
+def test_readers_refuse_non_finite_samples_and_uneven_times(tmp_path):
+    g = make_grid(16, np.pi / 5)
+    s = SampledSignal(g, np.arange(16.0))
+    rec = to_record(s)
+    rec["values"][3] = [float("nan"), 0.0]
+    with pytest.raises(GridError):
+        Kernel.from_record(rec)
+    path = tmp_path / "sig.json"
+    path.write_text(json.dumps(rec))
+    with pytest.raises(GridError):
+        SampledSignal.read_json(path)
+
+    path = tmp_path / "sig.csv"
+    values = s.values.copy()
+    values[-1] = np.inf
+    write_csv(SampledSignal(g, values), path)
+    with pytest.raises(GridError):
+        Kernel.read_csv(path)
+
+    write_csv(s, path)
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    rows[5][1] = "0.125"                                # one time off the grid
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+    with pytest.raises(GridError):
+        SampledSignal.read_csv(path)
 
 
 def test_signal_arithmetic_and_value_lookup():

@@ -5,8 +5,8 @@ import pytest
 
 from oscresp import fock
 from oscresp.kernels import OscillatorParams, osc_df_value
-from oscresp.wick import (WickError, contraction_value, enumerate_pairings,
-                          hori_expand, pair_operator_counts, verify_wick)
+from oscresp.wick import (WickError, enumerate_pairings, hori_expand,
+                          pair_operator_counts, pair_value, verify_wick)
 
 P = OscillatorParams()
 
@@ -63,9 +63,9 @@ def test_hori_kind_assignment():
 
 
 def test_cross_contraction_takes_backward_time_first():
-    t_minus, t_plus = 0.9, 0.2
-    v1 = contraction_value(t_minus, "minus", t_plus, "plus", P)
-    v2 = contraction_value(t_plus, "plus", t_minus, "minus", P)
+    minus, plus = fock.Factor("q", 0.9, "minus"), fock.Factor("q", 0.2, "plus")
+    v1 = pair_value("double_time", minus, plus, P)
+    v2 = pair_value("double_time", plus, minus, P)
     assert v1 == v2     # normalised to the same argument order
 
 
