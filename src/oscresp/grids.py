@@ -13,8 +13,10 @@ that plus + minus reproduces the input exactly.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -171,7 +173,14 @@ def _require_same_grid(a, b) -> None:
 
 def reflect_values(values: np.ndarray) -> np.ndarray:
     """values[..., (n - k) % n]: time (or tau) inversion of the last axis."""
-    return np.roll(values[..., ::-1], 1, axis=-1)
+    return _reflect_into(values, np.empty_like(values))
+
+
+def _reflect_into(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write values[..., (n - k) % n] into out (not values itself) and return it."""
+    out[..., 0] = values[..., 0]
+    out[..., 1:] = values[..., :0:-1]
+    return out
 
 
 def swap_reflect(values: np.ndarray) -> np.ndarray:
@@ -182,8 +191,79 @@ def swap_reflect(values: np.ndarray) -> np.ndarray:
     reflection.
     """
     half = (values.ndim - 1) // 2
-    order = (*range(half, 2 * half), *range(half), values.ndim - 1)
-    return reflect_values(np.transpose(values, order))
+    shape = (*values.shape[half:-1], *values.shape[:half], values.shape[-1])
+    return _swap_reflect_block(_label_blocks(values), slice(None)).reshape(shape)
+
+
+# -- blocks of a kernel family ------------------------------------------------
+
+# an input of at least this many samples (1 MiB of complex), in at least two
+# blocks, is large: its blocks, one per first label half, run on the worker
+# pool.  Timed on 2 CPUs, the pool wins from here on (neutral families of
+# 2x2 labels at n = 4096, 3x3 at n = 1024) and loses below (3x3 at n = 512,
+# the 2x2 demo family at n = 256); 16 blocks of 4096 samples (4x4 labels
+# at n = 256) are the one family timed at the cut-over that it slows.
+_LARGE_SAMPLES = 1 << 16
+
+
+def _label_blocks(values: np.ndarray) -> np.ndarray:
+    """View of values as (h, rows, n): entry i holds the rows whose first label half is i.
+
+    A 1-d kernel or signal is one entry of one row.  Indexing the second
+    axis instead, [:, i], gives the rows whose second label half is i,
+    which ``swap_reflect`` moves into entry i.
+    """
+    half = (values.ndim - 1) // 2
+    return values.reshape(math.prod(values.shape[:half]), -1, values.shape[-1])
+
+
+def _swap_reflect_block(blocks: np.ndarray, s: slice) -> np.ndarray:
+    """Block s of the ``swap_reflect`` of a ``_label_blocks`` view, as a new array.
+
+    It is the column view blocks[:, s], with its two label axes swapped
+    and tau reflected, so no other block of the swapped family is formed.
+    """
+    column = blocks[:, s].transpose(1, 0, 2)
+    return _reflect_into(column, np.empty(column.shape, column.dtype))
+
+
+@functools.lru_cache(maxsize=None)
+def _pool():
+    """The one worker pool, made on first use; None on a single CPU.
+
+    Its threads start as blocks arrive, at most one per CPU this process
+    may run on, so never more than a call has blocks.
+    """
+    # imported here: concurrent.futures (with logging) adds about 7 ms to
+    # every import of the package, and small inputs never need it
+    from concurrent.futures import ThreadPoolExecutor
+
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return ThreadPoolExecutor(max_workers=cpus, thread_name_prefix="oscresp") if cpus > 1 else None
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child has none of the pool's threads: it makes its own
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _each_block(fn, values: np.ndarray) -> list:
+    """fn(s) for each block s, a slice of the first label halves of values.
+
+    A large input (``_LARGE_SAMPLES``) has one block per first label half,
+    slice(i, i + 1), and they run on the worker pool: numpy's FFTs and
+    ufuncs release the GIL, so the blocks overlap.  Any other input, every
+    1-d kernel included, is one block, slice(None), run inline.  fn may run
+    on a worker thread, so it may call only numpy and private helpers, never
+    a public function of the package.
+    """
+    blocks = _label_blocks(values)
+    if len(blocks) < 2 or blocks.size < _LARGE_SAMPLES:
+        return [fn(slice(None))]
+    slices = [slice(i, i + 1) for i in range(len(blocks))]
+    pool = _pool()
+    return list(map(fn, slices) if pool is None else pool.map(fn, slices))
 
 
 # -- frequency-sign decomposition -------------------------------------------
@@ -207,11 +287,31 @@ def half_step(n: int) -> np.ndarray:
 
 
 def split_values(values: np.ndarray):
-    """(plus, minus) frequency parts of samples along the last axis."""
+    """(plus, minus) frequency parts of samples along the last axis.
+
+    Each part is ifft(fft(values) * mask), with the ``half_step`` mask or
+    its complement, transformed block by block (``_each_block``) in place
+    in the two complex outputs, so no full-size spectrum is made.  Every
+    row is transformed on its own, so the parts do not depend on the
+    blocking.
+    """
+    values = np.asarray(values)
+    plus = np.empty(values.shape, complex)
+    minus = np.empty(values.shape, complex)
     mask_plus = half_step(values.shape[-1])
-    spec = np.fft.fft(values, axis=-1)
-    return (np.fft.ifft(spec * mask_plus, axis=-1),
-            np.fft.ifft(spec * (1.0 - mask_plus), axis=-1))
+    mask_minus = 1.0 - mask_plus
+    src, out_plus, out_minus = _label_blocks(values), _label_blocks(plus), _label_blocks(minus)
+
+    def split_block(s):
+        p, m = out_plus[s], out_minus[s]
+        np.fft.fft(src[s], axis=-1, out=p)
+        np.multiply(p, mask_minus, out=m)
+        np.multiply(p, mask_plus, out=p)
+        np.fft.ifft(p, axis=-1, out=p)
+        np.fft.ifft(m, axis=-1, out=m)
+
+    _each_block(split_block, values)
+    return plus, minus
 
 
 def frequency_split(s):

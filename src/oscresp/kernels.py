@@ -5,7 +5,12 @@ on a periodic grid; one time-ordering rule (``time_order``) turns it, and
 the fields' forward and backward contractions, into D_F and D_R.  One
 reconstruction rule (``reconstruct``) rebuilds every kernel of each family
 from the two frequency halves of D_R alone, and ``reconstruction_residuals``
-measures it; those are the identities the suites drive.
+measures it; those are the identities the suites drive.  Both work block by
+block, one first label half of a family at a time (``grids._each_block``):
+a block reads its adjoint from the column view of its label half, so a
+large family makes no full-size adjoint or difference, and its blocks run
+on a small thread pool.  Every result is bit-identical to the full-array
+formulas.
 
 All grid kernels require the frequencies in play to sit exactly on DFT
 bins (omega = 2*pi*k/(n*dt), 0 < k < n/2); the discrete identities are
@@ -15,13 +20,14 @@ off-bin frequency for robustness exploration at degraded tolerances.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import (Kernel, TimeGrid, _snap, adjoint, reflect_values, split_values,
-                    swap_reflect)
+from .grids import (Kernel, TimeGrid, _each_block, _label_blocks, _snap, _swap_reflect_block,
+                    reflect_values, split_values, swap_reflect)
 
 
 class CommensurabilityError(ValueError):
@@ -114,6 +120,38 @@ def time_order(forward: np.ndarray, backward: np.ndarray):
 
 RECONSTRUCTED = ("d_r_two_defs", "forward", "backward", "d_f", "d_f_dag")
 
+# The rule of ``reconstruct``: each kernel is left (op) right, over the
+# split parts P, M of D_R; a trailing "^" reads the ``adjoint``.
+_RULE = {
+    "forward": ("P", np.subtract, "P^"),
+    "backward": ("M^", np.subtract, "M"),
+    "d_f": ("P", np.add, "M^"),
+    "d_f_dag": ("P^", np.add, "M"),
+}
+
+
+def _block_reader(arrays: dict, s: slice):
+    """Reader of block s (``_each_block``) of the named arrays and of their swaps.
+
+    "x" reads the rows of arrays["x"] (a ``_label_blocks`` view) in the
+    block, "x~" those of its ``swap_reflect`` and "x^" those of its
+    ``adjoint``.  A swapped read is made once per block and term, the size
+    of the block.
+    """
+    made = {}
+
+    def read(term):
+        key = term.rstrip("^~")
+        if key == term:
+            return arrays[key][s]
+        if term not in made:
+            made[term] = _swap_reflect_block(arrays[key], s)
+            if term.endswith("^"):
+                np.conjugate(made[term], out=made[term])
+        return made[term]
+
+    return read
+
 
 def reconstruct(d_r: np.ndarray) -> dict:
     """The kernels of a family rebuilt from one frequency split P, M of D_R.
@@ -123,15 +161,25 @@ def reconstruct(d_r: np.ndarray) -> dict:
     oscillator and for neutral and charged fields alike: each forward
     contraction is frequency-positive, each backward one frequency-negative,
     and both are anti-Hermitian, so D_R - D_R^dag = forward - backward.
-    Each entry builds its kernel only when it is called.
+    Each entry builds its kernel only when it is called, block by block
+    (``_each_block``).
     """
     plus, minus = split_values(d_r)
-    return {
-        "forward": lambda: plus - adjoint(plus),
-        "backward": lambda: adjoint(minus) - minus,
-        "d_f": lambda: plus + adjoint(minus),
-        "d_f_dag": lambda: adjoint(plus) + minus,
-    }
+    parts = {"P": _label_blocks(plus), "M": _label_blocks(minus)}
+
+    def build(rule):
+        left, op, right = rule
+        out = np.empty_like(plus)
+        blocks = _label_blocks(out)
+
+        def build_block(s):
+            read = _block_reader(parts, s)
+            op(read(left), read(right), out=blocks[s])
+
+        _each_block(build_block, out)
+        return out
+
+    return {name: functools.partial(build, rule) for name, rule in _RULE.items()}
 
 
 def reconstruction_residuals(forward: np.ndarray, d_f: np.ndarray, d_r: np.ndarray, *,
@@ -142,20 +190,34 @@ def reconstruction_residuals(forward: np.ndarray, d_f: np.ndarray, d_r: np.ndarr
     D_F and D_R from ``time_order``, and D_F^dag = adjoint(D_F).  A neutral
     field, the oscillator included, passes no backward contraction: its
     backward one is swap_reflect(forward).  "d_r_two_defs" checks the second
-    definition D_R = D_F^dag - forward^dag.  The kernels are built, compared
-    and dropped one at a time, so a large family holds one rebuilt kernel at
-    once.
+    definition D_R = D_F^dag - forward^dag.  All names are compared block by
+    block (``_each_block``, ``_block_reader``), so a large family never
+    holds a full-size rebuilt kernel, adjoint or difference, and its blocks
+    run on the worker pool.  A block computes the same elementwise values
+    as the full arrays would, so the residuals do not depend on the blocking.
     """
-    rebuilt = {**reconstruct(d_r),
-               "d_r_two_defs": lambda: adjoint(d_f) - adjoint(forward)}
-    defined = {
-        "forward": lambda: forward,
-        "backward": lambda: swap_reflect(forward) if backward is None else backward,
-        "d_f": lambda: d_f,
-        "d_f_dag": lambda: adjoint(d_f),
-        "d_r_two_defs": lambda: d_r,
-    }
-    return {name: float(np.max(np.abs(rebuilt[name]() - defined[name]()))) for name in names}
+    plus, minus = split_values(d_r)
+    named = {"P": plus, "M": minus, "forward": forward, "d_f": d_f, "d_r": d_r}
+    if backward is not None:
+        named["backward"] = backward
+    arrays = {key: _label_blocks(np.asarray(values)) for key, values in named.items()}
+    rebuilt = {**_RULE, "d_r_two_defs": ("d_f^", np.subtract, "forward^")}
+    defined = {"forward": "forward", "backward": "forward~" if backward is None else "backward",
+               "d_f": "d_f", "d_f_dag": "d_f^", "d_r_two_defs": "d_r"}
+    checks = [(*rebuilt[name], defined[name]) for name in names]
+
+    def block_residuals(s):
+        read = _block_reader(arrays, s)
+        out = []
+        for left, op, right, target in checks:
+            # complex, so real rebuilt kernels take a complex definition as before
+            diff = op(read(left), read(right), dtype=complex)
+            np.subtract(diff, read(target), out=diff)
+            out.append(np.max(np.abs(diff)))
+        return out
+
+    maxima = np.array(_each_block(block_residuals, plus))
+    return {name: float(np.max(maxima[:, k])) for k, name in enumerate(names)}
 
 
 # -- oscillator kernels on a grid ---------------------------------------------

@@ -609,6 +609,8 @@ def run_suite(name: str, cfg: Optional[Config] = None) -> SuiteReport:
 
     The one place where yielded (id, tag, residual, tolerance) checks
     become rows and the config's tolerance overrides apply, by check id.
+    Run over all suites, an override whose id no row has is refused with
+    ``ConfigError``; one suite alone accepts the ids of the others.
     """
     cfg = cfg or Config()
     if name != "all" and name not in _SUITE_FUNCS:
@@ -619,4 +621,7 @@ def run_suite(name: str, cfg: Optional[Config] = None) -> SuiteReport:
             for suite in (SUITES if name == "all" else (name,))
             for check_id, tag, residual, tolerance in _SUITE_FUNCS[suite](cfg)]
     wall = time.perf_counter() - start
+    unknown = set(cfg.tolerances) - {row.id for row in rows} if name == "all" else set()
+    if unknown:
+        raise ConfigError(f"tolerance overrides name no check: {sorted(unknown)}")
     return SuiteReport(suite=name, rows=rows, config=cfg.to_dict(), wall_time_s=wall)

@@ -14,6 +14,7 @@ none of this inherits grid error.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -41,13 +42,20 @@ class WickTerm:
     rest: tuple           # uncontracted factor indices, ascending
 
 
-def enumerate_pairings(m: int):
+def enumerate_pairings(m: int) -> tuple:
     """All sets of disjoint index pairs of range(m), with their leftovers.
 
-    Includes the empty pairing.  Returned as (pairs, rest) tuples; for
-    even m the number of perfect pairings is (m-1)!!.
+    Includes the empty pairing.  Returned as a tuple of (pairs, rest)
+    tuples, made once per m; for even m the number of perfect pairings is
+    (m-1)!!.
     """
     _require_factor_count(m)
+    return _pairings(m)
+
+
+@functools.lru_cache
+def _pairings(m: int) -> tuple:
+    """The pairings of ``enumerate_pairings``, built once per m."""
 
     def recurse(indices):
         if not indices:
@@ -63,7 +71,7 @@ def enumerate_pairings(m: int):
                 out.append((((first, partner),) + pairs, rest))
         return out
 
-    return recurse(tuple(range(m)))
+    return tuple(recurse(tuple(range(m))))
 
 
 def _pair_kind(branch_i: str, branch_j: str) -> str:

@@ -154,6 +154,28 @@ def test_verify_command_exit_codes(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+def test_override_of_no_check_fails_a_full_run_with_the_usage_code(tmp_path, capsys):
+    # "dr-reall", a typo of dr-real, names no row of any suite
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tolerances": {"dr-reall": 0.0, "dr-real": 1e-12}}))
+    assert main(["verify", "all", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "dr-reall" in err and "'dr-real'" not in err
+    with pytest.raises(ConfigError, match="dr-reall"):
+        run_suite("all", Config(seed=7, tolerances={"dr-reall": 0.0}))
+
+
+def test_single_suite_accepts_the_override_ids_of_other_suites(tmp_path, capsys):
+    # field-d-from-dr is a field row; the kernels run neither uses nor refuses it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tolerances": {"field-d-from-dr": 0.0, "dr-real": 1e-12}}))
+    assert main(["verify", "kernels", "--config", str(cfg)]) == 0
+    assert "[PASS]" in capsys.readouterr().out
+    report = run_suite("kernels", Config(seed=7, tolerances={"field-d-from-dr": 0.0}))
+    assert report.passed
+    assert "field-d-from-dr" not in {row.id for row in report.rows}
+
+
 def test_report_command_reads_back(tmp_path, capsys):
     out = tmp_path / "rep.json"
     main(["verify", "charged", "--out", str(out)])
@@ -255,12 +277,41 @@ def test_malformed_reports_exit_with_the_usage_code(tmp_path, capsys, text):
     (["verify", "nosuchsuite"], 2),
 ], ids=["passing-suite", "usage-error"])
 def test_python_dash_m_runs_the_cli(tmp_path, argv, code):
+    done = run_checkout_python(["-m", "oscresp", *argv], tmp_path)
+    assert done.returncode == code, done.stderr
+
+
+def run_checkout_python(args, cwd):
+    """Run python with this checkout's oscresp first on the path."""
     src = str(Path(oscresp.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-m", "oscresp", *argv], cwd=tmp_path, env=env,
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
-    assert done.returncode == code, done.stderr
+
+
+WORKER_PROBE = """
+import os, threading
+start = threading.active_count()
+import numpy as np
+import oscresp
+from oscresp import grids
+from oscresp.suites import Config, run_suite
+assert run_suite("all", Config(seed=7)).passed
+assert threading.active_count() == start, threading.enumerate()
+assert grids._pool.cache_info().currsize == 0
+grids.split_values(np.ones((3, 3, 3, 3, 8192)))   # 9 blocks of 9 rows: large
+extra = threading.active_count() - start
+cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+assert (1 <= extra <= min(cpus, 9)) if cpus > 1 else extra == 0, (extra, cpus)
+"""
+
+
+def test_worker_threads_start_only_for_a_large_family(tmp_path):
+    # importing and a full verify run stay on the calling thread; the pool
+    # is made by the first large family, with at most one thread per block
+    done = run_checkout_python(["-c", WORKER_PROBE], tmp_path)
+    assert done.returncode == 0, done.stderr
 
 
 def test_every_exported_name_resolves_once():

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -80,6 +83,39 @@ def test_every_family_is_rebuilt_from_its_retarded_kernel(kind):
     assert res["d_r_two_defs"] < 1e-12
     for name in RECONSTRUCTED[1:]:
         assert res[name] < 1e-10, name
+
+
+def test_concurrent_callers_of_the_worker_pool_get_the_results_of_one_caller():
+    # 81 rows of 1024 samples: a large family, whose blocks share the pool
+    # with those of the other callers
+    rng = np.random.default_rng(3)
+    shape = (3, 3, 3, 3, 1024)
+    forward, d_f, d_r = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                         for _ in range(3))
+    expected = reconstruction_residuals(forward, d_f, d_r)
+    rebuilt = reconstruct(d_r)["d_f"]()
+    results, errors = [], []
+
+    def caller():
+        try:
+            for _ in range(3):
+                same = np.array_equal(reconstruct(d_r)["d_f"](), rebuilt)
+                results.append(same and reconstruction_residuals(forward, d_f, d_r) == expected)
+        except Exception as exc:       # a thread's exception would be lost: assert below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=caller) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and results == [True] * 18
 
 
 def test_retarded_from_contractions_equals_stepped_difference():

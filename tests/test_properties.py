@@ -8,7 +8,7 @@ come from a numpy generator seeded by the drawn integer.
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -19,11 +19,11 @@ from oscresp.functionals import (ProbeSet, _eta_ladder_coefficients,
                                  inverse_substitution, moment_residual, phi_in_state,
                                  predicted_moment, response_substitution)
 from oscresp.grids import (SampledSignal, frequency_split, half_step, make_grid,
-                           without_zero_nyquist)
-from oscresp.kernels import (ChargedModeSet, ModeSet, OscillatorParams,
+                           split_values, without_zero_nyquist)
+from oscresp.kernels import (RECONSTRUCTED, ChargedModeSet, ModeSet, OscillatorParams,
                              charged_field_kernels, commutator_kernel,
-                             neutral_field_kernels, osc_kernels, reconstruction_residuals,
-                             time_order)
+                             neutral_field_kernels, osc_kernels, reconstruct,
+                             reconstruction_residuals, time_order)
 from oscresp.wick import verify_wick
 from test_driven import stage_loop_rk4
 from test_fock import dense_average, oracle_matrices
@@ -136,6 +136,60 @@ def test_time_order_equals_the_masked_formula(pair):
     d_f, d_r = time_order(forward, backward)
     assert np.array_equal(d_f, theta * forward + (1.0 - theta) * backward)
     assert np.array_equal(d_r, theta * (forward - backward))
+
+
+def full_swap_reflect(values):
+    """swap_reflect as one full-size array: transpose the label halves, roll the reversal."""
+    half = (values.ndim - 1) // 2
+    order = (*range(half, 2 * half), *range(half), values.ndim - 1)
+    return np.roll(np.transpose(values, order)[..., ::-1], 1, axis=-1)
+
+
+def full_split(values):
+    """The frequency split on the full array, one spectrum and two masked copies."""
+    mask_plus = half_step(values.shape[-1])
+    spec = np.fft.fft(values, axis=-1)
+    return np.fft.ifft(spec * mask_plus, axis=-1), np.fft.ifft(spec * (1.0 - mask_plus), axis=-1)
+
+
+def full_rebuilt(forward, d_f, d_r, backward):
+    """Each rebuilt kernel and its definition, as full-size arrays."""
+    plus, minus = full_split(d_r)
+    adj = lambda x: np.conj(full_swap_reflect(x))       # noqa: E731
+    return {
+        "d_r_two_defs": (adj(d_f) - adj(forward), d_r),
+        "forward": (plus - adj(plus), forward),
+        "backward": (adj(minus) - minus,
+                     full_swap_reflect(forward) if backward is None else backward),
+        "d_f": (plus + adj(minus), d_f),
+        "d_f_dag": (adj(plus) + minus, adj(d_f)),
+    }
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(PROPERTY, max_examples=30)
+@given(st.sampled_from(((), (1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (2, 3), (3, 3))),
+       st.sampled_from((4, 8, 256, 1024)), seeds, st.booleans())
+@example((3, 3), 4096, 0, True)              # 81 rows of 4096 samples: on the worker pool
+def test_blocked_split_and_residuals_equal_the_full_array_formulas(labels, n, seed, backward):
+    rng = np.random.default_rng(seed)
+    shape = (*labels, *labels, n)
+    forward, d_f, d_r, back = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                               for _ in range(4))
+    back = back if backward else None
+    plus, minus = split_values(d_r)
+    full_plus, full_minus = full_split(d_r)
+    assert same_bits(plus, full_plus) and same_bits(minus, full_minus)
+    full = full_rebuilt(forward, d_f, d_r, back)
+    res = reconstruction_residuals(forward, d_f, d_r, backward=back)
+    assert tuple(res) == RECONSTRUCTED
+    for name, (rebuilt, defined) in full.items():
+        assert res[name] == float(np.max(np.abs(rebuilt - defined))), name
+    for name, build in reconstruct(d_r).items():
+        assert same_bits(build(), full[name][0]), name
 
 
 @PROPERTY

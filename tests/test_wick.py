@@ -34,6 +34,9 @@ def test_pairing_enumeration_counts():
     assert len(enumerate_pairings(0)) == 1
     with pytest.raises(WickError):
         enumerate_pairings(11)
+    # built once per m, and immutable, since every caller shares it
+    assert enumerate_pairings(6) is enumerate_pairings(6)
+    assert isinstance(enumerate_pairings(6), tuple)
 
 
 def test_pairings_partition_the_index_set():
