@@ -160,18 +160,51 @@ def _cmd_wick(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
-    path = _output_path(args.path)
+def _read_report(raw: str) -> SuiteReport:
+    path = _output_path(raw)
     try:
-        report = SuiteReport.load(path)
+        return SuiteReport.load(path)
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"cannot read report {path}: {exc}") from exc
+
+
+def _cmd_report(args) -> int:
+    report = _read_report(args.path)
+    if args.diff is not None:
+        _print_diff(report, _read_report(args.diff), args.path, args.diff)
+        return 0
     failing = [r for r in report.rows if r.gating and not r.passed]
     print(f"suite={report.suite} schema={report.schema_version} "
           f"checks={len(report.rows)} failing={len(failing)} passed={report.passed}")
     for row in failing:
         print(f"[FAIL] {row.id}: residual={row.residual:.3e} tol={row.tolerance:.1e}")
     return 0 if report.passed else GATING_ERROR
+
+
+def _print_diff(old: SuiteReport, new: SuiteReport, old_name: str, new_name: str) -> None:
+    """Print each row id whose residual, tolerance or gating differs, and each unpaired id.
+
+    Values are compared and printed by repr, so a float differs when one bit
+    does and two NaN residuals are equal.
+    """
+    old_rows = {row.id: row for row in old.rows}
+    new_rows = {row.id: row for row in new.rows}
+    changed = 0
+    for row_id, row in old_rows.items():
+        if row_id not in new_rows:
+            print(f"[ONLY] {row_id}: only in {old_name}")
+            continue
+        pairs = [(name, repr(getattr(row, name)), repr(getattr(new_rows[row_id], name)))
+                 for name in ("residual", "tolerance", "gating")]
+        fields = [f"{name}={a} -> {b}" for name, a, b in pairs if a != b]
+        if fields:
+            changed += 1
+            print(f"[DIFF] {row_id}: {' '.join(fields)}")
+    added = [row_id for row_id in new_rows if row_id not in old_rows]
+    for row_id in added:
+        print(f"[ONLY] {row_id}: only in {new_name}")
+    print(f"rows={len(old_rows)}/{len(new_rows)} differing={changed} "
+          f"only_in_path={len(old_rows.keys() - new_rows.keys())} only_in_diff={len(added)}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,6 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_report = sub.add_parser("report", help="re-read a suite report and summarise it")
     p_report.add_argument("--path", required=True)
+    p_report.add_argument("--diff", help="a second report: list the rows that differ from it")
     p_report.set_defaults(func=_cmd_report)
     return parser
 

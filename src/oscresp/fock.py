@@ -15,9 +15,12 @@ and contour-ordered products are built as bands (``_band_step``) and
 traced against those diagonals of rho (``_diagonals``).  Normal,
 antinormal and symmetric (Weyl) products contract the coefficients of the
 factors' a / adag / identity parts with one table of ordered ladder
-moments per ordering (``ladder_moments``), read from the same diagonals.
+moments per ordering (``ladder_moments``), read from the same diagonals;
+``contract_subsets`` does so for every subset of the factors at once.
 Only the truncated a and adag enter, never [a, adag] = 1, so the oracle
-stays independent of the pairing rules that it checks.
+stays independent of the pairing rules that it checks.  Tables that
+depend on sizes alone (ladder matrices, roots, gather indices) are made
+once per size and are read-only.
 """
 
 from __future__ import annotations
@@ -48,11 +51,26 @@ class TruncationError(FockError):
 
 
 def ladder(dim: int):
-    """Annihilation and creation matrices; a[n-1, n] = sqrt(n)."""
+    """Annihilation and creation matrices; a[n-1, n] = sqrt(n).
+
+    The pair is made once per dim and is read-only.
+    """
     if dim < 2:
         raise FockError("need dim >= 2 for a ladder pair")
+    return _ladder_pair(dim)
+
+
+def _read_only(*arrays):
+    """The arrays, each made read-only: memoised tables are shared by every caller."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays if len(arrays) > 1 else arrays[0]
+
+
+@functools.lru_cache
+def _ladder_pair(dim: int):
     a = np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
-    return a, a.conj().T
+    return _read_only(a, a.conj().T)
 
 
 def ladder_parts(observable: str, t, p: OscillatorParams):
@@ -159,7 +177,7 @@ def make_state(kind: str, dim: int, *, alpha: complex = 0.0, n: int = 0,
 
 def expectation(state: FockState, op: np.ndarray) -> complex:
     """Tr[rho O] as the elementwise sum of rho * O^T."""
-    return complex(np.sum(state.rho * op.T))
+    return complex((state.rho * op.T).sum())
 
 
 def require_headroom(state: FockState, m: int) -> None:
@@ -167,7 +185,7 @@ def require_headroom(state: FockState, m: int) -> None:
 
     m raising operators would lift those levels past the truncated basis.
     """
-    spill = float(np.sum(np.diagonal(state.rho)[max(state.dim - m, 0):].real))
+    spill = float(state.rho.diagonal()[max(state.dim - m, 0):].real.sum())
     if spill > NORM_DEFICIT_LIMIT:
         raise TruncationError(
             f"{spill:.3e} of the state sits at levels >= {state.dim - m}, which a "
@@ -235,6 +253,13 @@ def _factor_parts(f: Factor, p: OscillatorParams, shift: Shift):
     return c, d, (_shift_value(shift, f.time) if f.observable == "q" else 0.0)
 
 
+@functools.lru_cache
+def _diagonal_index(dim: int, m: int):
+    """Row and column indices that gather the diagonals -m..m from rho padded by m rows."""
+    i = np.arange(dim)
+    return _read_only(np.arange(2 * m + 1)[:, None] + i, i)
+
+
 def _diagonals(rho: np.ndarray, m: int) -> np.ndarray:
     """R[m+k, i] = rho[i+k, i] for k = -m..m, zero where i+k leaves the basis.
 
@@ -243,20 +268,31 @@ def _diagonals(rho: np.ndarray, m: int) -> np.ndarray:
     dim = rho.shape[0]
     padded = np.zeros((dim + 2 * m, dim), dtype=complex)
     padded[m:m + dim] = rho
-    i = np.arange(dim)
-    return padded[np.arange(2 * m + 1)[:, None] + i, i]
+    return padded[_diagonal_index(dim, m)]
+
+
+@functools.lru_cache
+def _band_roots(rows: int, dim: int) -> np.ndarray:
+    """sqrt(f mod dim) for the flat indices f < rows*dim - (dim - 1) of a band; read-only."""
+    return _read_only(np.sqrt(np.arange(rows * dim - (dim - 1)) % dim))
 
 
 def _band_step(band: np.ndarray, c: complex, d: complex, s: complex) -> np.ndarray:
     """band(F P) from band(P), for F = c*a + d*adag + s.
 
     (F P)[i, i+k] = c sqrt(i+1) P[i+1, i+k] + d sqrt(i) P[i-1, i+k] + s P[i, i+k]:
-    a moves an entry one diagonal up, adag one diagonal down.
+    a moves an entry one diagonal up, adag one diagonal down.  On the
+    flattened band both moves are one offset of dim - 1, with the root of
+    each entry's column; column 0, whose root is 0, stands for the entries
+    that leave the band, so the sums run over contiguous arrays.
     """
-    root = np.sqrt(np.arange(1, band.shape[1]))
-    out = s * band
-    out[1:, :-1] += c * root * band[:-1, 1:]
-    out[:-1, 1:] += d * root * band[1:, :-1]
+    dim = band.shape[1]
+    root = _band_roots(*band.shape)
+    flat = band.reshape(-1)
+    out = np.multiply(s, band, order="C")
+    moved = out.reshape(-1)         # a view, since out is C-contiguous
+    moved[dim - 1:] += c * root * flat[:len(root)]
+    moved[:len(root)] += d * root * flat[dim - 1:]
     return out
 
 
@@ -267,16 +303,17 @@ def _product_average(rho: np.ndarray, parts) -> complex:
     band[m] = 1.0
     for c, d, s in reversed(parts):
         band = _band_step(band, c, d, s)
-    return complex(np.sum(band * _diagonals(rho, m)))
+    return complex((band * _diagonals(rho, m)).sum())
 
 
+@functools.lru_cache
 def _ladder_roots(dim: int, order: int) -> np.ndarray:
-    """S[j, n] = sqrt(n!/(n-j)!), the entry of a^j at (n-j, n); zero for n < j."""
+    """S[j, n] = sqrt(n!/(n-j)!), the entry of a^j at (n-j, n); zero for n < j; read-only."""
     roots = np.zeros((order + 1, dim))
     roots[0] = 1.0
     for j in range(1, min(order, dim - 1) + 1):
         roots[j, j:] = roots[j - 1, j:] * np.sqrt(np.arange(1, dim - j + 1))
-    return roots
+    return _read_only(roots)
 
 
 def _padded(diagonals: np.ndarray, order: int) -> np.ndarray:
@@ -286,22 +323,33 @@ def _padded(diagonals: np.ndarray, order: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache
+def _table_gather(dim: int, order: int, ordering: str):
+    """(weights, rows, columns) of the normal or antinormal table, read-only.
+
+    Entry [j, k] of the table is sum(weights[j, k] * padded[rows, columns][j, k]),
+    padded the ``_padded`` diagonals; see ``_normal_table`` and ``_antinormal_table``.
+    """
+    j, k, lvl = np.ogrid[:order + 1, :order + 1, :dim]
+    if ordering == "normal":
+        rise = _ladder_roots(dim + order, order)
+        weights, columns = rise[j, lvl + j] * rise[k, lvl + k], order + lvl + j
+    else:
+        fall = _ladder_roots(dim, order)
+        weights, columns = fall[j, lvl] * fall[k, lvl], order + lvl - k
+    return _read_only(weights, order + k - j, columns)
+
+
 def _normal_table(diagonals: np.ndarray, order: int) -> np.ndarray:
     """<adag^j a^k> = sum_l rho[l+k, l+j] S[j, l+j] S[k, l+k], l the level a^k lowers to."""
-    dim = diagonals.shape[1]
-    rise = _ladder_roots(dim + order, order)
-    j, k, lvl = np.ogrid[:order + 1, :order + 1, :dim]
-    read = _padded(diagonals, order)[order + k - j, order + lvl + j]
-    return np.sum(rise[j, lvl + j] * rise[k, lvl + k] * read, axis=-1)
+    weights, rows, columns = _table_gather(diagonals.shape[1], order, "normal")
+    return (weights * _padded(diagonals, order)[rows, columns]).sum(axis=-1)
 
 
 def _antinormal_table(diagonals: np.ndarray, order: int) -> np.ndarray:
     """<a^k adag^j> = sum_u rho[u-j, u-k] S[j, u] S[k, u], u the level adag^j raises to."""
-    dim = diagonals.shape[1]
-    fall = _ladder_roots(dim, order)
-    j, k, lvl = np.ogrid[:order + 1, :order + 1, :dim]
-    read = _padded(diagonals, order)[order + k - j, order + lvl - k]
-    return np.sum(fall[j, lvl] * fall[k, lvl] * read, axis=-1)
+    weights, rows, columns = _table_gather(diagonals.shape[1], order, "antinormal")
+    return (weights * _padded(diagonals, order)[rows, columns]).sum(axis=-1)
 
 
 def _weyl_table(diagonals: np.ndarray, order: int) -> np.ndarray:
@@ -317,7 +365,7 @@ def _weyl_table(diagonals: np.ndarray, order: int) -> np.ndarray:
     for n in range(order + 1):
         if n:
             band = _band_step(band, 1.0, 1.0, 0.0)
-        traces = np.sum(band * diagonals, axis=1)
+        traces = (band * diagonals).sum(axis=1)
         for k in range(n + 1):
             table[n - k, k] = traces[order + 2 * k - n] / math.comb(n, k)
     return table
@@ -340,6 +388,17 @@ def ladder_moments(state: FockState, order: int, ordering: str = "normal") -> np
     return _MOMENT_TABLES[ordering](_diagonals(state.rho, order), order)
 
 
+def _poly_step(poly: np.ndarray, c: complex, d: complex, s: complex) -> np.ndarray:
+    """Coefficients of (c x + d y + s) P from those of P, on the last two axes.
+
+    Entry [j, k] holds the coefficient of y^j x^k: y stands for adag, x for a.
+    """
+    grown = s * poly
+    grown[..., 1:] += c * poly[..., :-1]
+    grown[..., 1:, :] += d * poly[..., :-1, :]
+    return grown
+
+
 def contract_moments(moments: np.ndarray, parts) -> complex:
     """Average of the product of factors c*a + d*adag + s, one (c, d, s) per factor.
 
@@ -351,11 +410,24 @@ def contract_moments(moments: np.ndarray, parts) -> complex:
     poly = np.zeros((m + 1, m + 1), dtype=complex)     # [adag power, a power]
     poly[0, 0] = 1.0
     for c, d, s in parts:
-        grown = s * poly
-        grown[:, 1:] += c * poly[:, :-1]
-        grown[1:, :] += d * poly[:-1, :]
-        poly = grown
-    return complex(np.sum(poly * moments[:m + 1, :m + 1]))
+        poly = _poly_step(poly, c, d, s)
+    return complex((poly * moments[:m + 1, :m + 1]).sum())
+
+
+def contract_subsets(moments: np.ndarray, parts) -> np.ndarray:
+    """``contract_moments`` of every subset of the factors, indexed by bitmask.
+
+    Entry b is the average of the product of the factors k with bit k of b
+    set.  The coefficient tables of all 2^m subsets grow in m steps, each
+    step appending a copy with one more factor, and are contracted with
+    the table in one product.  The table must reach order len(parts).
+    """
+    m = len(parts)
+    poly = np.zeros((1, m + 1, m + 1), dtype=complex)
+    poly[0, 0, 0] = 1.0
+    for c, d, s in parts:
+        poly = np.concatenate((poly, _poly_step(poly, c, d, s)))
+    return poly.reshape(len(poly), -1) @ moments[:m + 1, :m + 1].ravel()
 
 
 def _contour_order(labels) -> list:

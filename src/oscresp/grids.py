@@ -118,6 +118,13 @@ class SampledSignal:
     def value_at(self, t: float) -> complex:
         return complex(self.values[self.grid.index_of(t)])
 
+    @functools.cached_property
+    def _spectrum(self) -> np.ndarray:
+        """fft(values), made on first use and read-only; a new signal makes its own."""
+        spec = np.fft.fft(self.values)
+        spec.flags.writeable = False
+        return spec
+
     @classmethod
     def from_record(cls, rec: dict):
         """Inverse of ``to_record``; a non-finite sample is refused."""
@@ -165,6 +172,13 @@ class Kernel(SampledSignal):
             raise GridError(f"tau {tau} is not a grid time difference")
         return complex(self.values[(k + self.grid.n // 2) % self.grid.n])
 
+    @functools.cached_property
+    def _zero_based_spectrum(self) -> np.ndarray:
+        """fft of the zero-based samples, entry m holding k(m * dt mod period); read-only."""
+        spec = np.fft.fft(np.roll(self.values, -(self.grid.n // 2)))
+        spec.flags.writeable = False
+        return spec
+
 
 def _require_same_grid(a, b) -> None:
     if a.grid != b.grid:
@@ -198,12 +212,15 @@ def swap_reflect(values: np.ndarray) -> np.ndarray:
 # -- blocks of a kernel family ------------------------------------------------
 
 # an input of at least this many samples (1 MiB of complex), in at least two
-# blocks, is large: its blocks, one per first label half, run on the worker
-# pool.  Timed on 2 CPUs, the pool wins from here on (neutral families of
-# 2x2 labels at n = 4096, 3x3 at n = 1024) and loses below (3x3 at n = 512,
-# the 2x2 demo family at n = 256); 16 blocks of 4096 samples (4x4 labels
-# at n = 256) are the one family timed at the cut-over that it slows.
+# blocks of at least _BLOCK_SAMPLES each, is large: its blocks, one per first
+# label half, run on the worker pool.  Timed on 2 CPUs, the pool wins from
+# here on (neutral families of 2x2 labels at n = 4096, 3x3 at n = 1024) and
+# loses below (3x3 at n = 512, the 2x2 demo family at n = 256).  Many small
+# blocks pay the hand-off once each: 16 blocks of 4096 samples (4x4 labels
+# at n = 256) are slower on the pool, and every timed pool win has blocks
+# of at least 12 288 samples.
 _LARGE_SAMPLES = 1 << 16
+_BLOCK_SAMPLES = 1 << 13
 
 
 def _label_blocks(values: np.ndarray) -> np.ndarray:
@@ -251,15 +268,15 @@ if hasattr(os, "register_at_fork"):
 def _each_block(fn, values: np.ndarray) -> list:
     """fn(s) for each block s, a slice of the first label halves of values.
 
-    A large input (``_LARGE_SAMPLES``) has one block per first label half,
-    slice(i, i + 1), and they run on the worker pool: numpy's FFTs and
-    ufuncs release the GIL, so the blocks overlap.  Any other input, every
-    1-d kernel included, is one block, slice(None), run inline.  fn may run
-    on a worker thread, so it may call only numpy and private helpers, never
-    a public function of the package.
+    A large input (``_LARGE_SAMPLES``, ``_BLOCK_SAMPLES``) has one block
+    per first label half, slice(i, i + 1), and they run on the worker
+    pool: numpy's FFTs and ufuncs release the GIL, so the blocks overlap.
+    Any other input, every 1-d kernel included, is one block, slice(None),
+    run inline.  fn may run on a worker thread, so it may call only numpy
+    and private helpers, never a public function of the package.
     """
     blocks = _label_blocks(values)
-    if len(blocks) < 2 or blocks.size < _LARGE_SAMPLES:
+    if len(blocks) < 2 or blocks.size < _LARGE_SAMPLES or blocks[0].size < _BLOCK_SAMPLES:
         return [fn(slice(None))]
     slices = [slice(i, i + 1) for i in range(len(blocks))]
     pool = _pool()
@@ -286,25 +303,38 @@ def half_step(n: int) -> np.ndarray:
     return step
 
 
-def split_values(values: np.ndarray):
+@functools.lru_cache
+def _split_masks(n: int):
+    """The ``half_step`` mask of n bins and its complement, read-only."""
+    plus = half_step(n)
+    minus = 1.0 - plus
+    plus.flags.writeable = minus.flags.writeable = False
+    return plus, minus
+
+
+def split_values(values: np.ndarray, *, spectrum=None):
     """(plus, minus) frequency parts of samples along the last axis.
 
     Each part is ifft(fft(values) * mask), with the ``half_step`` mask or
     its complement, transformed block by block (``_each_block``) in place
     in the two complex outputs, so no full-size spectrum is made.  Every
     row is transformed on its own, so the parts do not depend on the
-    blocking.
+    blocking.  A caller that already holds fft(values) along the last axis
+    passes it as spectrum, and it is read in place of the forward transform.
     """
     values = np.asarray(values)
     plus = np.empty(values.shape, complex)
     minus = np.empty(values.shape, complex)
-    mask_plus = half_step(values.shape[-1])
-    mask_minus = 1.0 - mask_plus
+    mask_plus, mask_minus = _split_masks(values.shape[-1])
     src, out_plus, out_minus = _label_blocks(values), _label_blocks(plus), _label_blocks(minus)
+    known = None if spectrum is None else _label_blocks(spectrum)
 
     def split_block(s):
         p, m = out_plus[s], out_minus[s]
-        np.fft.fft(src[s], axis=-1, out=p)
+        if known is None:
+            np.fft.fft(src[s], axis=-1, out=p)
+        else:
+            p[...] = known[s]
         np.multiply(p, mask_minus, out=m)
         np.multiply(p, mask_plus, out=p)
         np.fft.ifft(p, axis=-1, out=p)
@@ -315,8 +345,8 @@ def split_values(values: np.ndarray):
 
 
 def frequency_split(s):
-    """Split a signal or kernel into (plus, minus) frequency parts."""
-    plus, minus = split_values(s.values)
+    """Split a signal or kernel into (plus, minus) frequency parts, from its spectrum."""
+    plus, minus = split_values(s.values, spectrum=s._spectrum)
     return type(s)(s.grid, plus), type(s)(s.grid, minus)
 
 
@@ -326,7 +356,7 @@ def zero_nyquist_fraction(s) -> float:
     The half/half split convention is only unambiguous when this is
     negligible; suites flag probe sets where it exceeds 1e-10.
     """
-    spec = np.fft.fft(s.values)
+    spec = s._spectrum
     total = float(np.sum(np.abs(spec) ** 2))
     if total == 0.0:
         return 0.0
@@ -337,7 +367,7 @@ def zero_nyquist_fraction(s) -> float:
 def without_zero_nyquist(s):
     """Remove the zero and Nyquist bin content from a signal."""
     n = s.grid.n
-    spec = np.fft.fft(s.values)
+    spec = s._spectrum.copy()
     spec[0] = 0.0
     spec[n // 2] = 0.0
     return type(s)(s.grid, np.fft.ifft(spec))
@@ -348,10 +378,7 @@ def without_zero_nyquist(s):
 def circular_convolve(k: Kernel, s: SampledSignal) -> SampledSignal:
     """out(t) = dt * sum_t' k(t - t') s(t'), with periodic index wrap."""
     _require_same_grid(k, s)
-    n = k.grid.n
-    # zero-based kernel: entry m holds k(m * dt mod period)
-    kz = np.roll(k.values, -(n // 2))
-    out = k.grid.dt * np.fft.ifft(np.fft.fft(kz) * np.fft.fft(s.values))
+    out = k.grid.dt * np.fft.ifft(k._zero_based_spectrum * s._spectrum)
     return SampledSignal(s.grid, out)
 
 

@@ -9,7 +9,9 @@ every term with coefficient one; applying the generating quadratic
 derivative operator n times produces each n-pair pattern n! times, and
 the 1/n! of the exponential restores unit coefficients.  Contractions are
 evaluated from the analytic closed forms at exact time differences, so
-none of this inherits grid error.
+none of this inherits grid error.  ``verify_wick`` sums the expansion as
+one gather over a pairing index made once per factor count, against the
+normally ordered averages of every leftover subset (``fock.contract_subsets``).
 """
 
 from __future__ import annotations
@@ -127,29 +129,50 @@ def verify_wick(state: fock.FockState, factors, p: OscillatorParams) -> float:
     """|double-ordered average - pair expansion| for the given factors.
 
     The left side is the banded Fock-oracle average of the branch-ordered
-    position factors; the right side sums, over all contraction patterns,
-    the product of contraction values times the normally ordered average
-    of the leftover factors, all read from one table of ladder moments.
+    position factors; the right side is the pair expansion (``_expansion``).
     """
     factors = list(factors)
-    m = len(factors)
-    _require_factor_count(m)
+    _require_factor_count(len(factors))
     spec = fock.OrderedProductSpec(tuple(("q", t, branch) for branch, t in factors),
                                    "double_time")
-    lhs = fock.ordered_average(state, spec, p)
-    moments = fock.ladder_moments(state, m)
-    parts = [(*fock.ladder_parts("q", t, p), 0.0) for _, t in factors]
-    contractions = {
-        (i, j): pair_value("double_time", spec.factors[i], spec.factors[j], p)
-        for i, j in combinations(range(m), 2)
-    }
-    rhs = 0.0j
-    for pairs, rest in enumerate_pairings(m):
-        weight = 1.0 + 0.0j
-        for pair in pairs:
-            weight *= contractions[pair]
-        rhs += weight * fock.contract_moments(moments, [parts[k] for k in rest])
-    return abs(lhs - rhs)
+    return abs(fock.ordered_average(state, spec, p) - _expansion(state, spec.factors, p))
+
+
+def _expansion(state: fock.FockState, factors, p: OscillatorParams) -> complex:
+    """Sum over all contraction patterns of the pair values times the leftovers' average.
+
+    factors are branch-labelled ``fock.Factor``s of q.  The normally ordered
+    averages of every leftover subset come from one table of ladder moments
+    (``fock.contract_subsets``); each pattern's weight is the product of
+    its pair values, gathered by the pattern index of ``_pairing_index``.
+    """
+    m = len(factors)
+    values = np.ones(m * (m - 1) // 2 + 1, dtype=complex)     # the last, padding slot is 1
+    values[:-1] = [pair_value("double_time", factors[i], factors[j], p)
+                   for i, j in combinations(range(m), 2)]
+    parts = [(*fock.ladder_parts("q", f.time, p), 0.0) for f in factors]
+    leftovers = fock.contract_subsets(fock.ladder_moments(state, m), parts)
+    slots, rests = _pairing_index(m)
+    return complex((values[slots].prod(axis=1) * leftovers[rests]).sum())
+
+
+@functools.lru_cache
+def _pairing_index(m: int):
+    """(slots, rests) of the pairings of m factors, one row each; read-only.
+
+    slots[r] holds the position of each pair of pairing r in
+    combinations(range(m), 2) order, padded with the position past the
+    last pair; rests[r] is the bitmask of its leftover factors.
+    """
+    position = {pair: i for i, pair in enumerate(combinations(range(m), 2))}
+    pairings = _pairings(m)
+    slots = np.full((len(pairings), m // 2), len(position), dtype=np.intp)
+    rests = np.zeros(len(pairings), dtype=np.intp)
+    for r, (pairs, rest) in enumerate(pairings):
+        slots[r, :len(pairs)] = [position[pair] for pair in pairs]
+        rests[r] = sum(1 << k for k in rest)
+    slots.flags.writeable = rests.flags.writeable = False
+    return slots, rests
 
 
 def pair_operator_counts(m: int, applications: int) -> dict:

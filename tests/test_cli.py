@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +186,38 @@ def test_report_command_reads_back(tmp_path, capsys):
     assert main(["report", "--path", str(tmp_path / "absent.json")]) == 2
 
 
+def test_report_diff_lists_changed_and_unpaired_rows(tmp_path, capsys):
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    report = run_suite("field", Config(seed=7))
+    report.save(old)
+    rows = report.rows
+    rows[0] = replace(rows[0], residual=rows[0].residual * (1.0 + 2.0 ** -52))   # one bit
+    rows[1] = replace(rows[1], tolerance=0.5, gating=False)
+    gone = rows.pop(2).id
+    rows.append(replace(rows[0], id="new-row", residual=2.0, tolerance=1.0))
+    report.save(new)
+    capsys.readouterr()
+    assert main(["report", "--path", str(old), "--diff", str(new)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    old_rows = {row.id: row for row in SuiteReport.load(old).rows}
+    assert lines[0] == (f"[DIFF] {rows[0].id}: residual={old_rows[rows[0].id].residual!r} "
+                        f"-> {rows[0].residual!r}")
+    assert lines[1] == (f"[DIFF] {rows[1].id}: tolerance={old_rows[rows[1].id].tolerance!r} "
+                        f"-> 0.5 gating=True -> False")
+    assert lines[2] == f"[ONLY] {gone}: only in {old}"
+    assert lines[3] == f"[ONLY] new-row: only in {new}"
+    assert lines[4] == (f"rows={len(old_rows)}/{len(rows)} differing=2 "
+                        f"only_in_path=1 only_in_diff=1")
+    # a report against itself differs nowhere, and a failing row does not set the exit code
+    assert main(["report", "--path", str(new), "--diff", str(new)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"rows={len(rows)}/{len(rows)} differing=0 only_in_path=0 only_in_diff=0"]
+    absent = str(tmp_path / "absent.json")
+    for path, diff in ((str(old), absent), (absent, str(old))):
+        assert main(["report", "--path", path, "--diff", diff]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read report")
+
+
 def test_kernel_export_csv_and_json(tmp_path):
     out_csv = tmp_path / "dr.csv"
     assert main(["kernels", "--n", "64", "--bin", "2", "--kind", "dr",
@@ -298,6 +331,9 @@ import oscresp
 from oscresp import grids
 from oscresp.suites import Config, run_suite
 assert run_suite("all", Config(seed=7)).passed
+assert threading.active_count() == start, threading.enumerate()
+assert grids._pool.cache_info().currsize == 0
+grids.split_values(np.ones((4, 4, 4, 4, 256)))    # 16 blocks of 4096 samples: inline
 assert threading.active_count() == start, threading.enumerate()
 assert grids._pool.cache_info().currsize == 0
 grids.split_values(np.ones((3, 3, 3, 3, 8192)))   # 9 blocks of 9 rows: large

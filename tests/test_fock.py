@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from oscresp import fock
+from oscresp import fock, wick
 from oscresp.fock import (Factor, FockError, OrderedProductSpec,
                           TruncationError, heisenberg_p, heisenberg_q, ladder,
                           make_state, ordered_average, reality_check)
@@ -495,3 +495,26 @@ def test_contraction_reads_the_leading_block_of_a_larger_table():
     expected = ordered_average(state, OrderedProductSpec(factors, "normal"), P)
     assert fock.contract_moments(table, parts) == expected
     assert fock.contract_moments(table, []) == table[0, 0]
+
+
+def test_subset_table_holds_the_normal_average_of_every_subset():
+    state = make_state("coherent", 40, alpha=0.6 - 0.2j)
+    times = (0.3, -1.1, 0.8, 2.4, -0.5)
+    parts = [(*fock.ladder_parts("q", t, P), 0.1 * k) for k, t in enumerate(times)]
+    table = fock.ladder_moments(state, len(parts))
+    subsets = fock.contract_subsets(table, parts)
+    assert subsets.shape == (2 ** len(parts),)
+    for mask in range(2 ** len(parts)):
+        chosen = [part for k, part in enumerate(parts) if mask >> k & 1]
+        expected = fock.contract_moments(table, chosen)
+        assert abs(subsets[mask] - expected) <= 1e-14 * max(1.0, abs(expected))
+
+
+def test_memoised_tables_are_shared_and_read_only():
+    assert ladder(6) is ladder(6)
+    tables = [*ladder(6), fock._ladder_roots(12, 4), fock._band_roots(9, 12),
+              *fock._diagonal_index(12, 3), *fock._table_gather(12, 3, "normal"),
+              *fock._table_gather(12, 3, "antinormal"), *wick._pairing_index(6)]
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[(0,) * table.ndim] = 0

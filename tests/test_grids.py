@@ -1,10 +1,12 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from oscresp import grids
 from oscresp.grids import (GridError, Kernel, SampledSignal, TimeGrid,
-                           circular_convolve, frequency_split, kernel_adjoint,
+                           circular_convolve, frequency_split, half_step, kernel_adjoint,
                            make_grid, reflect_values, to_record, without_zero_nyquist,
                            write_csv, write_json, zero_nyquist_fraction)
 
@@ -299,3 +301,68 @@ def test_signal_arithmetic_and_value_lookup():
     assert np.array_equal((2.0 * a).values, 2 * a.values)
     assert a.value_at(-2.0) == 0.0
     assert Kernel(g, np.arange(8, dtype=complex)).value_at_tau(-2.0) == 0.0
+
+
+def test_a_spectrum_is_made_once_read_only_and_equal_to_the_transform():
+    rng = np.random.default_rng(11)
+    g = make_grid(64, 0.1)
+    s = random_signal(g, rng)
+    k = Kernel(g, rng.standard_normal(64) + 1j * rng.standard_normal(64))
+    assert "_spectrum" not in vars(s)
+    assert np.array_equal(s._spectrum, np.fft.fft(s.values))
+    assert s._spectrum is s._spectrum
+    assert np.array_equal(k._zero_based_spectrum, np.fft.fft(np.roll(k.values, -32)))
+    for spec in (s._spectrum, k._spectrum, k._zero_based_spectrum, *grids._split_masks(64)):
+        assert not spec.flags.writeable
+        with pytest.raises(ValueError):
+            spec[0] = 0.0
+
+
+def test_each_signal_is_transformed_once():
+    rng = np.random.default_rng(13)
+    g = make_grid(32, 0.2)
+    s = random_signal(g, rng)
+    k = Kernel(g, rng.standard_normal(32) + 1j * rng.standard_normal(32))
+    with mock.patch.object(np.fft, "fft", wraps=np.fft.fft) as fft:
+        for _ in range(3):
+            frequency_split(s), circular_convolve(k, s)
+            zero_nyquist_fraction(s), without_zero_nyquist(s)
+    assert fft.call_count == 2      # the spectrum of s and the zero-based one of k
+
+
+def test_derived_signals_make_their_own_spectrum():
+    rng = np.random.default_rng(12)
+    g = make_grid(32, 0.2)
+    s = random_signal(g, rng)
+    k = Kernel(g, rng.standard_normal(32) + 1j * rng.standard_normal(32))
+    s._spectrum, k._spectrum, k._zero_based_spectrum    # made before deriving
+    derived = [s + s, s - k, 2.0 * s, s * 1j, s.conj(), k.conj(), k + k, kernel_adjoint(k),
+               without_zero_nyquist(s), *frequency_split(s), *frequency_split(k)]
+    for d in derived:
+        assert "_spectrum" not in vars(d) and "_zero_based_spectrum" not in vars(d)
+        assert np.array_equal(d._spectrum, np.fft.fft(d.values))
+        if isinstance(d, Kernel):
+            assert np.array_equal(d._zero_based_spectrum, np.fft.fft(np.roll(d.values, -16)))
+
+
+@pytest.mark.parametrize("n", [4, 8, 256, 1024])
+def test_split_and_convolution_from_spectra_keep_the_bits_of_the_transforms(n):
+    rng = np.random.default_rng(n)
+    g = make_grid(n, 0.05)
+    s = random_signal(g, rng)
+    k = Kernel(g, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    spec = np.fft.fft(s.values)
+    mask = half_step(n)
+    split = (np.fft.ifft(spec * mask), np.fft.ifft(spec * (1.0 - mask)))
+    conv = g.dt * np.fft.ifft(np.fft.fft(np.roll(k.values, -(n // 2))) * spec)
+    edge = spec.copy()
+    edge[0] = edge[n // 2] = 0.0
+    fraction = float(np.abs(spec[0]) ** 2 + np.abs(spec[n // 2]) ** 2) / float(
+        np.sum(np.abs(spec) ** 2))
+    for _ in range(2):      # the second round reads the kept spectra
+        for part, expected in zip(frequency_split(s), split):
+            assert part.values.tobytes() == expected.tobytes()
+        assert circular_convolve(k, s).values.tobytes() == conv.tobytes()
+        assert without_zero_nyquist(s).values.tobytes() == np.fft.ifft(edge).tobytes()
+        assert zero_nyquist_fraction(s) == fraction
+    assert np.array_equal(s._spectrum, spec)      # the copies left it as it was

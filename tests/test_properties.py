@@ -8,6 +8,7 @@ come from a numpy generator seeded by the drawn integer.
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
@@ -24,7 +25,7 @@ from oscresp.kernels import (RECONSTRUCTED, ChargedModeSet, ModeSet, OscillatorP
                              charged_field_kernels, commutator_kernel,
                              neutral_field_kernels, osc_kernels, reconstruct,
                              reconstruction_residuals, time_order)
-from oscresp.wick import verify_wick
+from oscresp.wick import _expansion, enumerate_pairings, pair_value, verify_wick
 from test_driven import stage_loop_rk4
 from test_fock import dense_average, oracle_matrices
 
@@ -257,6 +258,44 @@ branches = st.sampled_from(("plus", "minus"))
        st.builds(OscillatorParams, near_one, near_one, near_one))
 def test_wick_expansion_on_random_states(state, factors, p):
     assert verify_wick(state, factors, p) < 1e-10
+
+
+def pairing_sum(state, factors, p):
+    """(sum, summed magnitude) of the pair expansion, one pairing and one leftover at a time."""
+    m = len(factors)
+    moments = fock.ladder_moments(state, m)
+    parts = [(*fock.ladder_parts("q", f.time, p), 0.0) for f in factors]
+    total, size = 0.0j, 0.0
+    for pairs, rest in enumerate_pairings(m):
+        weight = 1.0 + 0.0j
+        for i, j in pairs:
+            weight *= pair_value("double_time", factors[i], factors[j], p)
+        term = weight * fock.contract_moments(moments, [parts[k] for k in rest])
+        total += term
+        size += abs(term)
+    return total, size
+
+
+wick_states = st.one_of(
+    st.builds(lambda dim: fock.make_state("vacuum", dim), st.integers(2, 40)),
+    st.builds(lambda dim, alpha: fock.make_state("coherent", dim, alpha=alpha),
+              st.integers(30, 40), st.complex_numbers(max_magnitude=1.0)),
+    st.builds(lambda dim, nbar: fock.make_state("thermal", dim, nbar=nbar),
+              st.integers(30, 40), st.floats(0.0, 0.5)),
+    st.builds(lambda dim, n: fock.make_state("fock", dim, n=n),
+              st.integers(12, 40), st.integers(0, 3)),
+    fock_states(headroom=8, least=12),
+)
+
+
+@pytest.mark.parametrize("m", range(fock.MAX_FACTORS + 1))
+@settings(PROPERTY, max_examples=15)
+@given(wick_states, st.data(), st.builds(OscillatorParams, near_one, near_one, near_one))
+def test_one_contraction_equals_the_sum_over_pairings(m, state, data, p):
+    labels = data.draw(st.lists(st.tuples(branches, times), min_size=m, max_size=m))
+    factors = [fock.Factor("q", t, branch) for branch, t in labels]
+    expected, size = pairing_sum(state, factors, p)
+    assert abs(_expansion(state, factors, p) - expected) <= 1e-13 * size
 
 
 @PROPERTY
