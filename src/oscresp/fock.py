@@ -327,8 +327,12 @@ def _padded(diagonals: np.ndarray, order: int) -> np.ndarray:
 def _table_gather(dim: int, order: int, ordering: str):
     """(weights, rows, columns) of the normal or antinormal table, read-only.
 
-    Entry [j, k] of the table is sum(weights[j, k] * padded[rows, columns][j, k]),
-    padded the ``_padded`` diagonals; see ``_normal_table`` and ``_antinormal_table``.
+    Entry [j, k] of the table (``ladder_moments``) is
+    sum(weights[j, k] * padded[rows, columns][j, k]), padded the ``_padded``
+    diagonals, and S the ``_ladder_roots``:
+    normal <adag^j a^k> = sum_l rho[l+k, l+j] S[j, l+j] S[k, l+k], l the
+    level a^k lowers to; antinormal <a^k adag^j> = sum_u rho[u-j, u-k]
+    S[j, u] S[k, u], u the level adag^j raises to.
     """
     j, k, lvl = np.ogrid[:order + 1, :order + 1, :dim]
     if ordering == "normal":
@@ -338,18 +342,6 @@ def _table_gather(dim: int, order: int, ordering: str):
         fall = _ladder_roots(dim, order)
         weights, columns = fall[j, lvl] * fall[k, lvl], order + lvl - k
     return _read_only(weights, order + k - j, columns)
-
-
-def _normal_table(diagonals: np.ndarray, order: int) -> np.ndarray:
-    """<adag^j a^k> = sum_l rho[l+k, l+j] S[j, l+j] S[k, l+k], l the level a^k lowers to."""
-    weights, rows, columns = _table_gather(diagonals.shape[1], order, "normal")
-    return (weights * _padded(diagonals, order)[rows, columns]).sum(axis=-1)
-
-
-def _antinormal_table(diagonals: np.ndarray, order: int) -> np.ndarray:
-    """<a^k adag^j> = sum_u rho[u-j, u-k] S[j, u] S[k, u], u the level adag^j raises to."""
-    weights, rows, columns = _table_gather(diagonals.shape[1], order, "antinormal")
-    return (weights * _padded(diagonals, order)[rows, columns]).sum(axis=-1)
 
 
 def _weyl_table(diagonals: np.ndarray, order: int) -> np.ndarray:
@@ -371,8 +363,7 @@ def _weyl_table(diagonals: np.ndarray, order: int) -> np.ndarray:
     return table
 
 
-_MOMENT_TABLES = {"normal": _normal_table, "antinormal": _antinormal_table,
-                  "weyl": _weyl_table}
+_TABLE_ORDERINGS = ("normal", "antinormal", "weyl")
 
 
 def ladder_moments(state: FockState, order: int, ordering: str = "normal") -> np.ndarray:
@@ -383,9 +374,13 @@ def ladder_moments(state: FockState, order: int, ordering: str = "normal") -> np
     j + k <= order.  Each entry is read from the diagonals -order..order
     of rho with the truncated ladder matrix elements.
     """
-    if ordering not in _MOMENT_TABLES:
+    if ordering not in _TABLE_ORDERINGS:
         raise FockError(f"no ladder-moment table for ordering {ordering!r}")
-    return _MOMENT_TABLES[ordering](_diagonals(state.rho, order), order)
+    diagonals = _diagonals(state.rho, order)
+    if ordering == "weyl":
+        return _weyl_table(diagonals, order)
+    weights, rows, columns = _table_gather(diagonals.shape[1], order, ordering)
+    return (weights * _padded(diagonals, order)[rows, columns]).sum(axis=-1)
 
 
 def _poly_step(poly: np.ndarray, c: complex, d: complex, s: complex) -> np.ndarray:
@@ -457,7 +452,7 @@ def ordered_average(state: FockState, spec: OrderedProductSpec,
     factors = spec.factors
     require_headroom(state, len(factors))
     parts = [_factor_parts(f, p, spec.shift) for f in factors]
-    if spec.ordering in _MOMENT_TABLES:
+    if spec.ordering in _TABLE_ORDERINGS:
         return contract_moments(ladder_moments(state, len(parts), spec.ordering), parts)
     if spec.ordering == "double_time":
         parts = [parts[i] for i in _contour_order([(f.branch, f.time) for f in factors])]

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Callable, Optional
 
 import numpy as np
@@ -31,7 +30,7 @@ from . import fock
 from .grids import (Kernel, SampledSignal, _require_same_grid, circular_convolve,
                     frequency_split, kernel_adjoint, zero_nyquist_fraction)
 from .kernels import ChargedKernels, OscKernels, OscillatorParams, reconstruct
-from .wick import enumerate_pairings, pair_value
+from .wick import _pairing_sum, pair_table
 
 
 class FunctionalError(ValueError):
@@ -196,7 +195,7 @@ def gaussian_moments(quad: np.ndarray, lin: np.ndarray) -> complex:
 
     quad must be symmetric; the result is the sum over all partial
     pairings of the indices of products of quad entries for the pairs and
-    lin entries for the singletons.
+    lin entries for the singletons (``wick._pairing_sum``).
     """
     quad = np.asarray(quad, dtype=complex)
     lin = np.asarray(lin, dtype=complex)
@@ -205,15 +204,10 @@ def gaussian_moments(quad: np.ndarray, lin: np.ndarray) -> complex:
         raise FunctionalError(f"moment order {m} exceeds {fock.MAX_FACTORS}")
     if quad.shape != (m, m):
         raise FunctionalError("quadratic kernel shape does not match the linear part")
-    total = 0.0j
-    for pairs, rest in enumerate_pairings(m):
-        term = 1.0 + 0.0j
-        for i, j in pairs:
-            term *= quad[i, j]
-        for k in rest:
-            term *= lin[k]
-        total += term
-    return total
+    subsets = [1.0 + 0.0j]          # entry b: the product of lin over the bits of b
+    for value in lin.tolist():
+        subsets += [product * value for product in subsets]
+    return _pairing_sum(quad.tolist(), subsets)
 
 
 Mean = Optional[Callable[[float], complex]]
@@ -227,22 +221,17 @@ def predicted_moment(spec: fock.OrderedProductSpec, p: OscillatorParams,
                      mean: Mean = None) -> complex:
     """Ordered moment of q factors predicted by the exponential functional.
 
-    The pairing sum (``gaussian_moments``) with the ordering's pair rule
-    (``wick.pair_value``; normal ordering has none).  The linear part at
-    each time is the c-number mean path (initial-state mean) plus the
+    The pairing sum (``gaussian_moments``) of the ordering's pair values
+    (``wick.pair_table``; normal ordering pairs to zero).  The linear part
+    at each time is the c-number mean path (initial-state mean) plus the
     spec's shift.
     """
     factors = spec.factors
     if any(f.observable != "q" for f in factors):
         raise FunctionalError("moment predictions cover q factors only")
-    m = len(factors)
-    quad = np.zeros((m, m), dtype=complex)
-    if spec.ordering != "normal":
-        for i, j in combinations(range(m), 2):
-            quad[i, j] = quad[j, i] = pair_value(spec.ordering, factors[i], factors[j], p)
     lin = np.array([_mean_at(mean, f.time) + fock._shift_value(spec.shift, f.time)
                     for f in factors], dtype=complex)
-    return gaussian_moments(quad, lin)
+    return gaussian_moments(pair_table(spec.ordering, factors, p), lin)
 
 
 def moment_residual(state: fock.FockState, spec: fock.OrderedProductSpec,
@@ -284,7 +273,7 @@ def weyl_kernel_identity_residual(eta: SampledSignal, d: Kernel, d_r: Kernel) ->
     """
     eta_p, eta_m = frequency_split(eta)
     form_a = quad_form(eta, d_r, eta_p - eta_m)
-    form_b = quad_form(eta, Kernel(d_r.grid, reconstruct(d_r.values)["forward"]()), eta)
+    form_b = quad_form(eta, Kernel(d_r.grid, reconstruct(d_r.values, "forward")), eta)
     form_c = quad_form(eta, d, eta)
     return max(abs(form_a - form_b), abs(form_b - form_c), abs(form_a - form_c))
 

@@ -240,7 +240,7 @@ def suite_kernels(cfg: Config):
     kers = osc_kernels(p, grid)
 
     rebuilt = reconstruction_residuals(kers.d.values, kers.d_f.values, kers.d_r.values,
-                                       names=("d_r_two_defs", "forward", "d_f", "d_f_dag"))
+                                       names=("d_r_two_defs", "forward", "d_f"))
     yield ("dr-from-contractions", "retarded kernel from the two contractions",
            rebuilt["d_r_two_defs"], 1e-10)
 
@@ -253,8 +253,6 @@ def suite_kernels(cfg: Config):
            rebuilt["forward"], 1e-10)
     yield ("df-from-dr", "time-ordered contraction from the retarded halves",
            rebuilt["d_f"], 1e-10)
-    yield ("dfconj-from-dr", "conjugate time-ordered kernel from the retarded halves",
-           rebuilt["d_f_dag"], 1e-10)
 
     _, d_minus = frequency_split(kers.d)
     yield ("d-frequency-positive", "plain contraction has no negative frequencies",
@@ -518,8 +516,6 @@ def suite_charged(cfg: Config):
            ident["backward"], 1e-10)
     yield ("charged-df-from-dr", "time-ordered kernel from the retarded halves",
            ident["d_f"], 1e-10)
-    yield ("charged-dfdag-from-dr", "adjoint time-ordered kernel from the retarded halves",
-           ident["d_f_dag"], 1e-10)
 
     res = max(
         float(np.max(np.abs(kernel_adjoint(ck.d_a).values + ck.d_a.values))),

@@ -9,9 +9,11 @@ every term with coefficient one; applying the generating quadratic
 derivative operator n times produces each n-pair pattern n! times, and
 the 1/n! of the exponential restores unit coefficients.  Contractions are
 evaluated from the analytic closed forms at exact time differences, so
-none of this inherits grid error.  ``verify_wick`` sums the expansion as
-one gather over a pairing index made once per factor count, against the
-normally ordered averages of every leftover subset (``fock.contract_subsets``).
+none of this inherits grid error.  One loop, ``_pairing_sum``, sums every
+pairing expansion: ``verify_wick`` with the pair values of one table
+(``pair_table``) against the normally ordered averages of every leftover
+subset (``fock.contract_subsets``), and ``functionals.gaussian_moments``,
+which every moment prediction reaches, against products of c-numbers.
 """
 
 from __future__ import annotations
@@ -109,7 +111,8 @@ def pair_value(ordering: str, f_i: fock.Factor, f_j: fock.Factor,
 
     At tau = t_i - t_j: double_time the contraction of the kind the
     branches fix, plain i hbar D(tau), weyl (i hbar/2) [D(tau) + D(-tau)],
-    antinormal i hbar [D(tau) + D(-tau)]; normal ordering has none.
+    antinormal i hbar [D(tau) + D(-tau)] and normal 0.  Any other ordering
+    is refused.
     """
     tau = f_i.time - f_j.time
     if ordering == "double_time":
@@ -121,8 +124,43 @@ def pair_value(ordering: str, f_i: fock.Factor, f_j: fock.Factor,
         return 1j * p.hbar * osc_d_value(tau if f_i.branch == "minus" else -tau, p)
     if ordering == "plain":
         return 1j * p.hbar * osc_d_value(tau, p)
+    if ordering == "normal":
+        return 0.0j
+    if ordering not in ("weyl", "antinormal"):
+        raise WickError(f"no pair rule for ordering {ordering!r}")
     both = osc_d_value(tau, p) + osc_d_value(-tau, p)
     return (0.5j if ordering == "weyl" else 1j) * p.hbar * both
+
+
+def pair_table(ordering: str, factors, p: OscillatorParams) -> np.ndarray:
+    """Symmetric m x m table of the ``pair_value`` of every factor pair i < j; zero diagonal."""
+    m = len(factors)
+    table = np.zeros((m, m), dtype=complex)
+    for i, j in combinations(range(m), 2):
+        table[i, j] = table[j, i] = pair_value(ordering, factors[i], factors[j], p)
+    return table
+
+
+@functools.lru_cache
+def _pairing_terms(m: int) -> tuple:
+    """(pairs, bitmask of the leftovers) of each pairing of ``_pairings(m)``."""
+    return tuple((pairs, sum(1 << k for k in rest)) for pairs, rest in _pairings(m))
+
+
+def _pairing_sum(pair, leftovers) -> complex:
+    """Sum over the pairings of m = len(pair) factors of pair values times leftovers.
+
+    pair[i][j] (i < j) is the value of the pair (i, j); leftovers[b] is the
+    value of the unpaired subset with bitmask b (bit k set: factor k
+    unpaired), so leftovers[0] is that of the empty subset.
+    """
+    total = 0.0j
+    for pairs, rest in _pairing_terms(len(pair)):
+        term = 1.0 + 0.0j
+        for i, j in pairs:
+            term *= pair[i][j]
+        total += term * leftovers[rest]
+    return total
 
 
 def verify_wick(state: fock.FockState, factors, p: OscillatorParams) -> float:
@@ -143,36 +181,11 @@ def _expansion(state: fock.FockState, factors, p: OscillatorParams) -> complex:
 
     factors are branch-labelled ``fock.Factor``s of q.  The normally ordered
     averages of every leftover subset come from one table of ladder moments
-    (``fock.contract_subsets``); each pattern's weight is the product of
-    its pair values, gathered by the pattern index of ``_pairing_index``.
+    (``fock.contract_subsets``), and ``_pairing_sum`` sums the patterns.
     """
-    m = len(factors)
-    values = np.ones(m * (m - 1) // 2 + 1, dtype=complex)     # the last, padding slot is 1
-    values[:-1] = [pair_value("double_time", factors[i], factors[j], p)
-                   for i, j in combinations(range(m), 2)]
     parts = [(*fock.ladder_parts("q", f.time, p), 0.0) for f in factors]
-    leftovers = fock.contract_subsets(fock.ladder_moments(state, m), parts)
-    slots, rests = _pairing_index(m)
-    return complex((values[slots].prod(axis=1) * leftovers[rests]).sum())
-
-
-@functools.lru_cache
-def _pairing_index(m: int):
-    """(slots, rests) of the pairings of m factors, one row each; read-only.
-
-    slots[r] holds the position of each pair of pairing r in
-    combinations(range(m), 2) order, padded with the position past the
-    last pair; rests[r] is the bitmask of its leftover factors.
-    """
-    position = {pair: i for i, pair in enumerate(combinations(range(m), 2))}
-    pairings = _pairings(m)
-    slots = np.full((len(pairings), m // 2), len(position), dtype=np.intp)
-    rests = np.zeros(len(pairings), dtype=np.intp)
-    for r, (pairs, rest) in enumerate(pairings):
-        slots[r, :len(pairs)] = [position[pair] for pair in pairs]
-        rests[r] = sum(1 << k for k in rest)
-    slots.flags.writeable = rests.flags.writeable = False
-    return slots, rests
+    leftovers = fock.contract_subsets(fock.ladder_moments(state, len(factors)), parts)
+    return _pairing_sum(pair_table("double_time", factors, p).tolist(), leftovers.tolist())
 
 
 def pair_operator_counts(m: int, applications: int) -> dict:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from oscresp import fock, wick
+from oscresp import fock
 from oscresp.fock import (Factor, FockError, OrderedProductSpec,
                           TruncationError, heisenberg_p, heisenberg_q, ladder,
                           make_state, ordered_average, reality_check)
@@ -514,7 +514,7 @@ def test_memoised_tables_are_shared_and_read_only():
     assert ladder(6) is ladder(6)
     tables = [*ladder(6), fock._ladder_roots(12, 4), fock._band_roots(9, 12),
               *fock._diagonal_index(12, 3), *fock._table_gather(12, 3, "normal"),
-              *fock._table_gather(12, 3, "antinormal"), *wick._pairing_index(6)]
+              *fock._table_gather(12, 3, "antinormal")]
     for table in tables:
         with pytest.raises(ValueError):
             table[(0,) * table.ndim] = 0

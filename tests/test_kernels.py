@@ -93,13 +93,13 @@ def test_concurrent_callers_of_the_worker_pool_get_the_results_of_one_caller():
     forward, d_f, d_r = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
                          for _ in range(3))
     expected = reconstruction_residuals(forward, d_f, d_r)
-    rebuilt = reconstruct(d_r)["d_f"]()
+    rebuilt = reconstruct(d_r, "d_f")
     results, errors = [], []
 
     def caller():
         try:
             for _ in range(3):
-                same = np.array_equal(reconstruct(d_r)["d_f"](), rebuilt)
+                same = np.array_equal(reconstruct(d_r, "d_f"), rebuilt)
                 results.append(same and reconstruction_residuals(forward, d_f, d_r) == expected)
         except Exception as exc:       # a thread's exception would be lost: assert below
             errors.append(exc)
@@ -293,10 +293,10 @@ def test_loose_mode_tracks_small_commensurability_jitter():
     dt = 2.0 * np.pi * bin_index / n
     g = make_grid(n, dt * (1.0 + 1e-5))
     kers = osc_kernels(P, g, loose=True)
-    res = np.max(np.abs(reconstruct(kers.d_r.values)["forward"]() - kers.d.values))
+    res = np.max(np.abs(reconstruct(kers.d_r.values, "forward") - kers.d.values))
     assert res < 1e-3
 
     g_far = make_grid(n, 0.1)                    # far off every bin
     kers_far = osc_kernels(P, g_far, loose=True)
-    res_far = np.max(np.abs(reconstruct(kers_far.d_r.values)["forward"]() - kers_far.d.values))
+    res_far = np.max(np.abs(reconstruct(kers_far.d_r.values, "forward") - kers_far.d.values))
     assert 1e-3 < res_far < 1.0                  # degraded but bounded

@@ -17,8 +17,8 @@ from oscresp import fock
 from oscresp.driven import _rk4, causal_window, sin_scenario, step_scenario
 from oscresp.functionals import (ProbeSet, _eta_ladder_coefficients,
                                  charged_substitution_residual, coherent_mean,
-                                 inverse_substitution, moment_residual, phi_in_state,
-                                 predicted_moment, response_substitution)
+                                 gaussian_moments, inverse_substitution, moment_residual,
+                                 phi_in_state, predicted_moment, response_substitution)
 from oscresp.grids import (SampledSignal, frequency_split, half_step, make_grid,
                            split_values, without_zero_nyquist)
 from oscresp.kernels import (RECONSTRUCTED, ChargedModeSet, ModeSet, OscillatorParams,
@@ -163,7 +163,6 @@ def full_rebuilt(forward, d_f, d_r, backward):
         "backward": (adj(minus) - minus,
                      full_swap_reflect(forward) if backward is None else backward),
         "d_f": (plus + adj(minus), d_f),
-        "d_f_dag": (adj(plus) + minus, adj(d_f)),
     }
 
 
@@ -189,8 +188,22 @@ def test_blocked_split_and_residuals_equal_the_full_array_formulas(labels, n, se
     assert tuple(res) == RECONSTRUCTED
     for name, (rebuilt, defined) in full.items():
         assert res[name] == float(np.max(np.abs(rebuilt - defined))), name
-    for name, build in reconstruct(d_r).items():
-        assert same_bits(build(), full[name][0]), name
+    for name in RECONSTRUCTED[1:]:
+        assert same_bits(reconstruct(d_r, name), full[name][0]), name
+
+
+@settings(PROPERTY, max_examples=40)
+@given(families(), seeds)
+def test_the_adjoint_rebuild_of_d_f_has_the_residual_of_d_f(family, seed):
+    # adjoint(P) + M - adjoint(D_F) is the adjoint of P + adjoint(M) - D_F: a
+    # permutation and a conjugation, neither of which rounds
+    forward, d_f, d_r, backward = family
+    rng = np.random.default_rng(seed)
+    d_f = d_f + 1e-3 * (rng.standard_normal(d_f.shape) + 1j * rng.standard_normal(d_f.shape))
+    plus, minus = full_split(d_r)
+    adj = lambda x: np.conj(full_swap_reflect(x))       # noqa: E731
+    dagger = float(np.max(np.abs(adj(plus) + minus - adj(d_f))))
+    assert dagger == reconstruction_residuals(forward, d_f, d_r, backward=backward)["d_f"]
 
 
 @PROPERTY
@@ -296,6 +309,14 @@ def test_one_contraction_equals_the_sum_over_pairings(m, state, data, p):
     factors = [fock.Factor("q", t, branch) for branch, t in labels]
     expected, size = pairing_sum(state, factors, p)
     assert abs(_expansion(state, factors, p) - expected) <= 1e-13 * size
+    # the c-number pairing sum of a random symmetric quad and lin, pair by pair
+    rng = np.random.default_rng(data.draw(seeds))
+    quad = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    quad = quad + quad.T
+    lin = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    terms = [np.prod([quad[i, j] for i, j in pairs] + [lin[k] for k in rest])
+             for pairs, rest in enumerate_pairings(m)]
+    assert abs(gaussian_moments(quad, lin) - sum(terms)) <= 1e-13 * sum(map(abs, terms))
 
 
 @PROPERTY

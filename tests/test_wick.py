@@ -72,6 +72,13 @@ def test_cross_contraction_takes_backward_time_first():
     assert v1 == v2     # normalised to the same argument order
 
 
+def test_normal_ordering_pairs_to_zero_and_other_orderings_are_refused():
+    later, earlier = fock.Factor("q", 0.9), fock.Factor("q", 0.2)
+    assert pair_value("normal", later, earlier, P) == 0.0
+    with pytest.raises(WickError, match="sideways"):
+        pair_value("sideways", later, earlier, P)
+
+
 def test_pair_operator_counts_are_factorials():
     for m, k in [(4, 1), (4, 2), (6, 2), (6, 3)]:
         counts = pair_operator_counts(m, k)
