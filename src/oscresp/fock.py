@@ -12,7 +12,9 @@ Every factor is c*a + d*adag + s, bidiagonal in the number basis, so a
 product of m factors reaches only the diagonals -m..m, and so does its
 trace against rho.  No ordered average forms a dim x dim product.  Plain
 and contour-ordered products are built as bands (``_band_step``) and
-traced against those diagonals of rho (``_diagonals``).  Normal,
+traced against those diagonals of rho (``_diagonals``), taken over dim + m
+levels with rho zero past its own, so no product reaches an artificial top
+level and every average is exact for the given rho.  Normal,
 antinormal and symmetric (Weyl) products contract the coefficients of the
 factors' a / adag / identity parts with one table of ordered ladder
 moments per ordering (``ladder_moments``), read from the same diagonals;
@@ -28,6 +30,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -47,7 +50,7 @@ class FockError(ValueError):
 
 
 class TruncationError(FockError):
-    """The truncated basis cannot represent the requested state."""
+    """The truncated basis cannot represent the requested state (``make_state`` only)."""
 
 
 def ladder(dim: int):
@@ -133,8 +136,11 @@ def make_state(kind: str, dim: int, *, alpha: complex = 0.0, n: int = 0,
     weight exceeds 1e-10 the truncation is refused rather than silently
     degraded.  A coherent state with |alpha|^2 >= dim loses more than
     that (its Poisson weight past the mean), so it is refused before its
-    amplitudes, which could overflow, are formed.
+    amplitudes are formed.  Sizes and levels must be integers.
     """
+    for name, value in (("dim", dim), ("n", n)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise FockError(f"{name} must be an integer, got {value!r}")
     if dim < 2:
         raise FockError("need dim >= 2")
     if not (cmath.isfinite(alpha) and math.isfinite(nbar)):
@@ -150,11 +156,12 @@ def make_state(kind: str, dim: int, *, alpha: complex = 0.0, n: int = 0,
         if abs(alpha) >= math.sqrt(dim):
             raise TruncationError(f"coherent(alpha={alpha}) has mean occupation "
                                   f"|alpha|^2 >= dim={dim}")
-        amps = np.zeros(dim, dtype=complex)
-        amps[0] = 1.0
-        for k in range(1, dim):
-            amps[k] = amps[k - 1] * alpha / math.sqrt(k)
-        amps *= np.exp(-abs(alpha) ** 2 / 2.0)
+        # alpha^k / sqrt(k!) e^{-|alpha|^2/2} in log space, where alpha^k alone overflows;
+        # at alpha = 0 only 0^0 = 1 survives
+        k = np.arange(dim)
+        log_power = k * math.log(abs(alpha)) if alpha else np.where(k, -np.inf, 0.0)
+        log_size = log_power - 0.5 * np.array([math.lgamma(j + 1.0) for j in k])
+        amps = np.exp(log_size - abs(alpha) ** 2 / 2.0 + 1j * cmath.phase(alpha) * k)
         norm2 = float(np.vdot(amps, amps).real)
         deficit = 1.0 - norm2
         if deficit > NORM_DEFICIT_LIMIT:
@@ -178,18 +185,6 @@ def make_state(kind: str, dim: int, *, alpha: complex = 0.0, n: int = 0,
 def expectation(state: FockState, op: np.ndarray) -> complex:
     """Tr[rho O] as the elementwise sum of rho * O^T."""
     return complex((state.rho * op.T).sum())
-
-
-def require_headroom(state: FockState, m: int) -> None:
-    """Refuse m factors when levels >= dim - m hold over NORM_DEFICIT_LIMIT.
-
-    m raising operators would lift those levels past the truncated basis.
-    """
-    spill = float(state.rho.diagonal()[max(state.dim - m, 0):].real.sum())
-    if spill > NORM_DEFICIT_LIMIT:
-        raise TruncationError(
-            f"{spill:.3e} of the state sits at levels >= {state.dim - m}, which a "
-            f"product of {m} factors lifts past the truncated basis of {state.dim}")
 
 
 # -- ordered products -----------------------------------------------------------
@@ -261,14 +256,17 @@ def _diagonal_index(dim: int, m: int):
 
 
 def _diagonals(rho: np.ndarray, m: int) -> np.ndarray:
-    """R[m+k, i] = rho[i+k, i] for k = -m..m, zero where i+k leaves the basis.
+    """R[m+k, i] = rho[i+k, i] for k = -m..m over dim + m levels, zero past rho.
 
-    With band(P)[m+k, i] = P[i, i+k], Tr[rho P] = sum(band(P) * R).
+    With band(P)[m+k, i] = P[i, i+k], Tr[rho P] = sum(band(P) * R).  A path
+    of m ladder steps between levels below dim never climbs past
+    dim - 1 + m/2, so products on these dim + m levels never meet an
+    artificial top level.
     """
     dim = rho.shape[0]
-    padded = np.zeros((dim + 2 * m, dim), dtype=complex)
-    padded[m:m + dim] = rho
-    return padded[_diagonal_index(dim, m)]
+    padded = np.zeros((dim + 3 * m, dim + m), dtype=complex)
+    padded[m:m + dim, :dim] = rho
+    return padded[_diagonal_index(dim + m, m)]
 
 
 @functools.lru_cache
@@ -299,11 +297,12 @@ def _band_step(band: np.ndarray, c: complex, d: complex, s: complex) -> np.ndarr
 def _product_average(rho: np.ndarray, parts) -> complex:
     """Tr[rho F_1 ... F_m] for factors F = (c, d, s), leftmost first."""
     m = len(parts)
-    band = np.zeros((2 * m + 1, rho.shape[0]), dtype=complex)
+    diagonals = _diagonals(rho, m)
+    band = np.zeros_like(diagonals)
     band[m] = 1.0
     for c, d, s in reversed(parts):
         band = _band_step(band, c, d, s)
-    return complex((band * _diagonals(rho, m)).sum())
+    return complex((band * diagonals).sum())
 
 
 @functools.lru_cache
@@ -450,7 +449,6 @@ def ordered_average(state: FockState, spec: OrderedProductSpec,
     ``ladder_moments`` table by ``contract_moments``.
     """
     factors = spec.factors
-    require_headroom(state, len(factors))
     parts = [_factor_parts(f, p, spec.shift) for f in factors]
     if spec.ordering in _TABLE_ORDERINGS:
         return contract_moments(ladder_moments(state, len(parts), spec.ordering), parts)

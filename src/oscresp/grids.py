@@ -127,18 +127,25 @@ class SampledSignal:
 
     @classmethod
     def from_record(cls, rec: dict):
-        """Inverse of ``to_record``; a non-finite sample is refused."""
-        grid = TimeGrid(n=int(rec["n"]), dt=float(rec["dt"]), t0=float(rec["t0"]))
-        values = np.array([complex(re, im) for re, im in rec["values"]])
+        """Inverse of ``to_record``; a malformed record or non-finite sample is refused."""
+        try:
+            n, dt, t0 = int(rec["n"]), float(rec["dt"]), float(rec["t0"])
+            values = np.array([complex(re, im) for re, im in rec["values"]])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise GridError(f"malformed signal record: {exc!r}") from exc
         if not np.all(np.isfinite(values)):
             raise GridError("samples read from a file must be finite")
-        return cls(grid, values)
+        return cls(TimeGrid(n=n, dt=dt, t0=t0), values)
 
     @classmethod
     def read_json(cls, path):
         """Read a file written by ``write_json``."""
         with open(path, encoding="utf-8") as fh:
-            return cls.from_record(json.load(fh))
+            try:
+                rec = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise GridError(f"{path} is not JSON: {exc}") from exc
+        return cls.from_record(rec)
 
     @classmethod
     def read_csv(cls, path):
@@ -149,14 +156,17 @@ class SampledSignal:
         """
         with open(path, newline="", encoding="utf-8") as fh:
             body = list(csv.reader(fh))[1:]
-        t = np.array([float(r[1]) for r in body])
+        try:
+            t = np.array([float(r[1]) for r in body])
+            values = [(float(r[2]), float(r[3])) for r in body]
+        except (IndexError, ValueError) as exc:
+            raise GridError(f"malformed CSV row: {exc!r}") from exc
         if len(t) < 2 or not np.all(np.isfinite(t)):
             raise GridError("CSV must hold at least two samples at finite times")
         mean_step = (t[-1] - t[0]) / (len(t) - 1)
         ulps = np.array(sorted(range(-4, 5), key=abs))
         for dt in (mean_step.view(np.int64) + ulps).view(np.float64):
             if np.array_equal(t[0] + dt * np.arange(len(t)), t):
-                values = [(float(r[2]), float(r[3])) for r in body]
                 return cls.from_record({"n": len(t), "dt": dt, "t0": t[0], "values": values})
         raise GridError("CSV times do not lie on a uniform grid")
 

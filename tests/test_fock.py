@@ -83,6 +83,15 @@ def test_make_state_families():
         make_state("fock", 4, n=7)
     with pytest.raises(FockError):
         make_state("squeezed", 4)
+    assert make_state("fock", np.int64(6), n=np.int32(3)).rho[3, 3] == 1.0
+
+
+def test_coherent_amplitudes_far_up_the_basis_do_not_overflow():
+    # alpha^k passes the float range near k = 190 at alpha = 40; a warning would fail
+    state = make_state("coherent", 2000, alpha=40)
+    assert np.trace(state.rho).real == pytest.approx(1.0, abs=1e-12)
+    assert fock.ladder_moments(state, 1)[0, 1] == pytest.approx(40, rel=1e-12)
+    assert np.array_equal(make_state("coherent", 20, alpha=0).rho, make_state("vacuum", 20).rho)
 
 
 NAN, INF = float("nan"), float("inf")
@@ -96,10 +105,15 @@ NAN, INF = float("nan"), float("inf")
     lambda: fock.FockState(np.full((3, 3), NAN)),
     lambda: Factor("q", NAN),
     lambda: Factor("p", -INF),
+    lambda: make_state("fock", 10, n=True),
+    lambda: make_state("fock", 10, n=2.5),
+    lambda: make_state("vacuum", 40.0),
+    lambda: make_state("vacuum", True),
 ], ids=["coherent-nan", "coherent-inf", "thermal-nan", "thermal-inf", "rho-nan",
-        "factor-nan", "factor-inf"])
+        "factor-nan", "factor-inf", "level-bool", "level-float", "dim-float", "dim-bool"])
 def test_non_finite_inputs_are_refused(build):
-    # refused before any arithmetic: a numpy warning would fail the test
+    # refused before any arithmetic: a numpy warning would fail the test; a bool or
+    # float size or level is no integer, even where numpy would index with it
     with pytest.raises(FockError):
         build()
 
@@ -126,17 +140,34 @@ def test_non_finite_shift_is_refused(ordering, bad):
             factors, ordering, SampledSignal(grid, values)), P)
 
 
+def zero_padded(state, levels):
+    """The same density matrix in a basis larger by `levels`, zero on the new levels."""
+    rho = np.zeros((state.dim + levels,) * 2, dtype=complex)
+    rho[:state.dim, :state.dim] = state.rho
+    return fock.FockState(rho)
+
+
 @pytest.mark.parametrize("ordering", fock.ORDERINGS)
-def test_truncation_too_small_for_the_product_is_refused(ordering):
-    # m factors lift fock(n) to level n + m, which must sit below dim
-    for n, m in [(39, 2), (38, 2), (38, 4), (36, 4)]:
-        spec = OrderedProductSpec(tuple(("q", 0.1 * k, "plus") for k in range(m)), ordering)
-        with pytest.raises(TruncationError):
-            ordered_average(make_state("fock", 40, n=n), spec, P)
-    # the plain pair still fits: <n| q(0) q(t) |n> = [(2n + 1) cos t + i sin t] / 2
-    plain = OrderedProductSpec((("q", 0.0), ("q", 0.1)), "plain")
-    value = ordered_average(make_state("fock", 40, n=37), plain, P)
-    assert value == pytest.approx((75 * math.cos(0.1) + 1j * math.sin(0.1)) / 2, abs=1e-12)
+def test_products_past_the_top_of_the_basis_are_exact(ordering):
+    # m factors lift fock(n) to level n + m, past the basis of 40: every average must
+    # still be that of the same state zero-padded by m levels
+    rng = np.random.default_rng(0)
+    states = [make_state("thermal", 40, nbar=0.6)] + [
+        make_state("fock", 40, n=n) for n in range(36, 40)]
+    for state, m in product(states, range(fock.MAX_FACTORS + 1)):
+        factors = tuple((obs, t, branch) for obs, t, branch in zip(
+            rng.choice(["q", "p"], m), rng.uniform(-3.0, 3.0, m),
+            rng.choice(["plus", "minus"], m)))
+        spec = OrderedProductSpec(factors, ordering, lambda t: 0.3 - 0.2j * t)
+        expected = ordered_average(zero_padded(state, m), spec, P)
+        assert abs(ordered_average(state, spec, P) - expected) <= 1e-14 * abs(expected)
+    if ordering == "plain":
+        # <n| q(0) q(t) |n> = [(2n + 1) cos t + i sin t] / 2
+        pair = OrderedProductSpec((("q", 0.0), ("q", 0.1)), "plain")
+        for n in range(36, 40):
+            value = ordered_average(make_state("fock", 40, n=n), pair, P)
+            closed = ((2 * n + 1) * math.cos(0.1) + 1j * math.sin(0.1)) / 2
+            assert value == pytest.approx(closed, rel=1e-15)
 
 
 def test_double_time_two_point_orderings():

@@ -291,6 +291,24 @@ def test_readers_refuse_non_finite_samples_and_uneven_times(tmp_path):
     with pytest.raises(GridError):
         SampledSignal.read_csv(path)
 
+    # malformed input: a short row, a non-numeric field, a record with no t0, no JSON
+    write_csv(s, path)
+    good = path.read_text().splitlines()
+    short, word = good[4].rsplit(",", 1)[0], good[6].rsplit(",", 2)[0] + ",one,0"
+    for row, line in ((4, short), (6, word)):           # each keeps its grid time
+        path.write_text("\n".join(good[:row] + [line] + good[row + 1:]) + "\n")
+        with pytest.raises(GridError):
+            SampledSignal.read_csv(path)
+    rec = to_record(s)
+    del rec["t0"]
+    with pytest.raises(GridError):
+        Kernel.from_record(rec)
+    path = tmp_path / "sig.json"
+    for text in (json.dumps(rec), "{"):
+        path.write_text(text)
+        with pytest.raises(GridError):
+            SampledSignal.read_json(path)
+
 
 def test_signal_arithmetic_and_value_lookup():
     g = make_grid(8, 0.5)

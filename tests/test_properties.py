@@ -5,8 +5,6 @@ database is written, so every run checks the same cases.  Sample values
 come from a numpy generator seeded by the drawn integer.
 """
 
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -27,7 +25,7 @@ from oscresp.kernels import (RECONSTRUCTED, ChargedModeSet, ModeSet, OscillatorP
                              reconstruction_residuals, time_order)
 from oscresp.wick import _expansion, enumerate_pairings, pair_value, verify_wick
 from test_driven import stage_loop_rk4
-from test_fock import dense_average, oracle_matrices
+from test_fock import dense_average, oracle_matrices, zero_padded
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=25)
 
@@ -266,7 +264,7 @@ branches = st.sampled_from(("plus", "minus"))
 
 
 @PROPERTY
-@given(fock_states(headroom=8, least=12),
+@given(fock_states(headroom=0, least=2),
        st.lists(st.tuples(branches, times), min_size=1, max_size=8),
        st.builds(OscillatorParams, near_one, near_one, near_one))
 def test_wick_expansion_on_random_states(state, factors, p):
@@ -297,7 +295,7 @@ wick_states = st.one_of(
               st.integers(30, 40), st.floats(0.0, 0.5)),
     st.builds(lambda dim, n: fock.make_state("fock", dim, n=n),
               st.integers(12, 40), st.integers(0, 3)),
-    fock_states(headroom=8, least=12),
+    fock_states(headroom=0, least=2),
 )
 
 
@@ -356,14 +354,10 @@ def test_every_ordered_moment_matches_its_prediction(spec, alpha):
 
 
 @st.composite
-def random_products(draw, headroom=True, most=40):
-    """(state, spec): q and p factors in any ordering, on a random state.
-
-    With headroom the state's support lies inside dim - m, as ordered_average
-    requires; without it the state fills the whole truncated basis.
-    """
+def random_products(draw):
+    """(state, spec): q and p factors in any ordering, on a state of full support."""
     m = draw(st.integers(0, fock.MAX_FACTORS))
-    state = draw(fock_states(headroom=m if headroom else 0, least=max(2, m + 1), most=most))
+    state = draw(fock_states(headroom=0, least=2, most=40))
     ordering = draw(st.sampled_from(fock.ORDERINGS))
     branch = branches if ordering == "double_time" else st.none()
     factors = draw(st.lists(st.tuples(st.sampled_from("qp"), times, branch),
@@ -388,20 +382,12 @@ def term_scale(state, spec):
 @settings(PROPERTY, max_examples=100)
 @given(random_products())
 def test_banded_oracle_matches_the_dense_oracle(case):
+    # the dense products run on the state zero-padded by m levels, where no product
+    # reaches the top level: the banded oracle must be exact for the state it is given
     state, spec = case
+    padded = zero_padded(state, len(spec.factors))
     value = fock.ordered_average(state, spec, OscillatorParams())
-    assert abs(value - dense_average(state, spec)) <= 1e-14 * term_scale(state, spec)
-
-
-@settings(PROPERTY, max_examples=50)
-@given(random_products(headroom=False, most=12))
-def test_banded_oracle_keeps_the_truncated_products_on_full_support(case):
-    # past the headroom the truncated a, adag no longer obey [a, adag] = 1; with the
-    # headroom refusal lifted, the banded forms must still give the dense truncated products
-    state, spec = case
-    with mock.patch.object(fock, "require_headroom", lambda state, m: None):
-        value = fock.ordered_average(state, spec, OscillatorParams())
-    assert abs(value - dense_average(state, spec)) <= 1e-14 * term_scale(state, spec)
+    assert abs(value - dense_average(padded, spec)) <= 1e-14 * term_scale(padded, spec)
 
 
 @PROPERTY
