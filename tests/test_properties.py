@@ -390,6 +390,20 @@ def test_banded_oracle_matches_the_dense_oracle(case):
     assert abs(value - dense_average(padded, spec)) <= 1e-14 * term_scale(padded, spec)
 
 
+@settings(PROPERTY, max_examples=50)
+@given(random_products())
+def test_banded_oracle_keeps_the_truncated_products_on_full_support(case):
+    # a state that fills its basis is the same density matrix as that state zero-padded
+    # by any number of levels, so the banded oracle must give both one average
+    state, spec = case
+    m = len(spec.factors)
+    scale = term_scale(zero_padded(state, m), spec)
+    value = fock.ordered_average(state, spec, OscillatorParams())
+    for levels in (1, m + 1):
+        padded = fock.ordered_average(zero_padded(state, levels), spec, OscillatorParams())
+        assert abs(value - padded) <= 1e-14 * scale
+
+
 @PROPERTY
 @given(st.sampled_from((step_scenario, sin_scenario)), positive, positive, sizes,
        st.floats(0.005, 2.5), st.floats(-10.0, 10.0), st.floats(0.0, 0.999))
