@@ -27,8 +27,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import fock
-from .grids import (Kernel, SampledSignal, _require_same_grid, circular_convolve,
-                    frequency_split, kernel_adjoint, zero_nyquist_fraction)
+from .grids import (Kernel, SampledSignal, _require_same_grid, frequency_split,
+                    kernel_adjoint, zero_nyquist_fraction)
 from .kernels import ChargedKernels, OscKernels, OscillatorParams, reconstruct
 from .wick import _pairing_sum, pair_table
 
@@ -99,21 +99,27 @@ class ProbeSet:
 # -- quadratic forms and the vacuum functional -----------------------------------
 
 def quad_form(f: SampledSignal, k: Kernel, g: SampledSignal) -> complex:
-    """dt^2 * sum_{t,t'} f(t) k(t - t') g(t'); f, k and g must share one grid."""
+    """dt^2 * sum_{t,t'} f(t) k(t - t') g(t'); f, k and g must share one grid.
+
+    Summed over bins by Parseval, dt^2/n * sum_k F[-k] K0[k] G[k], with F
+    and G the spectra of f and g and K0 the zero-based spectrum of k, so
+    no inverse transform is made.
+    """
     _require_same_grid(f, k)
-    conv = circular_convolve(k, g)
-    return complex(f.grid.dt * np.sum(f.values * conv.values))
+    _require_same_grid(k, g)
+    n, dt = f.grid.n, f.grid.dt
+    f_spec = f._spectrum
+    kg = k._zero_based_spectrum * g._spectrum
+    return complex(dt * dt / n * (f_spec[0] * kg[0] + np.dot(f_spec[:0:-1], kg[1:])))
 
 
 def log_phi_vac_quadratic(ps: ProbeSet, kers: OscKernels) -> complex:
     """log of the vacuum functional as a quadratic form of contractions."""
-    hbar = ps.hbar
-    d_f_conj = kers.d_f.conj()
-    return 1j * hbar * (
-        -0.5 * quad_form(ps.eta_plus, kers.d_f, ps.eta_plus)
-        + 0.5 * quad_form(ps.eta_minus, d_f_conj, ps.eta_minus)
-        + quad_form(ps.eta_minus, kers.d, ps.eta_plus)
-    )
+    forward = quad_form(ps.eta_plus, kers.d_f, ps.eta_plus)
+    # d_f holds its spectrum now, so its conjugate is made with one, untransformed
+    backward = quad_form(ps.eta_minus, kers.d_f.conj(), ps.eta_minus)
+    return 1j * ps.hbar * (-0.5 * forward + 0.5 * backward
+                           + quad_form(ps.eta_minus, kers.d, ps.eta_plus))
 
 
 def phi_vac_quadratic(ps: ProbeSet, kers: OscKernels) -> complex:

@@ -8,6 +8,16 @@ a sampled function into its frequency-positive and frequency-negative
 parts (time dependence exp(-i w t) with w > 0, resp. w < 0) is done bin
 by bin in the DFT, with the zero and Nyquist bins shared half/half so
 that plus + minus reproduces the input exactly.
+
+A signal lives in two domains: its samples (``values``) and its spectrum
+fft(values).  It is made in one of them, or in both, and the other is
+made from it once, on first read; both are read-only.  The public
+constructor takes samples.  ``frequency_split``, ``without_zero_nyquist``
+and ``circular_convolve`` are bin-by-bin products, so they make their
+results from a spectrum and leave the inverse transform to the first
+reader of ``values``.  Arithmetic, ``conj`` and ``kernel_adjoint`` follow
+one rule: the result is made in every domain that all operands hold, and
+operands that hold no domain in common meet in the spectrum.
 """
 
 from __future__ import annotations
@@ -99,28 +109,42 @@ class SampledSignal:
     def __post_init__(self):
         object.__setattr__(self, "values", _as_values(self.values, self.grid.n))
 
+    @classmethod
+    def _made(cls, grid: TimeGrid, values=None, spectrum=None):
+        """A signal from fresh samples, a fresh spectrum or both, kept read-only without a copy."""
+        out = object.__new__(cls)
+        out.__dict__["grid"] = grid
+        for name, array in (("values", values), ("_spectrum", spectrum)):
+            if array is not None:
+                array.flags.writeable = False
+                out.__dict__[name] = array
+        return out
+
     def __add__(self, other):
         _require_same_grid(self, other)
-        return type(self)(self.grid, self.values + other.values)
+        return _derive(type(self), np.add, np.add, self, other)
 
     def __sub__(self, other):
         _require_same_grid(self, other)
-        return type(self)(self.grid, self.values - other.values)
+        return _derive(type(self), np.subtract, np.subtract, self, other)
 
     def __mul__(self, scalar):
-        return type(self)(self.grid, self.values * scalar)
+        def scale(a):
+            return a * scalar
+        return _derive(type(self), scale, scale, self)
 
     __rmul__ = __mul__
 
     def conj(self):
-        return type(self)(self.grid, np.conj(self.values))
+        # conj(values) has the spectrum conj(spectrum[-k])
+        return _derive(type(self), np.conj, lambda spec: np.conj(reflect_values(spec)), self)
 
     def value_at(self, t: float) -> complex:
         return complex(self.values[self.grid.index_of(t)])
 
     @functools.cached_property
     def _spectrum(self) -> np.ndarray:
-        """fft(values), made on first use and read-only; a new signal makes its own."""
+        """fft(values), made on first read and read-only."""
         spec = np.fft.fft(self.values)
         spec.flags.writeable = False
         return spec
@@ -171,6 +195,38 @@ class SampledSignal:
         raise GridError("CSV times do not lie on a uniform grid")
 
 
+class _SamplesFromSpectrum:
+    """``values`` of a signal made from its spectrum: ifft(spectrum) on first read, then kept.
+
+    Samples given to the constructor sit in the instance and shadow it, so
+    ``values`` stays an ordinary dataclass field.
+    """
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        values = np.fft.ifft(obj._spectrum)
+        values.flags.writeable = False
+        obj.__dict__["values"] = values
+        return values
+
+
+SampledSignal.values = _SamplesFromSpectrum()
+
+
+def _derive(cls, fn, spectral_fn, *operands):
+    """A cls made by fn over the operands' samples and spectral_fn over their spectra.
+
+    It is made in each domain that every operand holds; operands that hold
+    no domain in common meet in the spectrum.
+    """
+    samples = all("values" in vars(x) for x in operands)
+    spectrum = not samples or all("_spectrum" in vars(x) for x in operands)
+    return cls._made(operands[0].grid,
+                     fn(*(x.values for x in operands)) if samples else None,
+                     spectral_fn(*(x._spectrum for x in operands)) if spectrum else None)
+
+
 @dataclass(frozen=True, eq=False)
 class Kernel(SampledSignal):
     """Samples of a two-point kernel as a function of tau on the grid."""
@@ -184,10 +240,23 @@ class Kernel(SampledSignal):
 
     @functools.cached_property
     def _zero_based_spectrum(self) -> np.ndarray:
-        """fft of the zero-based samples, entry m holding k(m * dt mod period); read-only."""
-        spec = np.fft.fft(np.roll(self.values, -(self.grid.n // 2)))
+        """fft of the zero-based samples, entry m holding k(m * dt mod period); read-only.
+
+        Moving the samples by n/2 multiplies bin k by exp(i pi k) = (-1)^k,
+        exactly, since n is even.
+        """
+        spec = self._spectrum * _alternating(self.grid.n)
         spec.flags.writeable = False
         return spec
+
+
+@functools.lru_cache
+def _alternating(n: int) -> np.ndarray:
+    """(-1)^k over n bins, read-only."""
+    signs = np.ones(n)
+    signs[1::2] = -1.0
+    signs.flags.writeable = False
+    return signs
 
 
 def _require_same_grid(a, b) -> None:
@@ -322,29 +391,24 @@ def _split_masks(n: int):
     return plus, minus
 
 
-def split_values(values: np.ndarray, *, spectrum=None):
+def split_values(values: np.ndarray):
     """(plus, minus) frequency parts of samples along the last axis.
 
     Each part is ifft(fft(values) * mask), with the ``half_step`` mask or
     its complement, transformed block by block (``_each_block``) in place
     in the two complex outputs, so no full-size spectrum is made.  Every
     row is transformed on its own, so the parts do not depend on the
-    blocking.  A caller that already holds fft(values) along the last axis
-    passes it as spectrum, and it is read in place of the forward transform.
+    blocking.
     """
     values = np.asarray(values)
     plus = np.empty(values.shape, complex)
     minus = np.empty(values.shape, complex)
     mask_plus, mask_minus = _split_masks(values.shape[-1])
     src, out_plus, out_minus = _label_blocks(values), _label_blocks(plus), _label_blocks(minus)
-    known = None if spectrum is None else _label_blocks(spectrum)
 
     def split_block(s):
         p, m = out_plus[s], out_minus[s]
-        if known is None:
-            np.fft.fft(src[s], axis=-1, out=p)
-        else:
-            p[...] = known[s]
+        np.fft.fft(src[s], axis=-1, out=p)
         np.multiply(p, mask_minus, out=m)
         np.multiply(p, mask_plus, out=p)
         np.fft.ifft(p, axis=-1, out=p)
@@ -355,9 +419,11 @@ def split_values(values: np.ndarray, *, spectrum=None):
 
 
 def frequency_split(s):
-    """Split a signal or kernel into (plus, minus) frequency parts, from its spectrum."""
-    plus, minus = split_values(s.values, spectrum=s._spectrum)
-    return type(s)(s.grid, plus), type(s)(s.grid, minus)
+    """Split a signal or kernel into (plus, minus) frequency parts, made from its spectrum."""
+    mask_plus, mask_minus = _split_masks(s.grid.n)
+    spec = s._spectrum
+    return (type(s)._made(s.grid, spectrum=spec * mask_plus),
+            type(s)._made(s.grid, spectrum=spec * mask_minus))
 
 
 def zero_nyquist_fraction(s) -> float:
@@ -376,11 +442,10 @@ def zero_nyquist_fraction(s) -> float:
 
 def without_zero_nyquist(s):
     """Remove the zero and Nyquist bin content from a signal."""
-    n = s.grid.n
     spec = s._spectrum.copy()
     spec[0] = 0.0
-    spec[n // 2] = 0.0
-    return type(s)(s.grid, np.fft.ifft(spec))
+    spec[s.grid.n // 2] = 0.0
+    return type(s)._made(s.grid, spectrum=spec)
 
 
 # -- convolution and kernel conjugation --------------------------------------
@@ -388,8 +453,7 @@ def without_zero_nyquist(s):
 def circular_convolve(k: Kernel, s: SampledSignal) -> SampledSignal:
     """out(t) = dt * sum_t' k(t - t') s(t'), with periodic index wrap."""
     _require_same_grid(k, s)
-    out = k.grid.dt * np.fft.ifft(k._zero_based_spectrum * s._spectrum)
-    return SampledSignal(s.grid, out)
+    return SampledSignal._made(s.grid, spectrum=k.grid.dt * (k._zero_based_spectrum * s._spectrum))
 
 
 def adjoint(values: np.ndarray) -> np.ndarray:
@@ -402,8 +466,8 @@ def adjoint(values: np.ndarray) -> np.ndarray:
 
 
 def kernel_adjoint(k: Kernel) -> Kernel:
-    """Hermitian conjugate of a c-number kernel: conj(k(-tau))."""
-    return Kernel(k.grid, adjoint(k.values))
+    """Hermitian conjugate of a c-number kernel: conj(k(-tau)), whose spectrum is conj(spectrum)."""
+    return _derive(Kernel, adjoint, np.conj, k)
 
 
 # -- serialization ------------------------------------------------------------

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from oscresp import grids
+from oscresp.functionals import ProbeSet, phi_vac_quadratic, phi_vac_response, quad_form
 from oscresp.grids import (GridError, Kernel, SampledSignal, TimeGrid,
                            circular_convolve, frequency_split, half_step, kernel_adjoint,
                            make_grid, reflect_values, to_record, without_zero_nyquist,
                            write_csv, write_json, zero_nyquist_fraction)
+from oscresp.kernels import OscillatorParams, osc_kernels
 
 
 def random_signal(grid, rng, clean=False):
@@ -329,58 +331,130 @@ def test_a_spectrum_is_made_once_read_only_and_equal_to_the_transform():
     assert "_spectrum" not in vars(s)
     assert np.array_equal(s._spectrum, np.fft.fft(s.values))
     assert s._spectrum is s._spectrum
-    assert np.array_equal(k._zero_based_spectrum, np.fft.fft(np.roll(k.values, -32)))
     for spec in (s._spectrum, k._spectrum, k._zero_based_spectrum, *grids._split_masks(64)):
         assert not spec.flags.writeable
         with pytest.raises(ValueError):
             spec[0] = 0.0
 
 
+# a spectrum made by a derived operation sits within ULPS eps of its largest
+# bin of fft(values); 2.5 is the worst seen over n = 4 to 4096
+ULPS = 8
+
+
+def within_rounding(spec, expected):
+    return np.max(np.abs(spec - expected)) <= ULPS * np.finfo(float).eps * np.max(np.abs(spec))
+
+
+@pytest.mark.parametrize("n", [4, 8, 256, 1024])
+def test_the_zero_based_spectrum_is_the_spectrum_times_alternating_signs(n):
+    rng = np.random.default_rng(n + 1)
+    g = make_grid(n, 0.05)
+    signs = np.where(np.arange(n) % 2, -1.0, 1.0)
+    made = Kernel(g, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    for k in (made, frequency_split(made)[0], kernel_adjoint(frequency_split(made)[1])):
+        spec = k._zero_based_spectrum
+        assert spec.tobytes() == (k._spectrum * signs).tobytes()
+        assert within_rounding(spec, np.fft.fft(np.roll(k.values, -(n // 2))))
+
+
 def test_each_signal_is_transformed_once():
     rng = np.random.default_rng(13)
-    g = make_grid(32, 0.2)
+    g = make_grid(32, 2.0 * np.pi * 4 / 32)     # omega0 = 1 on bin 4
     s = random_signal(g, rng)
     k = Kernel(g, rng.standard_normal(32) + 1j * rng.standard_normal(32))
-    with mock.patch.object(np.fft, "fft", wraps=np.fft.fft) as fft:
+    with (mock.patch.object(np.fft, "fft", wraps=np.fft.fft) as fft,
+          mock.patch.object(np.fft, "ifft", wraps=np.fft.ifft) as ifft):
         for _ in range(3):
             frequency_split(s), circular_convolve(k, s)
             zero_nyquist_fraction(s), without_zero_nyquist(s)
-    assert fft.call_count == 2      # the spectrum of s and the zero-based one of k
+        assert fft.call_count == 2      # the spectra of s and of k
+        assert ifft.call_count == 0     # no result's samples were read
+
+        # the vacuum functional in both forms, on clean probes: one forward
+        # transform per kernel, none of a probe or of a substitution image
+        kers = osc_kernels(OscillatorParams(), g)
+        probes = ProbeSet(random_signal(g, rng, clean=True), random_signal(g, rng, clean=True))
+        fft.reset_mock()
+        for _ in range(2):
+            phi_vac_quadratic(probes, kers), phi_vac_response(probes, kers.d_r)
+        assert fft.call_count == 3      # d_f, d and d_r
+        assert ifft.call_count == 0
+
+        # the adjoint and conjugate of a kernel that holds its spectrum are
+        # made with theirs, so a quadratic form of them transforms nothing
+        fft.reset_mock()
+        for kernel in (k, frequency_split(k)[0]):
+            for derived in (kernel_adjoint(kernel), kernel.conj()):
+                quad_form(s, derived, s)
+        assert fft.call_count == 0
+        assert ifft.call_count == 0
 
 
-def test_derived_signals_make_their_own_spectrum():
+def test_derived_signals_keep_the_domains_of_their_operands():
     rng = np.random.default_rng(12)
     g = make_grid(32, 0.2)
     s = random_signal(g, rng)
     k = Kernel(g, rng.standard_normal(32) + 1j * rng.standard_normal(32))
-    s._spectrum, k._spectrum, k._zero_based_spectrum    # made before deriving
-    derived = [s + s, s - k, 2.0 * s, s * 1j, s.conj(), k.conj(), k + k, kernel_adjoint(k),
-               without_zero_nyquist(s), *frequency_split(s), *frequency_split(k)]
-    for d in derived:
-        assert "_spectrum" not in vars(d) and "_zero_based_spectrum" not in vars(d)
-        assert np.array_equal(d._spectrum, np.fft.fft(d.values))
-        if isinstance(d, Kernel):
-            assert np.array_equal(d._zero_based_spectrum, np.fft.fft(np.roll(d.values, -16)))
+    plus, minus = frequency_split(random_signal(g, rng))
+
+    def domains(d):
+        return "values" in vars(d), "_spectrum" in vars(d)
+
+    # samples meet samples in the samples, with the bits of the plain operations
+    for d, expected in ((s + s, s.values + s.values), (s - k, s.values - k.values),
+                        (2.0 * s, 2.0 * s.values), (s * 1j, s.values * 1j),
+                        (s.conj(), np.conj(s.values)),
+                        (kernel_adjoint(k), np.conj(reflect_values(k.values)))):
+        assert domains(d) == (True, False)
+        assert d.values.tobytes() == expected.tobytes()
+    assert type(kernel_adjoint(s)) is Kernel and type(k + s) is Kernel
+    # spectra meet spectra, and samples meet a spectrum in the spectrum
+    for d in (plus + minus, plus - minus, 2.0 * plus, plus.conj(), kernel_adjoint(plus),
+              s + plus, minus - s, without_zero_nyquist(s), circular_convolve(k, s)):
+        assert domains(d) == (False, True)
+    # an operand that holds both domains passes both on, each with exact bits
+    spec = k._spectrum
+    for d, values, spectrum in (
+            (k.conj(), np.conj(k.values), np.conj(reflect_values(spec))),
+            (kernel_adjoint(k), np.conj(reflect_values(k.values)), np.conj(spec)),
+            (3.0 * k, 3.0 * k.values, 3.0 * spec),
+            (k + k, k.values + k.values, spec + spec)):
+        assert domains(d) == (True, True)
+        assert d.values.tobytes() == values.tobytes()
+        assert d._spectrum.tobytes() == spectrum.tobytes()
 
 
 @pytest.mark.parametrize("n", [4, 8, 256, 1024])
-def test_split_and_convolution_from_spectra_keep_the_bits_of_the_transforms(n):
+def test_spectrum_made_signals_are_within_rounding_of_the_transforms(n):
     rng = np.random.default_rng(n)
     g = make_grid(n, 0.05)
     s = random_signal(g, rng)
     k = Kernel(g, rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    spec = np.fft.fft(s.values)
+    spec, kspec = np.fft.fft(s.values), np.fft.fft(k.values)
+    plus, minus = frequency_split(s)
+    derived = [plus, minus, *frequency_split(k), without_zero_nyquist(s), circular_convolve(k, s),
+               plus + minus, plus - s, (0.5 - 2j) * plus, plus.conj(), kernel_adjoint(plus)]
+    for d in derived:
+        assert "values" not in vars(d)
+        held = d._spectrum
+        with mock.patch.object(np.fft, "ifft", wraps=np.fft.ifft) as ifft:
+            values = d.values
+            assert d.values is values
+        assert ifft.call_count == 1
+        assert values.tobytes() == np.fft.ifft(held).tobytes()
+        assert not values.flags.writeable and not held.flags.writeable
+        assert within_rounding(held, np.fft.fft(values))
+    # the split parts, the convolution and the cleaned signal are bin-by-bin
+    # products of the spectra, bit for bit
     mask = half_step(n)
-    split = (np.fft.ifft(spec * mask), np.fft.ifft(spec * (1.0 - mask)))
-    conv = g.dt * np.fft.ifft(np.fft.fft(np.roll(k.values, -(n // 2))) * spec)
+    assert plus._spectrum.tobytes() == (spec * mask).tobytes()
+    assert minus._spectrum.tobytes() == (spec * (1.0 - mask)).tobytes()
+    zero_based = kspec * np.where(np.arange(n) % 2, -1.0, 1.0)
+    assert circular_convolve(k, s)._spectrum.tobytes() == (g.dt * (zero_based * spec)).tobytes()
     edge = spec.copy()
     edge[0] = edge[n // 2] = 0.0
-    fraction = float(np.abs(spec[0]) ** 2 + np.abs(spec[n // 2]) ** 2) / float(
-        np.sum(np.abs(spec) ** 2))
-    for _ in range(2):      # the second round reads the kept spectra
-        for part, expected in zip(frequency_split(s), split):
-            assert part.values.tobytes() == expected.tobytes()
-        assert circular_convolve(k, s).values.tobytes() == conv.tobytes()
-        assert without_zero_nyquist(s).values.tobytes() == np.fft.ifft(edge).tobytes()
-        assert zero_nyquist_fraction(s) == fraction
-    assert np.array_equal(s._spectrum, spec)      # the copies left it as it was
+    assert without_zero_nyquist(s)._spectrum.tobytes() == edge.tobytes()
+    assert zero_nyquist_fraction(s) == float(np.abs(spec[0]) ** 2 + np.abs(spec[n // 2]) ** 2) / (
+        float(np.sum(np.abs(spec) ** 2)))
+    assert np.array_equal(s._spectrum, spec)      # the derived signals left it as it was

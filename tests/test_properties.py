@@ -16,9 +16,10 @@ from oscresp.driven import _rk4, causal_window, sin_scenario, step_scenario
 from oscresp.functionals import (ProbeSet, _eta_ladder_coefficients,
                                  charged_substitution_residual, coherent_mean,
                                  gaussian_moments, inverse_substitution, moment_residual,
-                                 phi_in_state, predicted_moment, response_substitution)
-from oscresp.grids import (SampledSignal, frequency_split, half_step, make_grid,
-                           split_values, without_zero_nyquist)
+                                 phi_in_state, predicted_moment, quad_form,
+                                 response_substitution)
+from oscresp.grids import (Kernel, SampledSignal, frequency_split, half_step,
+                           kernel_adjoint, make_grid, split_values, without_zero_nyquist)
 from oscresp.kernels import (RECONSTRUCTED, ChargedModeSet, ModeSet, OscillatorParams,
                              charged_field_kernels, commutator_kernel,
                              neutral_field_kernels, osc_kernels, reconstruct,
@@ -68,6 +69,57 @@ def test_substitution_round_trip(n, dt, hbar, seed):
     ep2, em2 = inverse_substitution(eta, sigma, hbar)
     assert np.max(np.abs(ep2.values - ep.values)) < 1e-13
     assert np.max(np.abs(em2.values - em.values)) < 1e-13
+
+
+# operands in each domain: samples, spectra (split parts, cleaned), both
+# (the conjugate of a signal that holds both), and the mixtures of the rule
+OPERANDS = {
+    "samples": lambda x, y: x,
+    "plus": lambda x, y: frequency_split(x)[0],
+    "minus": lambda x, y: frequency_split(x)[1],
+    "clean": lambda x, y: without_zero_nyquist(x),
+    "samples+spectrum": lambda x, y: x + frequency_split(y)[0],
+    "spectrum-spectrum": lambda x, y: without_zero_nyquist(x) - frequency_split(y)[1],
+    "scaled": lambda x, y: (0.5 - 2j) * frequency_split(x)[1],
+    "conj": lambda x, y: without_zero_nyquist(x).conj(),
+    "conj-of-both": lambda x, y: (x._spectrum, x)[1].conj(),
+    "adjoint": lambda x, y: kernel_adjoint(frequency_split(x)[0]),
+    "adjoint-of-both": lambda x, y: kernel_adjoint((x._spectrum, x)[1]),
+}
+EPS = np.finfo(float).eps
+
+
+def random_values(n, seed):
+    rng = np.random.default_rng(seed)
+    return 10.0 ** rng.uniform(-3, 3) * rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+@PROPERTY
+@given(st.integers(2, 64).map(lambda half: 2 * half), positive, seeds,
+       st.lists(st.sampled_from(sorted(OPERANDS)), min_size=3, max_size=3))
+def test_quad_form_equals_the_transform_free_double_sum(n, dt, seed, forms):
+    grid = make_grid(n, dt)
+    f, k, g = (OPERANDS[form](cls(grid, random_values(n, seed + 2 * i)),
+                              cls(grid, random_values(n, seed + 2 * i + 1)))
+               for i, (form, cls) in enumerate(zip(forms, (SampledSignal, Kernel, SampledSignal))))
+    value = quad_form(f, k, g)
+    # dt^2 sum_t sum_t' f(t) k(t - t') g(t'), the lag read as in the kernel index
+    index = np.arange(n)
+    lag = (index[:, None] - index[None, :] + n // 2) % n
+    terms = f.values[:, None] * k.values[lag] * g.values[None, :]
+    assert abs(value - dt * dt * terms.sum()) <= 16 * EPS * dt * dt * np.abs(terms).sum()
+
+    # the operations on spectrum-only operands against the same ones on samples
+    a, b = frequency_split(f)[0], without_zero_nyquist(g)
+    c = kernel_adjoint(frequency_split(k)[1])
+    results = (a + b, a - b, (0.3 + 1.7j) * a, a.conj(), kernel_adjoint(c))
+    assert all("values" not in vars(r) for r in (a, b, c, *results))
+    x, y, z = (SampledSignal(grid, a.values), SampledSignal(grid, b.values),
+               Kernel(grid, c.values))
+    scale = max(np.max(np.abs(v.values)) for v in (x, y, z))
+    for result, expected in zip(results, (x + y, x - y, (0.3 + 1.7j) * x, x.conj(),
+                                          kernel_adjoint(z))):
+        assert np.max(np.abs(result.values - expected.values)) <= 16 * EPS * 2.0 * scale
 
 
 @st.composite
