@@ -249,10 +249,13 @@ def _factor_parts(f: Factor, p: OscillatorParams, shift: Shift):
 
 
 @functools.lru_cache
-def _diagonal_index(dim: int, m: int):
-    """Row and column indices that gather the diagonals -m..m from rho padded by m rows."""
-    i = np.arange(dim)
-    return _read_only(np.arange(2 * m + 1)[:, None] + i, i)
+def _diagonal_gather(dim: int, m: int):
+    """Flat indices into a dim x dim rho that gather the diagonals -m..m over
+    dim + m levels, with the mask of the entries that fall outside rho (read 0)."""
+    i = np.arange(dim + m)
+    rows = np.arange(-m, m + 1)[:, None] + i
+    outside = (rows < 0) | (rows >= dim) | (i >= dim)
+    return _read_only(np.where(outside, 0, rows * dim + i), outside)
 
 
 def _diagonals(rho: np.ndarray, m: int) -> np.ndarray:
@@ -261,12 +264,13 @@ def _diagonals(rho: np.ndarray, m: int) -> np.ndarray:
     With band(P)[m+k, i] = P[i, i+k], Tr[rho P] = sum(band(P) * R).  A path
     of m ladder steps between levels below dim never climbs past
     dim - 1 + m/2, so products on these dim + m levels never meet an
-    artificial top level.
+    artificial top level.  The diagonals are gathered straight from rho,
+    so a call costs O(m dim), not a copy of rho.
     """
-    dim = rho.shape[0]
-    padded = np.zeros((dim + 3 * m, dim + m), dtype=complex)
-    padded[m:m + dim, :dim] = rho
-    return padded[_diagonal_index(dim + m, m)]
+    flat, outside = _diagonal_gather(rho.shape[0], m)
+    out = np.take(rho, flat).astype(complex, copy=False)
+    out[outside] = 0.0
+    return out
 
 
 @functools.lru_cache

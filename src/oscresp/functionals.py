@@ -29,7 +29,7 @@ import numpy as np
 from . import fock
 from .grids import (Kernel, SampledSignal, _require_same_grid, frequency_split,
                     kernel_adjoint, zero_nyquist_fraction)
-from .kernels import ChargedKernels, OscKernels, OscillatorParams, reconstruct
+from .kernels import ChargedKernels, OscKernels, OscillatorParams, contraction_from_retarded
 from .wick import _pairing_sum, pair_table
 
 
@@ -274,12 +274,12 @@ def weyl_kernel_identity_residual(eta: SampledSignal, d: Kernel, d_r: Kernel) ->
 
     Three forms of the same quadratic functional of eta must agree: the
     retarded kernel acting on the split difference of eta, the plain
-    contraction rebuilt from the retarded kernel (``kernels.reconstruct``),
+    contraction rebuilt from the retarded kernel (``contraction_from_retarded``),
     and the plain contraction.
     """
     eta_p, eta_m = frequency_split(eta)
     form_a = quad_form(eta, d_r, eta_p - eta_m)
-    form_b = quad_form(eta, Kernel(d_r.grid, reconstruct(d_r.values, "forward")), eta)
+    form_b = quad_form(eta, contraction_from_retarded(d_r), eta)
     form_c = quad_form(eta, d, eta)
     return max(abs(form_a - form_b), abs(form_b - form_c), abs(form_a - form_c))
 

@@ -13,13 +13,19 @@ on a small thread pool.  Every result is bit-identical to the full-array
 formulas.
 
 All grid kernels require the frequencies in play to sit exactly on DFT
-bins (omega = 2*pi*k/(n*dt), 0 < k < n/2); the discrete identities are
-then exact to rounding.  The oscillator builder's ``loose`` flag admits an
-off-bin frequency for robustness exploration at degraded tolerances.
+bins (omega = 2*pi*b/(n*dt), 0 < b < n/2); the discrete identities are
+then exact to rounding.  Every phase exp(-i omega tau) is then an n-th
+root of unity, read from one exactly conjugate-symmetric table
+(``_roots``), never evaluated by ``exp``.  The neutral family's mode sum
+and its time ordering run block by block too, so the builder makes no
+full-size swapped copy.  The oscillator builder's ``loose`` flag admits an
+off-bin frequency for robustness exploration at degraded tolerances; its
+phases come from ``exp``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,14 +62,70 @@ class OscillatorParams:
         return math.sqrt(self.hbar * self.mass * self.omega0)
 
 
-def check_commensurate(omega: float, grid: TimeGrid) -> None:
-    """Refuse omega unless its bin omega*n*dt/(2*pi) is an integer in (0, n/2)."""
+def check_commensurate(omega: float, grid: TimeGrid) -> int:
+    """The bin omega*n*dt/(2*pi) of omega; refused unless it is an integer in (0, n/2)."""
     k = omega * grid.n * grid.dt / (2.0 * math.pi)
     ki = _snap(k)
     if ki is None or not 1 <= ki < grid.n // 2:
         raise CommensurabilityError(
             f"omega={omega} sits on bin {k:.6g} of the grid; an integer bin in "
             f"[1, {grid.n // 2}) is required")
+    return ki
+
+
+@functools.lru_cache
+def _roots(n: int) -> np.ndarray:
+    """r[k] = exp(-2 pi i k / n), read-only, with r[n - k] = conj(r[k]) exactly.
+
+    cos and sin are evaluated at angles of at most pi/4 (pi/2 when 4 does
+    not divide n); the rest of the table follows from the exact symmetries
+    r[n/4 - k] = -i conj(r[k]), r[n/2 - k] = -conj(r[k]) and conjugation.
+    """
+    half, quarter = n // 2, n // 4
+    top = n // 8 if n % 4 == 0 else quarter
+    cos, sin = np.empty(half + 1), np.empty(half + 1)
+    angle = 2.0 * math.pi * np.arange(top + 1) / n
+    cos[:top + 1], sin[:top + 1] = np.cos(angle), np.sin(angle)
+    if n % 4 == 0:
+        k = np.arange(top + 1, quarter + 1)
+        cos[k], sin[k] = sin[quarter - k], cos[quarter - k]
+    k = np.arange(quarter + 1, half + 1)
+    cos[k], sin[k] = -cos[half - k], sin[half - k]
+    roots = np.empty(n, complex)
+    roots.real[:half + 1], roots.imag[:half + 1] = cos, 0.0 - sin    # +0 at 0 and n/2
+    roots[half + 1:] = np.conj(roots[half - 1:0:-1])
+    roots.flags.writeable = False
+    return roots
+
+
+# exp(-1j * omega * grid.lags()), for omega = 2*pi*b/(n*dt) in floats, is
+# off the exact root by the rounding of its argument: at most this many
+# eps*|omega tau|, plus eps, per sample (about 1e-11 at the top bins of
+# n = 16384); ``_phase`` reads the exact root
+_PHASE_ROUNDING = 4.0
+
+
+@functools.lru_cache
+def _lag_indices(n: int) -> np.ndarray:
+    """The lag index j = k - n/2 of each kernel sample k (tau = j*dt), read-only."""
+    lags = np.arange(n) - n // 2
+    lags.flags.writeable = False
+    return lags
+
+
+def _phase(omega: float, grid: TimeGrid, sign: int = -1) -> np.ndarray:
+    """exp(sign i omega tau) over the lags, read from ``_roots``.
+
+    omega sits on an integer bin b (``check_commensurate``), and tau = j*dt
+    with the lag index j, so the phase is exactly the root r[(-sign b j) mod n].
+    """
+    n = grid.n
+    return _roots(n)[-sign * check_commensurate(omega, grid) * _lag_indices(n) % n]
+
+
+def _phases(omegas, grid: TimeGrid, sign: int = -1) -> np.ndarray:
+    """``_phase`` of each omega, one row each: shape (len(omegas), n)."""
+    return np.array([_phase(float(w), grid, sign) for w in omegas]).reshape(-1, grid.n)
 
 
 # -- closed forms at exact time differences ----------------------------------
@@ -102,17 +164,31 @@ def time_order(forward: np.ndarray, backward: np.ndarray):
     full-size temporaries (the zeros of D_R below n/2 are all +0, where
     0*(f - b) would carry a sign).
     """
-    h = forward.shape[-1] // 2
     dtype = np.result_type(forward, backward, float)
     d_f = np.empty(forward.shape, dtype)
     d_r = np.empty(forward.shape, dtype)
-    d_f[..., h + 1:] = forward[..., h + 1:]
-    d_f[..., 1:h] = backward[..., 1:h]
-    d_f[..., ::h] = 0.5 * forward[..., ::h] + 0.5 * backward[..., ::h]
-    np.subtract(forward[..., h + 1:], backward[..., h + 1:], out=d_r[..., h + 1:])
-    d_r[..., 1:h] = 0.0
-    d_r[..., ::h] = 0.5 * (forward[..., ::h] - backward[..., ::h])
+    _time_order_into(forward, backward, d_f, d_r)
     return d_f, d_r
+
+
+def _time_order_into(forward, backward, d_f, d_r, *, mirrored=False) -> None:
+    """Write the ``time_order`` of forward and backward into d_f and d_r.
+
+    mirrored: backward holds the reflection (``reflect_values``) of the
+    backward contraction, which is then read through reversed views.
+    """
+    h = forward.shape[-1] // 2
+    if mirrored:        # b[k] = backward[n - k]: k > h reads h-1..1, 0 < k < h reads n-1..h+1
+        upper, lower = backward[..., h - 1:0:-1], backward[..., :h:-1]
+    else:
+        upper, lower = backward[..., h + 1:], backward[..., 1:h]
+    ends = backward[..., ::h]
+    d_f[..., h + 1:] = forward[..., h + 1:]
+    d_f[..., 1:h] = lower
+    d_f[..., ::h] = 0.5 * forward[..., ::h] + 0.5 * ends
+    np.subtract(forward[..., h + 1:], upper, out=d_r[..., h + 1:])
+    d_r[..., 1:h] = 0.0
+    d_r[..., ::h] = 0.5 * (forward[..., ::h] - ends)
 
 
 # -- the reconstruction rule -----------------------------------------------------
@@ -228,10 +304,15 @@ class OscKernels:
 
 
 def osc_kernels(p: OscillatorParams, grid: TimeGrid, *, loose: bool = False) -> OscKernels:
-    """Sample D on the grid and time-order it into D_F and D_R."""
-    if not loose:
-        check_commensurate(p.omega0, grid)
-    d = osc_d_value(grid.lags(), p)
+    """Sample D on the grid and time-order it into D_F and D_R.
+
+    The phases of D are roots of unity (``_phase``); a ``loose`` grid,
+    which may put omega0 off its bins, evaluates the closed form instead.
+    """
+    if loose:
+        d = osc_d_value(grid.lags(), p)
+    else:
+        d = -1j * _phase(p.omega0, grid) / (2.0 * p.mass * p.omega0)
     d_f, d_r = time_order(d, swap_reflect(d))
     return OscKernels(
         params=p,
@@ -243,13 +324,17 @@ def osc_kernels(p: OscillatorParams, grid: TimeGrid, *, loose: bool = False) -> 
 
 
 def contraction_from_retarded(d_r: Kernel) -> Kernel:
-    """The forward contraction D rebuilt from D_R by ``reconstruct``."""
-    return Kernel(d_r.grid, reconstruct(d_r.values, "forward"))
+    """The forward contraction D rebuilt from D_R by ``reconstruct``.
+
+    Like every kernel derived from another, it is made without the public
+    constructor's copy and finiteness check (``Kernel._made``).
+    """
+    return Kernel._made(d_r.grid, reconstruct(d_r.values, "forward"))
 
 
 def feynman_from_retarded(d_r: Kernel) -> Kernel:
-    """D_F rebuilt from D_R by ``reconstruct``."""
-    return Kernel(d_r.grid, reconstruct(d_r.values, "d_f"))
+    """D_F rebuilt from D_R by ``reconstruct``, made as ``contraction_from_retarded``."""
+    return Kernel._made(d_r.grid, reconstruct(d_r.values, "d_f"))
 
 
 def commutator_kernel(d_r: Kernel, hbar: float) -> Kernel:
@@ -266,10 +351,10 @@ def qp_commutator_kernel(p: OscillatorParams, grid: TimeGrid) -> Kernel:
 
     Obtained by exact differentiation of the closed-form response kernel
     (momentum = mass * velocity), not by finite differences; at tau = 0 it
-    reduces to the canonical i*hbar.
+    reduces to the canonical i*hbar.  cos(w0 tau) is the real part of the
+    phase (``_phase``), so omega0 must sit on a bin of the grid.
     """
-    tau = grid.lags()
-    return Kernel(grid, 1j * p.hbar * np.cos(p.omega0 * tau))
+    return Kernel(grid, 1j * p.hbar * _phase(p.omega0, grid).real)
 
 
 # -- neutral bosonic fields ----------------------------------------------------
@@ -317,17 +402,31 @@ class NeutralFieldKernels:
 
 
 def neutral_field_kernels(ms: ModeSet, grid: TimeGrid) -> NeutralFieldKernels:
-    """Mode-sum kernels of a neutral field on the grid."""
-    for w in ms.frequencies:
-        check_commensurate(float(w), grid)
+    """Mode-sum kernels of a neutral field on the grid, built block by block.
+
+    D_{mu mu'}(r, r', tau) = -i sum_k e^{-i w_k tau} A[k,mu,r] conj(A[k,mu',r']):
+    each block of rows (``_each_block``) is one product of its (mu r mu' r', k)
+    coefficients with the phases (``_phases``).  Once D is whole, each block
+    is time-ordered into D_F and D_R.  Its backward contraction, block s of
+    swap_reflect(D), is the reflection of the column view of D and is read
+    through reversed views of it, so no swapped copy of D is made.
+    """
     n_modes, labels, points = ms.amplitudes.shape
-    phases = np.exp(-1j * np.outer(ms.frequencies, grid.lags()))  # (n_modes, n)
-    # D_{mu mu'}(r, r', tau) = -i sum_k e^{-i w_k tau} A[k,mu,r] conj(A[k,mu',r']):
-    # one product of the (mu r mu' r', k) coefficients with the phases
+    phases = _phases(ms.frequencies, grid)                      # (n_modes, n)
     amp = ms.amplitudes.reshape(n_modes, labels * points)
-    coef = np.einsum("ka,kc->ack", -1j * amp, np.conj(amp)).reshape(-1, n_modes)
-    d = (coef @ phases).reshape(labels, points, labels, points, grid.n)
-    d_f, d_r = time_order(d, swap_reflect(d))
+    coef = np.einsum("ka,kc->ack", -1j * amp, np.conj(amp)).reshape(labels * points, -1, n_modes)
+    d, d_f, d_r = (np.empty((labels, points, labels, points, grid.n), complex) for _ in range(3))
+    rows, rows_f, rows_r = _label_blocks(d), _label_blocks(d_f), _label_blocks(d_r)
+
+    def sum_block(s):
+        np.matmul(coef[s], phases, out=rows[s])
+
+    def order_block(s):
+        _time_order_into(rows[s], rows[:, s].transpose(1, 0, 2), rows_f[s], rows_r[s],
+                         mirrored=True)
+
+    _each_block(sum_block, d)
+    _each_block(order_block, d)
     return NeutralFieldKernels(grid=grid, d=d, d_f=d_f, d_r=d_r)
 
 
@@ -377,13 +476,10 @@ class ChargedKernels:
 
 
 def charged_field_kernels(cms: ChargedModeSet, grid: TimeGrid) -> ChargedKernels:
-    """Charged-field kernels: D^A, D^B, D_F and D_R."""
-    for w in np.concatenate([cms.omegas_a, cms.omegas_b]):
-        check_commensurate(float(w), grid)
-    tau = grid.lags()
+    """Charged-field kernels: D^A, D^B, D_F and D_R, with phases from ``_phases``."""
     # an empty species sums to zeros
-    d_a = -1j * np.exp(-1j * np.outer(cms.omegas_a, tau)).T @ cms.weights_a
-    d_b = -1j * np.exp(+1j * np.outer(cms.omegas_b, tau)).T @ cms.weights_b
+    d_a = -1j * _phases(cms.omegas_a, grid).T @ cms.weights_a
+    d_b = -1j * _phases(cms.omegas_b, grid, sign=+1).T @ cms.weights_b
     d_f, d_r = time_order(d_a, d_b)
     return ChargedKernels(
         grid=grid,

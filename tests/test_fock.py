@@ -10,7 +10,7 @@ from oscresp import fock
 from oscresp.fock import (Factor, FockError, OrderedProductSpec,
                           TruncationError, heisenberg_p, heisenberg_q, ladder,
                           make_state, ordered_average, reality_check)
-from oscresp.grids import SampledSignal, make_grid
+from oscresp.grids import GridError, SampledSignal, make_grid
 from oscresp.kernels import OscillatorParams, osc_d_value, osc_df_value
 
 P = OscillatorParams()
@@ -135,9 +135,13 @@ def test_non_finite_shift_is_refused(ordering, bad):
     grid = make_grid(64, 0.1)
     values = np.zeros(64, dtype=complex)
     values[grid.index_of(0.5)] = bad
+    with pytest.raises(GridError, match="samples must be finite"):
+        SampledSignal(grid, values)
+    # a derived signal is made without the constructor's check, as arithmetic
+    # makes it (one that overflows, say); the oracle still refuses its sample
     with pytest.raises(FockError, match="shift must be finite"):
         ordered_average(make_state("vacuum", 20), OrderedProductSpec(
-            factors, ordering, SampledSignal(grid, values)), P)
+            factors, ordering, SampledSignal._made(grid, values)), P)
 
 
 def zero_padded(state, levels):
@@ -544,7 +548,7 @@ def test_subset_table_holds_the_normal_average_of_every_subset():
 def test_memoised_tables_are_shared_and_read_only():
     assert ladder(6) is ladder(6)
     tables = [*ladder(6), fock._ladder_roots(12, 4), fock._band_roots(9, 12),
-              *fock._diagonal_index(12, 3), *fock._table_gather(12, 3, "normal"),
+              *fock._diagonal_gather(12, 3), *fock._table_gather(12, 3, "normal"),
               *fock._table_gather(12, 3, "antinormal")]
     for table in tables:
         with pytest.raises(ValueError):

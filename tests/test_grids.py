@@ -38,6 +38,20 @@ def test_time_grid_rejects_non_finite_step_and_origin(dt, t0):
         TimeGrid(8, dt, t0)
 
 
+@pytest.mark.parametrize("cls", [SampledSignal, Kernel])
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.nan), np.inf, -np.inf,
+                                 complex(1.0, -np.inf)])
+def test_constructors_refuse_non_finite_samples(cls, bad):
+    g = make_grid(16, 0.1)
+    values = np.ones(16, dtype=complex)
+    values[5] = bad
+    with pytest.raises(GridError, match="finite"):
+        cls(g, values)
+    # samples whose squares overflow are finite and kept
+    big = cls(g, np.full(16, 1e200 - 1e300j))
+    assert np.array_equal(big.values, np.full(16, 1e200 - 1e300j))
+
+
 def test_index_of_rejects_off_grid_times():
     g = make_grid(8, 0.5)
     assert g.index_of(0.0) == 4
@@ -280,9 +294,11 @@ def test_readers_refuse_non_finite_samples_and_uneven_times(tmp_path):
         SampledSignal.read_json(path)
 
     path = tmp_path / "sig.csv"
-    values = s.values.copy()
-    values[-1] = np.inf
-    write_csv(SampledSignal(g, values), path)
+    write_csv(s, path)                                  # no signal holds inf: write it as text
+    lines = path.read_text().splitlines()
+    index, t, _, im = lines[-1].split(",")
+    lines[-1] = ",".join((index, t, "inf", im))
+    path.write_text("\n".join(lines) + "\n")
     with pytest.raises(GridError):
         Kernel.read_csv(path)
 

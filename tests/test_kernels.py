@@ -1,16 +1,17 @@
 import sys
 import threading
 
+import mpmath
 import numpy as np
 import pytest
 
-from oscresp import fock
+from oscresp import fock, kernels
 from oscresp.grids import (frequency_split, half_step, kernel_adjoint, make_grid,
                            reflect_values, swap_reflect)
 from oscresp.kernels import (RECONSTRUCTED, ChargedModeSet, CommensurabilityError,
                              ModeSet, OscillatorParams, charged_field_kernels,
                              commutator_kernel, neutral_field_kernels, osc_d_value,
-                             osc_df_value, osc_dr_value, osc_kernels,
+                             check_commensurate, osc_df_value, osc_dr_value, osc_kernels,
                              qp_commutator_kernel, reconstruct,
                              reconstruction_residuals, time_order)
 from oscresp.suites import _demo_charged_modes, _demo_mode_set
@@ -62,6 +63,68 @@ def test_incommensurate_frequency_is_rejected_unless_loose():
     assert kers.grid is g
 
 
+# -- phases from the roots of unity --------------------------------------------
+
+ROOT_SIZES = (4, 6, 8, 10, 12, 20, 256, 1000, 1026, 2048, 16384)
+
+
+@pytest.mark.parametrize("n", ROOT_SIZES)
+def test_root_table_is_conjugate_symmetric_bit_for_bit(n):
+    roots = kernels._roots(n)
+    assert roots is kernels._roots(n) and not roots.flags.writeable
+    k = np.arange(1, n)
+    k = k[k != n // 2]                  # r[0] = 1 and r[n/2] = -1 are real
+    assert roots[n - k].tobytes() == np.conj(roots[k]).tobytes()
+    assert roots[[0, n // 2]].tobytes() == np.array([1.0, -1.0], complex).tobytes()
+    if n % 4 == 0:
+        assert roots[n // 4] == -1j
+
+
+@pytest.mark.parametrize("n", (6, 8, 12, 20, 1000, 1026, 16384))
+def test_root_table_against_forty_digit_roots(n):
+    roots = kernels._roots(n)
+    with mpmath.workdps(40):
+        worst = max(abs(mpmath.mpc(complex(roots[k])) - mpmath.expjpi(mpmath.mpf(-2 * k) / n))
+                    for k in range(n))
+    assert worst < 1e-15, worst
+
+
+def test_table_phases_agree_with_exp_within_its_rounding_bound():
+    # exp rounds omega*tau, which reaches pi*n/2 at the top bin; the table does not
+    n, dt = 16384, 0.01
+    g = make_grid(n, dt)
+    eps = np.finfo(float).eps
+    bins = np.r_[np.arange(1, n // 2, 61), np.arange(n // 2 - 8, n // 2)]
+    for chunk in np.array_split(bins, 8):
+        omegas = 2.0 * np.pi * chunk / (n * dt)
+        argument = np.outer(omegas, g.lags())
+        gap = np.abs(kernels._phases(omegas, g) - np.exp(-1j * argument))
+        assert np.all(gap <= kernels._PHASE_ROUNDING * eps * np.abs(argument) + eps)
+    assert check_commensurate(2.0 * np.pi * 37 / (n * dt), g) == 37
+
+
+def test_qp_and_charged_builders_refuse_an_off_bin_frequency():
+    # osc_kernels and neutral_field_kernels have their own tests of this
+    g = reference_grid(64, 2)
+    off = 1.0 + 1e-6                     # bin 2.000002 of the grid
+    with pytest.raises(CommensurabilityError):
+        qp_commutator_kernel(OscillatorParams(omega0=off), g)
+    with pytest.raises(CommensurabilityError):
+        charged_field_kernels(ChargedModeSet(np.array([1.0]), np.ones(1),
+                                             np.array([off]), np.ones(1)), g)
+
+
+@pytest.mark.parametrize("n, dt", [(2048, 0.005), (256, 2.0 * np.pi * 8 / 256), (64, 0.1)])
+def test_loose_oscillator_kernels_keep_the_closed_form(n, dt):
+    # the loose path evaluates exp on or off the bins, as it always has
+    g = make_grid(n, dt)
+    kers = osc_kernels(P, g, loose=True)
+    d = osc_d_value(g.lags(), P)
+    d_f, d_r = time_order(d, reflect_values(d))
+    for got, want in ((kers.d, d), (kers.d_f, d_f), (kers.d_r, d_r)):
+        assert got.values.tobytes() == want.tobytes()
+
+
 def family(kind, g):
     """(forward, d_f, d_r, backward) of the oscillator or a demo field; backward None if neutral."""
     if kind == "oscillator":
@@ -94,12 +157,19 @@ def test_concurrent_callers_of_the_worker_pool_get_the_results_of_one_caller():
                          for _ in range(3))
     expected = reconstruction_residuals(forward, d_f, d_r)
     rebuilt = reconstruct(d_r, "d_f")
+    g = make_grid(1024, 0.1)
+    modes = ModeSet(np.arange(1, 5) * 2.0 * np.pi / g.period,
+                    rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3)))
+    built = neutral_field_kernels(modes, g)
     results, errors = [], []
 
     def caller():
         try:
             for _ in range(3):
                 same = np.array_equal(reconstruct(d_r, "d_f"), rebuilt)
+                nk = neutral_field_kernels(modes, g)
+                same &= all(np.array_equal(getattr(nk, x), getattr(built, x))
+                            for x in ("d", "d_f", "d_r"))
                 results.append(same and reconstruction_residuals(forward, d_f, d_r) == expected)
         except Exception as exc:       # a thread's exception would be lost: assert below
             errors.append(exc)

@@ -19,7 +19,8 @@ from oscresp.functionals import (ProbeSet, _eta_ladder_coefficients,
                                  phi_in_state, predicted_moment, quad_form,
                                  response_substitution)
 from oscresp.grids import (Kernel, SampledSignal, frequency_split, half_step,
-                           kernel_adjoint, make_grid, split_values, without_zero_nyquist)
+                           kernel_adjoint, make_grid, split_values, swap_reflect,
+                           without_zero_nyquist)
 from oscresp.kernels import (RECONSTRUCTED, ChargedModeSet, ModeSet, OscillatorParams,
                              charged_field_kernels, commutator_kernel,
                              neutral_field_kernels, osc_kernels, reconstruct,
@@ -242,6 +243,22 @@ def test_blocked_split_and_residuals_equal_the_full_array_formulas(labels, n, se
         assert same_bits(reconstruct(d_r, name), full[name][0]), name
 
 
+@settings(PROPERTY, max_examples=30)
+@given(st.integers(1, 3), st.integers(1, 3), st.sampled_from((4, 8, 256, 1024)),
+       st.integers(1, 8), seeds)
+@example(3, 3, 4096, 8, 0)                   # 9 blocks of 36 864 samples: on the worker pool
+def test_the_blocked_neutral_family_is_the_time_order_of_its_own_contraction(
+        labels, points, n, modes, seed):
+    grid = make_grid(n, 0.37)
+    rng = np.random.default_rng(seed)
+    bins = rng.choice(np.arange(1, n // 2), size=min(modes, n // 2 - 1), replace=False)
+    shape = (len(bins), labels, points)
+    amplitudes = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    nk = neutral_field_kernels(ModeSet(bins * 2.0 * np.pi / grid.period, amplitudes), grid)
+    d_f, d_r = time_order(nk.d, swap_reflect(nk.d))
+    assert same_bits(nk.d_f, d_f) and same_bits(nk.d_r, d_r)
+
+
 @settings(PROPERTY, max_examples=40)
 @given(families(), seeds)
 def test_the_adjoint_rebuild_of_d_f_has_the_residual_of_d_f(family, seed):
@@ -454,6 +471,24 @@ def test_banded_oracle_keeps_the_truncated_products_on_full_support(case):
     for levels in (1, m + 1):
         padded = fock.ordered_average(zero_padded(state, levels), spec, OscillatorParams())
         assert abs(value - padded) <= 1e-14 * scale
+
+
+def padded_diagonals(rho, m):
+    """The diagonals -m..m of rho over dim + m levels, read from a zero-padded copy of rho."""
+    dim = rho.shape[0]
+    padded = np.zeros((dim + 3 * m, dim + m), dtype=complex)
+    padded[m:m + dim, :dim] = rho
+    i = np.arange(dim + m)
+    return padded[np.arange(2 * m + 1)[:, None] + i, i]
+
+
+@settings(PROPERTY, max_examples=50)
+@given(st.integers(1, 60), st.integers(0, 10), seeds, st.booleans())
+def test_diagonals_gathered_from_rho_equal_a_zero_padded_copy(dim, m, seed, real):
+    rng = np.random.default_rng(seed)
+    rho = rng.standard_normal((dim, dim))
+    rho = rho if real else rho + 1j * rng.standard_normal((dim, dim))
+    assert same_bits(fock._diagonals(rho, m), padded_diagonals(rho, m))
 
 
 @PROPERTY
