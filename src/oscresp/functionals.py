@@ -20,6 +20,7 @@ analytically, never by numerical functional differentiation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import fock
 from .grids import (Kernel, SampledSignal, _require_same_grid, frequency_split,
-                    kernel_adjoint, zero_nyquist_fraction)
+                    zero_nyquist_fraction)
 from .kernels import ChargedKernels, OscKernels, OscillatorParams, contraction_from_retarded
 from .wick import _pairing_sum, pair_table
 
@@ -73,6 +74,8 @@ class ProbeSet:
     def __post_init__(self):
         if self.eta_plus.grid != self.eta_minus.grid:
             raise FunctionalError("probe pair lives on different grids")
+        if not (math.isfinite(self.hbar) and self.hbar > 0):
+            raise FunctionalError(f"hbar must be finite and positive, got {self.hbar!r}")
 
     @property
     def grid(self):
@@ -116,8 +119,10 @@ def quad_form(f: SampledSignal, k: Kernel, g: SampledSignal) -> complex:
 def log_phi_vac_quadratic(ps: ProbeSet, kers: OscKernels) -> complex:
     """log of the vacuum functional as a quadratic form of contractions."""
     forward = quad_form(ps.eta_plus, kers.d_f, ps.eta_plus)
-    # d_f holds its spectrum now, so its conjugate is made with one, untransformed
-    backward = quad_form(ps.eta_minus, kers.d_f.conj(), ps.eta_minus)
+    # the form of conj(d_f) is the conjugate of a form of d_f, whose spectrum
+    # is made anyway, so no conjugate kernel is made and transformed
+    eta_minus_bar = ps.eta_minus.conj()
+    backward = quad_form(eta_minus_bar, kers.d_f, eta_minus_bar).conjugate()
     return 1j * ps.hbar * (-0.5 * forward + 0.5 * backward
                            + quad_form(ps.eta_minus, kers.d, ps.eta_plus))
 
@@ -297,14 +302,16 @@ def charged_substitution_residual(bar_probes: ProbeSet, probes: ProbeSet,
     if bar_probes.hbar != probes.hbar:
         raise FunctionalError("probe pairs carry different hbar")
     hbar = probes.hbar
+    # the forms of adjoint(d_f) and conj(d_r) are conjugates of forms of d_f
+    # and d_r, whose spectra are made anyway, so no kernel is made and transformed
     lhs = 1j * hbar * (
         -quad_form(bar_probes.eta_plus, ck.d_f, probes.eta_plus)
-        + quad_form(bar_probes.eta_minus, kernel_adjoint(ck.d_f), probes.eta_minus)
+        + quad_form(probes.eta_minus.conj(), ck.d_f, bar_probes.eta_minus.conj()).conjugate()
         + quad_form(bar_probes.eta_minus, ck.d_a, probes.eta_plus)
         + quad_form(bar_probes.eta_plus, ck.d_b, probes.eta_minus)
     )
     rhs = (
         quad_form(bar_probes.eta, ck.d_r, probes.sigma)
-        + quad_form(probes.eta, ck.d_r.conj(), bar_probes.sigma)
+        + quad_form(probes.eta.conj(), ck.d_r, bar_probes.sigma.conj()).conjugate()
     )
     return abs(lhs - rhs)

@@ -10,18 +10,21 @@ by bin in the DFT, with the zero and Nyquist bins shared half/half so
 that plus + minus reproduces the input exactly.
 
 A signal lives in two domains: its samples (``values``) and its spectrum
-fft(values).  It is made in one of them, or in both, and the other is
-made from it once, on first read; both are read-only.  The public
-constructor takes samples.  ``frequency_split``, ``without_zero_nyquist``
-and ``circular_convolve`` are bin-by-bin products, so they make their
-results from a spectrum and leave the inverse transform to the first
-reader of ``values``.  Arithmetic, ``conj`` and ``kernel_adjoint`` follow
-one rule: the result is made in every domain that all operands hold, and
-operands that hold no domain in common meet in the spectrum.
+fft(values).  It is made in exactly one of them, and the other is made
+from it once, on first read; both are read-only.  The public constructor
+makes it in samples.  ``frequency_split``, ``without_zero_nyquist`` and
+``circular_convolve`` are bin-by-bin products, so they make their results
+in the spectrum and leave the inverse transform to the first reader of
+``values``.  Arithmetic, ``conj`` and ``kernel_adjoint`` follow one rule,
+read from the domains the operands were made in and never from what was
+read of them before: the result is made in samples when every operand
+was, and otherwise in the spectrum.  So a result's bits depend only on
+how its operands were made.
 """
 
 from __future__ import annotations
 
+import cmath
 import csv
 import functools
 import json
@@ -111,19 +114,32 @@ class SampledSignal:
     grid: TimeGrid
     values: np.ndarray = field(repr=False)
 
+    # the domain the signal was made in: "values" or "_spectrum"
+    _made_in = "values"
+
     def __post_init__(self):
         object.__setattr__(self, "values", _as_values(self.values, self.grid.n))
 
     @classmethod
     def _made(cls, grid: TimeGrid, values=None, spectrum=None):
-        """A signal from fresh samples, a fresh spectrum or both, kept read-only without a copy."""
+        """A signal made from fresh samples or else a fresh spectrum, read-only and not copied."""
         out = object.__new__(cls)
-        out.__dict__["grid"] = grid
-        for name, array in (("values", values), ("_spectrum", spectrum)):
-            if array is not None:
-                array.flags.writeable = False
-                out.__dict__[name] = array
+        name, array = ("values", values) if spectrum is None else ("_spectrum", spectrum)
+        array.flags.writeable = False
+        out.__dict__.update({"grid": grid, "_made_in": name, name: array})
         return out
+
+    def __getattr__(self, name):
+        """The domain the signal was not made in, made from the other on first read and kept."""
+        if name == "_spectrum" and self._made_in == "values":
+            array = np.fft.fft(self.values)
+        elif name == "values" and self._made_in == "_spectrum":
+            array = np.fft.ifft(self._spectrum)
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        array.flags.writeable = False
+        self.__dict__[name] = array
+        return array
 
     def __add__(self, other):
         _require_same_grid(self, other)
@@ -134,6 +150,9 @@ class SampledSignal:
         return _derive(type(self), np.subtract, np.subtract, self, other)
 
     def __mul__(self, scalar):
+        if not cmath.isfinite(scalar):
+            raise GridError(f"a signal can only be scaled by a finite number, got {scalar!r}")
+
         def scale(a):
             return a * scalar
         return _derive(type(self), scale, scale, self)
@@ -146,13 +165,6 @@ class SampledSignal:
 
     def value_at(self, t: float) -> complex:
         return complex(self.values[self.grid.index_of(t)])
-
-    @functools.cached_property
-    def _spectrum(self) -> np.ndarray:
-        """fft(values), made on first read and read-only."""
-        spec = np.fft.fft(self.values)
-        spec.flags.writeable = False
-        return spec
 
     @classmethod
     def from_record(cls, rec: dict):
@@ -198,36 +210,13 @@ class SampledSignal:
         raise GridError("CSV times do not lie on a uniform grid")
 
 
-class _SamplesFromSpectrum:
-    """``values`` of a signal made from its spectrum: ifft(spectrum) on first read, then kept.
-
-    Samples given to the constructor sit in the instance and shadow it, so
-    ``values`` stays an ordinary dataclass field.
-    """
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        values = np.fft.ifft(obj._spectrum)
-        values.flags.writeable = False
-        obj.__dict__["values"] = values
-        return values
-
-
-SampledSignal.values = _SamplesFromSpectrum()
-
-
 def _derive(cls, fn, spectral_fn, *operands):
-    """A cls made by fn over the operands' samples and spectral_fn over their spectra.
-
-    It is made in each domain that every operand holds; operands that hold
-    no domain in common meet in the spectrum.
-    """
-    samples = all("values" in vars(x) for x in operands)
-    spectrum = not samples or all("_spectrum" in vars(x) for x in operands)
-    return cls._made(operands[0].grid,
-                     fn(*(x.values for x in operands)) if samples else None,
-                     spectral_fn(*(x._spectrum for x in operands)) if spectrum else None)
+    """A cls made by fn over the operands' samples if every operand was made in samples,
+    and otherwise by spectral_fn over their spectra."""
+    grid = operands[0].grid
+    if all(x._made_in == "values" for x in operands):
+        return cls._made(grid, fn(*(x.values for x in operands)))
+    return cls._made(grid, spectrum=spectral_fn(*(x._spectrum for x in operands)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -49,6 +49,8 @@ def test_config_loading_and_validation(tmp_path):
     {"grid": {"n": 7}},
     {"dim": 1},
     {"grid": {"bin_index": 200}},
+    {"grid": {"bin_index": True}},
+    {"grid": {"n": 256.0}},
     {"tolerances": {"dr-real": "abc"}},
     {"params": {"mass": -1}},
     {"grid": {"dt": 0.1}},

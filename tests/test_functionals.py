@@ -43,6 +43,13 @@ def spike(grid, t, weight):
 
 # -- substitution -------------------------------------------------------------
 
+@pytest.mark.parametrize("hbar", [0.0, -1.0, float("nan"), float("inf"), -float("inf")])
+def test_probe_sets_refuse_an_hbar_that_is_not_finite_and_positive(hbar):
+    probe = random_signal(reference_grid(), np.random.default_rng(3))
+    with pytest.raises(FunctionalError, match="hbar"):
+        ProbeSet(probe, probe, hbar=hbar)
+
+
 def test_equal_probes_give_zero_eta_and_sigma_hbar_f():
     rng = np.random.default_rng(0)
     g = reference_grid()

@@ -11,6 +11,7 @@ from oscresp.grids import (GridError, Kernel, SampledSignal, TimeGrid,
                            make_grid, reflect_values, to_record, without_zero_nyquist,
                            write_csv, write_json, zero_nyquist_fraction)
 from oscresp.kernels import OscillatorParams, osc_kernels
+from oscresp.suites import Config
 
 
 def random_signal(grid, rng, clean=False):
@@ -50,6 +51,16 @@ def test_constructors_refuse_non_finite_samples(cls, bad):
     # samples whose squares overflow are finite and kept
     big = cls(g, np.full(16, 1e200 - 1e300j))
     assert np.array_equal(big.values, np.full(16, 1e200 - 1e300j))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.inf)])
+def test_scaling_by_a_non_finite_number_is_refused(bad):
+    g = make_grid(16, 0.1)
+    for s in (SampledSignal(g, np.ones(16)), frequency_split(Kernel(g, np.ones(16)))[0]):
+        with pytest.raises(GridError, match="finite"):
+            s * bad
+        with pytest.raises(GridError, match="finite"):
+            bad * s
 
 
 def test_index_of_rejects_off_grid_times():
@@ -397,13 +408,14 @@ def test_each_signal_is_transformed_once():
         assert fft.call_count == 3      # d_f, d and d_r
         assert ifft.call_count == 0
 
-        # the adjoint and conjugate of a kernel that holds its spectrum are
-        # made with theirs, so a quadratic form of them transforms nothing
-        fft.reset_mock()
-        for kernel in (k, frequency_split(k)[0]):
+        # the adjoint and conjugate of a kernel are made in the domain the kernel
+        # was made in, though its spectrum was read: a quadratic form of them
+        # transforms one made in samples once, and one made in the spectrum never
+        for kernel, transforms in ((k, 1), (frequency_split(k)[0], 0)):
             for derived in (kernel_adjoint(kernel), kernel.conj()):
+                fft.reset_mock()
                 quad_form(s, derived, s)
-        assert fft.call_count == 0
+                assert fft.call_count == transforms
         assert ifft.call_count == 0
 
 
@@ -414,31 +426,59 @@ def test_derived_signals_keep_the_domains_of_their_operands():
     k = Kernel(g, rng.standard_normal(32) + 1j * rng.standard_normal(32))
     plus, minus = frequency_split(random_signal(g, rng))
 
-    def domains(d):
-        return "values" in vars(d), "_spectrum" in vars(d)
+    def held(d):
+        return d._made_in, {"values", "_spectrum"} & set(vars(d))
 
     # samples meet samples in the samples, with the bits of the plain operations
     for d, expected in ((s + s, s.values + s.values), (s - k, s.values - k.values),
                         (2.0 * s, 2.0 * s.values), (s * 1j, s.values * 1j),
                         (s.conj(), np.conj(s.values)),
                         (kernel_adjoint(k), np.conj(reflect_values(k.values)))):
-        assert domains(d) == (True, False)
+        assert held(d) == ("values", {"values"})
         assert d.values.tobytes() == expected.tobytes()
     assert type(kernel_adjoint(s)) is Kernel and type(k + s) is Kernel
     # spectra meet spectra, and samples meet a spectrum in the spectrum
     for d in (plus + minus, plus - minus, 2.0 * plus, plus.conj(), kernel_adjoint(plus),
               s + plus, minus - s, without_zero_nyquist(s), circular_convolve(k, s)):
-        assert domains(d) == (False, True)
-    # an operand that holds both domains passes both on, each with exact bits
-    spec = k._spectrum
-    for d, values, spectrum in (
-            (k.conj(), np.conj(k.values), np.conj(reflect_values(spec))),
-            (kernel_adjoint(k), np.conj(reflect_values(k.values)), np.conj(spec)),
-            (3.0 * k, 3.0 * k.values, 3.0 * spec),
-            (k + k, k.values + k.values, spec + spec)):
-        assert domains(d) == (True, True)
-        assert d.values.tobytes() == values.tobytes()
-        assert d._spectrum.tobytes() == spectrum.tobytes()
+        assert held(d) == ("_spectrum", {"_spectrum"})
+
+    # the domain an operand was made in decides, not what was read of it: with
+    # both domains of every operand read first, each result is made in the same
+    # domain with the same bits
+    derivations = (lambda a, b: a.conj(), lambda a, b: kernel_adjoint(a),
+                   lambda a, b: 3.0 * a, lambda a, b: a + b, lambda a, b: a - b,
+                   lambda a, b: b.conj(), lambda a, b: kernel_adjoint(b),
+                   lambda a, b: (0.5 - 2j) * b, lambda a, b: b - b)
+
+    def operands():
+        made = Kernel(g, k.values)
+        return made, frequency_split(made)[0]
+
+    read = operands()
+    for x in read:
+        x.values, x._spectrum
+    for derive in derivations:
+        fresh = derive(*operands())
+        again = derive(*read)
+        assert again._made_in == fresh._made_in
+        assert again.values.tobytes() == fresh.values.tobytes()
+        assert again._spectrum.tobytes() == fresh._spectrum.tobytes()
+
+
+def test_a_sum_of_kernels_has_the_same_bits_whatever_was_read_first():
+    # on the seed-7 config grid, a sum that follows what was read of its
+    # operands moves D + D_R and this form by 3.7e-15
+    cfg = Config(seed=7)
+    grid = cfg.grid()
+
+    def form(read_first):
+        kers = osc_kernels(cfg.params(), grid)
+        s = random_signal(grid, np.random.default_rng(cfg.seed))
+        if read_first:
+            kers.d._spectrum, kers.d_r._spectrum
+        return quad_form(s, kers.d + kers.d_r, s)
+
+    assert form(read_first=True) == form(read_first=False)
 
 
 @pytest.mark.parametrize("n", [4, 8, 256, 1024])

@@ -72,8 +72,8 @@ def test_substitution_round_trip(n, dt, hbar, seed):
     assert np.max(np.abs(em2.values - em.values)) < 1e-13
 
 
-# operands in each domain: samples, spectra (split parts, cleaned), both
-# (the conjugate of a signal that holds both), and the mixtures of the rule
+# operands made in each domain: samples (and their conjugate and adjoint),
+# spectra (split parts, cleaned), and the mixtures of the rule
 OPERANDS = {
     "samples": lambda x, y: x,
     "plus": lambda x, y: frequency_split(x)[0],
@@ -83,9 +83,9 @@ OPERANDS = {
     "spectrum-spectrum": lambda x, y: without_zero_nyquist(x) - frequency_split(y)[1],
     "scaled": lambda x, y: (0.5 - 2j) * frequency_split(x)[1],
     "conj": lambda x, y: without_zero_nyquist(x).conj(),
-    "conj-of-both": lambda x, y: (x._spectrum, x)[1].conj(),
+    "conj-of-samples": lambda x, y: x.conj(),
     "adjoint": lambda x, y: kernel_adjoint(frequency_split(x)[0]),
-    "adjoint-of-both": lambda x, y: kernel_adjoint((x._spectrum, x)[1]),
+    "adjoint-of-samples": lambda x, y: kernel_adjoint(x),
 }
 EPS = np.finfo(float).eps
 
@@ -100,15 +100,35 @@ def random_values(n, seed):
        st.lists(st.sampled_from(sorted(OPERANDS)), min_size=3, max_size=3))
 def test_quad_form_equals_the_transform_free_double_sum(n, dt, seed, forms):
     grid = make_grid(n, dt)
-    f, k, g = (OPERANDS[form](cls(grid, random_values(n, seed + 2 * i)),
-                              cls(grid, random_values(n, seed + 2 * i + 1)))
-               for i, (form, cls) in enumerate(zip(forms, (SampledSignal, Kernel, SampledSignal))))
+
+    def operands(read_first):
+        """f, k and g; with read_first, both domains of every signal are read before use."""
+        def read(*signals):
+            for x in signals if read_first else ():
+                x.values, x._spectrum
+            return signals
+
+        out = []
+        for i, (form, cls) in enumerate(zip(forms, (SampledSignal, Kernel, SampledSignal))):
+            x, y = read(cls(grid, random_values(n, seed + 2 * i)),
+                        cls(grid, random_values(n, seed + 2 * i + 1)))
+            out += read(OPERANDS[form](x, y))
+        return out
+
+    f, k, g = operands(read_first=False)
     value = quad_form(f, k, g)
+    # the same forms, with every operand's other domain read first, give the same bits
+    assert quad_form(*operands(read_first=True)) == value
     # dt^2 sum_t sum_t' f(t) k(t - t') g(t'), the lag read as in the kernel index
     index = np.arange(n)
     lag = (index[:, None] - index[None, :] + n // 2) % n
     terms = f.values[:, None] * k.values[lag] * g.values[None, :]
-    assert abs(value - dt * dt * terms.sum()) <= 16 * EPS * dt * dt * np.abs(terms).sum()
+    bound = 16 * EPS * dt * dt * np.abs(terms).sum()
+    assert abs(value - dt * dt * terms.sum()) <= bound
+    # a form of a conjugated kernel is the conjugate of a form of the kernel itself
+    for derived, left, right in ((k.conj(), f.conj(), g.conj()),
+                                 (kernel_adjoint(k), g.conj(), f.conj())):
+        assert abs(quad_form(f, derived, g) - quad_form(left, k, right).conjugate()) <= 2 * bound
 
     # the operations on spectrum-only operands against the same ones on samples
     a, b = frequency_split(f)[0], without_zero_nyquist(g)
