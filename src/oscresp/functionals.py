@@ -40,6 +40,11 @@ class FunctionalError(ValueError):
 
 # -- response substitution ------------------------------------------------------
 
+def _check_hbar(hbar) -> None:
+    if not (math.isfinite(hbar) and hbar > 0):
+        raise FunctionalError(f"hbar must be finite and positive, got {hbar!r}")
+
+
 def response_substitution(eta_plus: SampledSignal, eta_minus: SampledSignal,
                           hbar: float):
     """(eta+, eta-) -> (eta, sigma).
@@ -48,6 +53,7 @@ def response_substitution(eta_plus: SampledSignal, eta_minus: SampledSignal,
     backward drive currents enter as eta+- = j+-/hbar; sigma is then the
     normal-ordered physical current j+^(+) + j-^(-).
     """
+    _check_hbar(hbar)
     eta = -1j * (eta_plus - eta_minus)
     plus_part, _ = frequency_split(eta_plus)
     _, minus_part = frequency_split(eta_minus)
@@ -57,6 +63,7 @@ def response_substitution(eta_plus: SampledSignal, eta_minus: SampledSignal,
 
 def inverse_substitution(eta: SampledSignal, sigma: SampledSignal, hbar: float):
     """(eta, sigma) -> (eta+, eta-): eta+ = i eta^(-) + sigma/hbar, eta- = -i eta^(+) + sigma/hbar."""
+    _check_hbar(hbar)
     plus_part, minus_part = frequency_split(eta)
     eta_plus = 1j * minus_part + (1.0 / hbar) * sigma
     eta_minus = -1j * plus_part + (1.0 / hbar) * sigma
@@ -74,8 +81,7 @@ class ProbeSet:
     def __post_init__(self):
         if self.eta_plus.grid != self.eta_minus.grid:
             raise FunctionalError("probe pair lives on different grids")
-        if not (math.isfinite(self.hbar) and self.hbar > 0):
-            raise FunctionalError(f"hbar must be finite and positive, got {self.hbar!r}")
+        _check_hbar(self.hbar)
 
     @property
     def grid(self):

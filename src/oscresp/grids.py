@@ -387,27 +387,15 @@ def split_values(values: np.ndarray):
     """(plus, minus) frequency parts of samples along the last axis.
 
     Each part is ifft(fft(values) * mask), with the ``half_step`` mask or
-    its complement, transformed block by block (``_each_block``) in place
-    in the two complex outputs, so no full-size spectrum is made.  Every
-    row is transformed on its own, so the parts do not depend on the
-    blocking.
+    its complement, transformed in place in the two complex outputs.
+    Every row is transformed on its own, so a block of rows splits to the
+    same bits as the whole array.
     """
-    values = np.asarray(values)
-    plus = np.empty(values.shape, complex)
-    minus = np.empty(values.shape, complex)
     mask_plus, mask_minus = _split_masks(values.shape[-1])
-    src, out_plus, out_minus = _label_blocks(values), _label_blocks(plus), _label_blocks(minus)
-
-    def split_block(s):
-        p, m = out_plus[s], out_minus[s]
-        np.fft.fft(src[s], axis=-1, out=p)
-        np.multiply(p, mask_minus, out=m)
-        np.multiply(p, mask_plus, out=p)
-        np.fft.ifft(p, axis=-1, out=p)
-        np.fft.ifft(m, axis=-1, out=m)
-
-    _each_block(split_block, values)
-    return plus, minus
+    plus = np.fft.fft(values, axis=-1)
+    minus = plus * mask_minus
+    np.multiply(plus, mask_plus, out=plus)
+    return np.fft.ifft(plus, axis=-1, out=plus), np.fft.ifft(minus, axis=-1, out=minus)
 
 
 def frequency_split(s):

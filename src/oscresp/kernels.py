@@ -3,14 +3,15 @@
 The plain contraction D of the oscillator is sampled from its closed form
 on a periodic grid; one time-ordering rule (``time_order``) turns it, and
 the fields' forward and backward contractions, into D_F and D_R.  One
-reconstruction rule (``reconstruct``) rebuilds every kernel of each family
-from the two frequency halves of D_R alone, and ``reconstruction_residuals``
-measures it; those are the identities the suites drive.  Both work block by
-block, one first label half of a family at a time (``grids._each_block``):
-a block reads its adjoint from the column view of its label half, so a
-large family makes no full-size adjoint or difference, and its blocks run
-on a small thread pool.  Every result is bit-identical to the full-array
-formulas.
+reconstruction rule (``_rebuilt``) rebuilds every kernel of each family
+from one frequency split of the commutator function C = D_R - D_R^dag;
+``reconstruct`` applies it to whole arrays and ``reconstruction_residuals``
+measures it; those are the identities the suites drive.  The residuals
+are taken block by block, one first label half of a family at a time
+(``grids._each_block``): a block reads the adjoint rows of D_R from the
+column view of its label half, so a large family makes no full-size
+adjoint or difference, and its blocks run on a small thread pool.  Every
+residual is bit-identical to the full-array formulas.
 
 All grid kernels require the frequencies in play to sit exactly on DFT
 bins (omega = 2*pi*b/(n*dt), 0 < b < n/2); the discrete identities are
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import (Kernel, TimeGrid, _each_block, _label_blocks, _snap, _swap_reflect_block,
-                    reflect_values, split_values, swap_reflect)
+                    adjoint, reflect_values, split_values)
 
 
 class CommensurabilityError(ValueError):
@@ -165,90 +166,59 @@ def time_order(forward: np.ndarray, backward: np.ndarray):
     0*(f - b) would carry a sign).
     """
     dtype = np.result_type(forward, backward, float)
-    d_f = np.empty(forward.shape, dtype)
-    d_r = np.empty(forward.shape, dtype)
-    _time_order_into(forward, backward, d_f, d_r)
-    return d_f, d_r
+    return _time_order_into(forward, reflect_values(backward),
+                            np.empty(forward.shape, dtype), np.empty(forward.shape, dtype))
 
 
-def _time_order_into(forward, backward, d_f, d_r, *, mirrored=False) -> None:
-    """Write the ``time_order`` of forward and backward into d_f and d_r.
+def _time_order_into(forward, mirror, d_f, d_r):
+    """Write the ``time_order`` of forward and a backward contraction b into d_f and d_r.
 
-    mirrored: backward holds the reflection (``reflect_values``) of the
-    backward contraction, which is then read through reversed views.
+    mirror is the reflection (``reflect_values``) of b, read through
+    reversed views: b[k] = mirror[n - k], so k > n/2 reads n/2-1..1 and
+    0 < k < n/2 reads n-1..n/2+1.  Returns (d_f, d_r).
     """
     h = forward.shape[-1] // 2
-    if mirrored:        # b[k] = backward[n - k]: k > h reads h-1..1, 0 < k < h reads n-1..h+1
-        upper, lower = backward[..., h - 1:0:-1], backward[..., :h:-1]
-    else:
-        upper, lower = backward[..., h + 1:], backward[..., 1:h]
-    ends = backward[..., ::h]
+    upper, lower, ends = mirror[..., h - 1:0:-1], mirror[..., :h:-1], mirror[..., ::h]
     d_f[..., h + 1:] = forward[..., h + 1:]
     d_f[..., 1:h] = lower
     d_f[..., ::h] = 0.5 * forward[..., ::h] + 0.5 * ends
     np.subtract(forward[..., h + 1:], upper, out=d_r[..., h + 1:])
     d_r[..., 1:h] = 0.0
     d_r[..., ::h] = 0.5 * (forward[..., ::h] - ends)
+    return d_f, d_r
 
 
 # -- the reconstruction rule -----------------------------------------------------
 
 RECONSTRUCTED = ("d_r_two_defs", "forward", "backward", "d_f")
 
-# The rule of ``reconstruct``: each kernel is left (op) right, over the
-# split parts P, M of D_R; a trailing "^" reads the ``adjoint``.
-_RULE = {
-    "forward": ("P", np.subtract, "P^"),
-    "backward": ("M^", np.subtract, "M"),
-    "d_f": ("P", np.add, "M^"),
-}
 
+def _rebuilt(d_r: np.ndarray, d_r_dag: np.ndarray, names) -> list:
+    """The named kernels rebuilt from D_R and its adjoint, row by row.
 
-def _block_reader(arrays: dict, s: slice):
-    """Reader of block s (``_each_block``) of the named arrays and of their swaps.
-
-    "x" reads the rows of arrays["x"] (a ``_label_blocks`` view) in the
-    block, "x~" those of its ``swap_reflect`` and "x^" those of its
-    ``adjoint``.  A swapped read is made once per block and term, the size
-    of the block.
+    The commutator function C = D_R - D_R^dag splits by frequency sign
+    (``split_values``) into C+ and C-: forward = C+, backward = -C- and
+    D_F = D_R - C-.  d_r_dag, a fresh array, is overwritten by C.
     """
-    made = {}
-
-    def read(term):
-        key = term.rstrip("^~")
-        if key == term:
-            return arrays[key][s]
-        if term not in made:
-            made[term] = _swap_reflect_block(arrays[key], s)
-            if term.endswith("^"):
-                np.conjugate(made[term], out=made[term])
-        return made[term]
-
-    return read
+    plus, minus = split_values(np.subtract(d_r, d_r_dag, out=d_r_dag))
+    rule = {"forward": lambda: plus, "backward": lambda: -minus, "d_f": lambda: d_r - minus}
+    return [rule[name]() for name in names]
 
 
 def reconstruct(d_r: np.ndarray, name: str) -> np.ndarray:
-    """The named kernel of a family rebuilt from one frequency split P, M of D_R.
+    """The named kernel of a family rebuilt from its D_R alone (``_rebuilt``).
 
-    forward = P - P^dag, backward = M^dag - M and D_F = P + M^dag, with
-    ^dag the ``adjoint``.  The rule holds for the oscillator and for neutral
-    and charged fields alike: each forward contraction is
-    frequency-positive, each backward one frequency-negative, and both are
-    anti-Hermitian, so D_R - D_R^dag = forward - backward.  The kernel is
-    built block by block (``_each_block``).
+    The rule holds for the oscillator and for neutral and charged fields
+    alike: each forward contraction is frequency-positive, each backward
+    one frequency-negative, and both are anti-Hermitian, so
+    C = D_R - D_R^dag = forward - backward, and D_F = D_R + backward
+    (``time_order``).  ^dag is the ``adjoint``, which keeps the frequency
+    sign, so the rule equals the one over the halves P, M of D_R (forward
+    P - P^dag, backward M^dag - M, D_F = P + M^dag) in exact arithmetic.
     """
-    left, op, right = _RULE[name]
-    plus, minus = split_values(d_r)
-    parts = {"P": _label_blocks(plus), "M": _label_blocks(minus)}
-    out = np.empty_like(plus)
-    blocks = _label_blocks(out)
-
-    def build_block(s):
-        read = _block_reader(parts, s)
-        op(read(left), read(right), out=blocks[s])
-
-    _each_block(build_block, out)
-    return out
+    d_r = np.asarray(d_r)
+    (kernel,) = _rebuilt(d_r, adjoint(d_r), (name,))
+    return kernel
 
 
 def reconstruction_residuals(forward: np.ndarray, d_f: np.ndarray, d_r: np.ndarray, *,
@@ -256,40 +226,40 @@ def reconstruction_residuals(forward: np.ndarray, d_f: np.ndarray, d_r: np.ndarr
     """Max residual of each named kernel rebuilt from D_R against its definition.
 
     The definitions are the family's forward and backward contractions,
-    and D_F and D_R from ``time_order``.  D_F^dag = P^dag + M needs no check
-    of its own: it is the swap-reflected conjugate of P + M^dag - D_F, and
-    conjugation and a permutation commute with rounding, so its residual
-    equals that of D_F bit for bit.  A neutral
-    field, the oscillator included, passes no backward contraction: its
-    backward one is swap_reflect(forward).  "d_r_two_defs" checks the second
-    definition D_R = D_F^dag - forward^dag.  All names are compared block by
-    block (``_each_block``, ``_block_reader``), so a large family never
+    and D_F and D_R from ``time_order``.  A neutral field, the oscillator
+    included, passes no backward contraction: its backward one is
+    swap_reflect(forward).  "d_r_two_defs" checks the second definition
+    D_R^dag = D_F - forward; as the adjoint of D_R = D_F^dag - forward^dag
+    it has the same maximum, since conjugation and a permutation neither
+    round nor change a maximum.  D_F^dag needs no check of its own for the
+    same reason: its residual is that of D_F.  The names are compared block
+    by block (``_each_block``): a block reads the adjoint rows of D_R from
+    its column view and splits its own rows of C, so a large family never
     holds a full-size rebuilt kernel, adjoint or difference, and its blocks
-    run on the worker pool.  A block computes the same elementwise values
-    as the full arrays would, so the residuals do not depend on the blocking.
+    run on the worker pool.  Every row is split on its own, so the
+    residuals do not depend on the blocking.
     """
-    plus, minus = split_values(d_r)
-    named = {"P": plus, "M": minus, "forward": forward, "d_f": d_f, "d_r": d_r}
-    if backward is not None:
-        named["backward"] = backward
-    arrays = {key: _label_blocks(np.asarray(values)) for key, values in named.items()}
-    rebuilt = {**_RULE, "d_r_two_defs": ("d_f^", np.subtract, "forward^")}
-    defined = {"forward": "forward", "backward": "forward~" if backward is None else "backward",
-               "d_f": "d_f", "d_r_two_defs": "d_r"}
-    checks = [(*rebuilt[name], defined[name]) for name in names]
+    d_r = np.asarray(d_r)
+    named = {"forward": forward, "backward": backward, "d_f": d_f, "d_r": d_r}
+    rows = {key: _label_blocks(np.asarray(values))
+            for key, values in named.items() if values is not None}
+    rule_names = [name for name in names if name != "d_r_two_defs"]
 
     def block_residuals(s):
-        read = _block_reader(arrays, s)
-        out = []
-        for left, op, right, target in checks:
-            # complex, so real rebuilt kernels take a complex definition as before
-            diff = op(read(left), read(right), dtype=complex)
-            np.subtract(diff, read(target), out=diff)
-            out.append(np.max(np.abs(diff)))
+        d_r_dag = _swap_reflect_block(rows["d_r"], s)
+        np.conjugate(d_r_dag, out=d_r_dag)
+        out = {}
+        if "d_r_two_defs" in names:
+            # in complex, as the rebuilt kernels are
+            diff = np.subtract(rows["d_f"][s], rows["forward"][s], dtype=complex)
+            out["d_r_two_defs"] = np.max(np.abs(np.subtract(diff, d_r_dag, out=diff)))
+        for name, kernel in zip(rule_names, _rebuilt(rows["d_r"][s], d_r_dag, rule_names)):
+            defined = rows[name][s] if name in rows else _swap_reflect_block(rows["forward"], s)
+            out[name] = np.max(np.abs(np.subtract(kernel, defined, out=kernel)))
         return out
 
-    maxima = np.array(_each_block(block_residuals, plus))
-    return {name: float(np.max(maxima[:, k])) for k, name in enumerate(names)}
+    maxima = _each_block(block_residuals, d_r)
+    return {name: float(max(block[name] for block in maxima)) for name in names}
 
 
 # -- oscillator kernels on a grid ---------------------------------------------
@@ -313,7 +283,8 @@ def osc_kernels(p: OscillatorParams, grid: TimeGrid, *, loose: bool = False) -> 
         d = osc_d_value(grid.lags(), p)
     else:
         d = -1j * _phase(p.omega0, grid) / (2.0 * p.mass * p.omega0)
-    d_f, d_r = time_order(d, swap_reflect(d))
+    # the backward contraction is reflect(D), so D is its mirror
+    d_f, d_r = _time_order_into(d, d, np.empty_like(d), np.empty_like(d))
     return OscKernels(
         params=p,
         grid=grid,
@@ -422,8 +393,7 @@ def neutral_field_kernels(ms: ModeSet, grid: TimeGrid) -> NeutralFieldKernels:
         np.matmul(coef[s], phases, out=rows[s])
 
     def order_block(s):
-        _time_order_into(rows[s], rows[:, s].transpose(1, 0, 2), rows_f[s], rows_r[s],
-                         mirrored=True)
+        _time_order_into(rows[s], rows[:, s].transpose(1, 0, 2), rows_f[s], rows_r[s])
 
     _each_block(sum_block, d)
     _each_block(order_block, d)

@@ -330,12 +330,13 @@ import os, threading
 start = threading.active_count()
 import numpy as np
 import oscresp
-from oscresp import grids
+from oscresp import grids, kernels
 from oscresp.suites import Config, run_suite
 assert run_suite("all", Config(seed=7)).passed
 assert threading.active_count() == start, threading.enumerate()
 assert grids._pool.cache_info().currsize == 0
-grids.split_values(np.ones((4, 4, 4, 4, 256)))    # 16 blocks of 4096 samples: inline
+ones = np.ones((4, 4, 4, 4, 256))                # 16 blocks of 4096 samples: inline
+kernels.reconstruction_residuals(ones, ones, ones)
 assert threading.active_count() == start, threading.enumerate()
 assert grids._pool.cache_info().currsize == 0
 cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -344,7 +345,8 @@ modes = oscresp.ModeSet(np.arange(1, 9) * 2 * np.pi / grid.period, np.ones((8, 3
 oscresp.neutral_field_kernels(modes, grid)        # 9 blocks of 9 rows: large
 extra = threading.active_count() - start
 assert (1 <= extra <= min(cpus, 9)) if cpus > 1 else extra == 0, (extra, cpus)
-grids.split_values(np.ones((3, 3, 3, 3, 8192)))   # 9 blocks of 9 rows: large
+ones = np.ones((3, 3, 3, 3, 8192))               # 9 blocks of 9 rows: large
+kernels.reconstruction_residuals(ones, ones, ones)
 extra = threading.active_count() - start
 assert (1 <= extra <= min(cpus, 9)) if cpus > 1 else extra == 0, (extra, cpus)
 """
@@ -352,7 +354,7 @@ assert (1 <= extra <= min(cpus, 9)) if cpus > 1 else extra == 0, (extra, cpus)
 
 def test_worker_threads_start_only_for_a_large_family(tmp_path):
     # importing and a full verify run stay on the calling thread; the pool
-    # is made by the first large family, built or split, with at most one
+    # is made by the first large family, built or checked, with at most one
     # thread per block
     done = run_checkout_python(["-c", WORKER_PROBE], tmp_path)
     assert done.returncode == 0, done.stderr

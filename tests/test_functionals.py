@@ -50,6 +50,14 @@ def test_probe_sets_refuse_an_hbar_that_is_not_finite_and_positive(hbar):
         ProbeSet(probe, probe, hbar=hbar)
 
 
+@pytest.mark.parametrize("substitution", [response_substitution, inverse_substitution])
+@pytest.mark.parametrize("hbar", [0.0, -1.0, float("nan"), float("inf")])
+def test_substitutions_refuse_an_hbar_that_is_not_finite_and_positive(substitution, hbar):
+    probe = random_signal(reference_grid(), np.random.default_rng(3))
+    with pytest.raises(FunctionalError, match="hbar"):
+        substitution(probe, probe, hbar)
+
+
 def test_equal_probes_give_zero_eta_and_sigma_hbar_f():
     rng = np.random.default_rng(0)
     g = reference_grid()

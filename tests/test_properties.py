@@ -224,16 +224,22 @@ def full_split(values):
     return np.fft.ifft(spec * mask_plus, axis=-1), np.fft.ifft(spec * (1.0 - mask_plus), axis=-1)
 
 
+def full_adjoint(values):
+    return np.conj(full_swap_reflect(values))
+
+
 def full_rebuilt(forward, d_f, d_r, backward):
-    """Each rebuilt kernel and its definition, as full-size arrays."""
-    plus, minus = full_split(d_r)
-    adj = lambda x: np.conj(full_swap_reflect(x))       # noqa: E731
+    """Each rebuilt kernel and its definition, as full-size arrays.
+
+    The kernels come from one split of C = D_R - D_R^dag: forward C+,
+    backward -C-, D_F = D_R - C-; the second definition is D_R^dag = D_F - forward.
+    """
+    plus, minus = full_split(d_r - full_adjoint(d_r))
     return {
-        "d_r_two_defs": (adj(d_f) - adj(forward), d_r),
-        "forward": (plus - adj(plus), forward),
-        "backward": (adj(minus) - minus,
-                     full_swap_reflect(forward) if backward is None else backward),
-        "d_f": (plus + adj(minus), d_f),
+        "d_r_two_defs": (d_f - forward, full_adjoint(d_r)),
+        "forward": (plus, forward),
+        "backward": (-minus, full_swap_reflect(forward) if backward is None else backward),
+        "d_f": (d_r - minus, d_f),
     }
 
 
@@ -251,16 +257,24 @@ def test_blocked_split_and_residuals_equal_the_full_array_formulas(labels, n, se
     forward, d_f, d_r, back = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
                                for _ in range(4))
     back = back if backward else None
-    plus, minus = split_values(d_r)
-    full_plus, full_minus = full_split(d_r)
-    assert same_bits(plus, full_plus) and same_bits(minus, full_minus)
+    c = d_r - full_adjoint(d_r)
+    assert all(same_bits(*parts) for parts in zip(split_values(c), full_split(c)))
     full = full_rebuilt(forward, d_f, d_r, back)
     res = reconstruction_residuals(forward, d_f, d_r, backward=back)
     assert tuple(res) == RECONSTRUCTED
     for name, (rebuilt, defined) in full.items():
         assert res[name] == float(np.max(np.abs(rebuilt - defined))), name
+    # the adjoint of the second definition, D_R = D_F^dag - forward^dag, has the same maximum
+    d_r_form = full_adjoint(d_f) - full_adjoint(forward) - d_r
+    assert res["d_r_two_defs"] == float(np.max(np.abs(d_r_form)))
+    # the rule over the halves P, M of D_R, which the adjoint does not mix, to rounding
+    p, m = full_split(d_r)
+    halves = {"forward": p - full_adjoint(p), "backward": full_adjoint(m) - m,
+              "d_f": p + full_adjoint(m)}
     for name in RECONSTRUCTED[1:]:
-        assert same_bits(reconstruct(d_r, name), full[name][0]), name
+        rebuilt = reconstruct(d_r, name)
+        assert same_bits(rebuilt, full[name][0]), name
+        assert np.max(np.abs(rebuilt - halves[name])) <= 1e-14 * np.max(np.abs(d_r)), name
 
 
 @settings(PROPERTY, max_examples=30)
@@ -282,14 +296,13 @@ def test_the_blocked_neutral_family_is_the_time_order_of_its_own_contraction(
 @settings(PROPERTY, max_examples=40)
 @given(families(), seeds)
 def test_the_adjoint_rebuild_of_d_f_has_the_residual_of_d_f(family, seed):
-    # adjoint(P) + M - adjoint(D_F) is the adjoint of P + adjoint(M) - D_F: a
+    # D_R^dag - (C-)^dag - D_F^dag is the adjoint of D_R - C- - D_F: a
     # permutation and a conjugation, neither of which rounds
     forward, d_f, d_r, backward = family
     rng = np.random.default_rng(seed)
     d_f = d_f + 1e-3 * (rng.standard_normal(d_f.shape) + 1j * rng.standard_normal(d_f.shape))
-    plus, minus = full_split(d_r)
-    adj = lambda x: np.conj(full_swap_reflect(x))       # noqa: E731
-    dagger = float(np.max(np.abs(adj(plus) + minus - adj(d_f))))
+    _, minus = full_split(d_r - full_adjoint(d_r))
+    dagger = float(np.max(np.abs(full_adjoint(d_r) - full_adjoint(minus) - full_adjoint(d_f))))
     assert dagger == reconstruction_residuals(forward, d_f, d_r, backward=backward)["d_f"]
 
 
