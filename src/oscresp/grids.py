@@ -273,46 +273,59 @@ def swap_reflect(values: np.ndarray) -> np.ndarray:
 
     The leading axes hold two equal halves of labels (a, b); tau is the
     last axis.  A 1-d kernel has no labels, so for it this is plain
-    reflection.
+    reflection.  Any other shape raises GridError.
     """
-    half = (values.ndim - 1) // 2
-    shape = (*values.shape[half:-1], *values.shape[:half], values.shape[-1])
-    return _swap_reflect_block(_label_blocks(values), slice(None)).reshape(shape)
+    every = slice(None)
+    return _swap_reflect_block(_label_blocks(values), every, every).reshape(values.shape)
 
 
 # -- blocks of a kernel family ------------------------------------------------
 
 # an input of at least this many samples (1 MiB of complex), in at least two
 # blocks of at least _BLOCK_SAMPLES each, is large: its blocks, one per first
-# label half, run on the worker pool.  Timed on 2 CPUs, the pool wins from
-# here on (neutral families of 2x2 labels at n = 4096, 3x3 at n = 1024) and
-# loses below (3x3 at n = 512, the 2x2 demo family at n = 256).  Many small
-# blocks pay the hand-off once each: 16 blocks of 4096 samples (4x4 labels
-# at n = 256) are slower on the pool, and every timed pool win has blocks
-# of at least 12 288 samples.
+# label half, run on the worker pool.  Timed on 2 CPUs for the triangular
+# blocks of ``reconstruction_residuals``, the pool wins from here on (h = 4
+# label halves at n = 4096, h = 9 at n = 1024) and loses below (h = 9 at
+# n = 512, the demo family's h = 4 at n = 256, and h = 16 at n = 256, whose
+# many small blocks pay the hand-off once each).
 _LARGE_SAMPLES = 1 << 16
 _BLOCK_SAMPLES = 1 << 13
 
 
 def _label_blocks(values: np.ndarray) -> np.ndarray:
-    """View of values as (h, rows, n): entry i holds the rows whose first label half is i.
+    """View of a kernel family as (h, h, n): entry [i, j] is the row of label halves (i, j).
 
-    A 1-d kernel or signal is one entry of one row.  Indexing the second
-    axis instead, [:, i], gives the rows whose second label half is i,
-    which ``swap_reflect`` moves into entry i.
+    A 1-d kernel is the one row of h = 1; any shape but (n,) or two equal
+    label halves followed by tau raises GridError.
     """
     half = (values.ndim - 1) // 2
-    return values.reshape(math.prod(values.shape[:half]), -1, values.shape[-1])
+    if values.ndim % 2 == 0 or values.shape[:half] != values.shape[half:-1]:
+        raise GridError(f"shape {values.shape} is not a kernel family: its leading axes "
+                        "must be two equal label halves, followed by tau")
+    labels = math.prod(values.shape[:half])
+    return values.reshape(labels, labels, values.shape[-1])
 
 
-def _swap_reflect_block(blocks: np.ndarray, s: slice) -> np.ndarray:
-    """Block s of the ``swap_reflect`` of a ``_label_blocks`` view, as a new array.
+def _swap_reflect_block(blocks: np.ndarray, a, b, part=slice(None)) -> np.ndarray:
+    """Rows (a, b), or their ``part``, of the ``swap_reflect`` of a ``_label_blocks`` view.
 
-    It is the column view blocks[:, s], with its two label axes swapped
-    and tau reflected, so no other block of the swapped family is formed.
+    They are the mirror rows blocks[b, a], read for any index objects a and
+    b as blocks.transpose(1, 0, 2)[a, b] and reflected into a new array.
     """
-    column = blocks[:, s].transpose(1, 0, 2)
-    return _reflect_into(column, np.empty(column.shape, column.dtype))
+    mirror = blocks.transpose(1, 0, 2)[a, b][part]
+    return _reflect_into(mirror, np.empty(mirror.shape, mirror.dtype))
+
+
+def _adjoint_block(blocks: np.ndarray, a, b, part=slice(None)) -> np.ndarray:
+    """The ``adjoint`` of a family at rows (a, b), made as ``_swap_reflect_block``."""
+    rows = _swap_reflect_block(blocks, a, b, part)
+    return np.conjugate(rows, out=rows)
+
+
+@functools.lru_cache
+def _upper_pairs(labels: int):
+    """Index arrays (a, b) of the label pairs with a <= b, the diagonal ones first."""
+    return tuple(np.concatenate((np.arange(labels), half)) for half in np.triu_indices(labels, 1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -336,22 +349,29 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
-def _each_block(fn, values: np.ndarray) -> list:
-    """fn(s) for each block s, a slice of the first label halves of values.
+def _each_block(fn, values: np.ndarray, *, upper: bool = False) -> list:
+    """fn(a, b) for each block of rows (a, b) of a family's ``_label_blocks`` view.
 
     A large input (``_LARGE_SAMPLES``, ``_BLOCK_SAMPLES``) has one block
-    per first label half, slice(i, i + 1), and they run on the worker
-    pool: numpy's FFTs and ufuncs release the GIL, so the blocks overlap.
-    Any other input, every 1-d kernel included, is one block, slice(None),
-    run inline.  fn may run on a worker thread, so it may call only numpy
-    and private helpers, never a public function of the package.
+    per first label half s, (s, slice(None)), or with ``upper`` only its
+    rows from the diagonal on, (s, slice(s, None)); they run on the worker
+    pool, where numpy's FFTs and ufuncs release the GIL.  Any other input
+    is one block, run inline: (slice(None), slice(None)), or with ``upper``
+    the gathered ``_upper_pairs`` (a 1-d kernel's one row is (0, slice(0,
+    None))).  So an ``upper`` block begins with its diagonal rows.  fn may
+    run on a worker thread, so it may call only numpy and private helpers.
     """
     blocks = _label_blocks(values)
-    if len(blocks) < 2 or blocks.size < _LARGE_SAMPLES or blocks[0].size < _BLOCK_SAMPLES:
-        return [fn(slice(None))]
-    slices = [slice(i, i + 1) for i in range(len(blocks))]
-    pool = _pool()
-    return list(map(fn, slices) if pool is None else pool.map(fn, slices))
+    labels = len(blocks)
+    large = labels > 1 and blocks.size >= _LARGE_SAMPLES and blocks[0].size >= _BLOCK_SAMPLES
+    if not large and not upper:
+        return [fn(slice(None), slice(None))]
+    if not large and labels > 1:
+        return [fn(*_upper_pairs(labels))]
+    firsts = range(labels)
+    seconds = [slice(s if upper else 0, None) for s in firsts]
+    pool = _pool() if large else None
+    return list(map(fn, firsts, seconds) if pool is None else pool.map(fn, firsts, seconds))
 
 
 # -- frequency-sign decomposition -------------------------------------------
@@ -383,19 +403,18 @@ def _split_masks(n: int):
     return plus, minus
 
 
-def split_values(values: np.ndarray):
-    """(plus, minus) frequency parts of samples along the last axis.
+def plus_values(values: np.ndarray) -> np.ndarray:
+    """The frequency-positive part of samples along the last axis.
 
-    Each part is ifft(fft(values) * mask), with the ``half_step`` mask or
-    its complement, transformed in place in the two complex outputs.
-    Every row is transformed on its own, so a block of rows splits to the
-    same bits as the whole array.
+    It is ifft(fft(values) * half_step), transformed in place in one
+    complex output.  Its complement, the negative part, is values minus
+    it: the ``half_step`` mask and its complement sum to exactly 1.  Every
+    row is transformed on its own, so a block of rows gives the same bits
+    as the whole array.
     """
-    mask_plus, mask_minus = _split_masks(values.shape[-1])
     plus = np.fft.fft(values, axis=-1)
-    minus = plus * mask_minus
-    np.multiply(plus, mask_plus, out=plus)
-    return np.fft.ifft(plus, axis=-1, out=plus), np.fft.ifft(minus, axis=-1, out=minus)
+    np.multiply(plus, _split_masks(values.shape[-1])[0], out=plus)
+    return np.fft.ifft(plus, axis=-1, out=plus)
 
 
 def frequency_split(s):
@@ -440,9 +459,11 @@ def adjoint(values: np.ndarray) -> np.ndarray:
     """Hermitian conjugate conj(swap_reflect(K)) of a kernel or a kernel family.
 
     Reflection and conjugation each swap the frequency halves, so the
-    adjoint keeps the frequency sign.
+    adjoint keeps the frequency sign.  Any shape but a kernel family's
+    raises GridError.
     """
-    return np.conj(swap_reflect(values))
+    every = slice(None)
+    return _adjoint_block(_label_blocks(values), every, every).reshape(values.shape)
 
 
 def kernel_adjoint(k: Kernel) -> Kernel:

@@ -4,14 +4,16 @@ The plain contraction D of the oscillator is sampled from its closed form
 on a periodic grid; one time-ordering rule (``time_order``) turns it, and
 the fields' forward and backward contractions, into D_F and D_R.  One
 reconstruction rule (``_rebuilt``) rebuilds every kernel of each family
-from one frequency split of the commutator function C = D_R - D_R^dag;
-``reconstruct`` applies it to whole arrays and ``reconstruction_residuals``
-measures it; those are the identities the suites drive.  The residuals
-are taken block by block, one first label half of a family at a time
-(``grids._each_block``): a block reads the adjoint rows of D_R from the
-column view of its label half, so a large family makes no full-size
-adjoint or difference, and its blocks run on a small thread pool.  Every
-residual is bit-identical to the full-array formulas.
+from the frequency-positive part of the commutator function
+C = D_R - D_R^dag; ``reconstruct`` applies it and
+``reconstruction_residuals`` measures it; those are the identities the
+suites drive.  C+ is anti-Hermitian, so only the rows of the upper label
+pairs (a, b), a <= b, are transformed, one inverse transform a row, and
+each lower row is the adjoint of one of them.  Both run block by block
+(``grids._each_block``): a block reads the adjoint rows it needs from
+column views, so a large family makes no full-size adjoint or
+difference, and its blocks run on a small thread pool.  Every residual is
+bit-identical to the full-array formulas.
 
 All grid kernels require the frequencies in play to sit exactly on DFT
 bins (omega = 2*pi*b/(n*dt), 0 < b < n/2); the discrete identities are
@@ -32,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import (Kernel, TimeGrid, _each_block, _label_blocks, _snap, _swap_reflect_block,
-                    adjoint, reflect_values, split_values)
+from .grids import (GridError, Kernel, TimeGrid, _adjoint_block, _each_block, _label_blocks,
+                    _snap, _swap_reflect_block, plus_values, reflect_values)
 
 
 class CommensurabilityError(ValueError):
@@ -193,16 +195,20 @@ def _time_order_into(forward, mirror, d_f, d_r):
 RECONSTRUCTED = ("d_r_two_defs", "forward", "backward", "d_f")
 
 
-def _rebuilt(d_r: np.ndarray, d_r_dag: np.ndarray, names) -> list:
-    """The named kernels rebuilt from D_R and its adjoint, row by row.
+def _rebuilt(d_r: np.ndarray, d_r_dag: np.ndarray, plus: np.ndarray, names):
+    """The named kernels rebuilt at rows (a, b) of D_R, made one by one as they are read.
 
-    The commutator function C = D_R - D_R^dag splits by frequency sign
-    (``split_values``) into C+ and C-: forward = C+, backward = -C- and
-    D_F = D_R - C-.  d_r_dag, a fresh array, is overwritten by C.
+    d_r, d_r_dag and plus are those rows of D_R, of its adjoint and of C+,
+    the frequency-positive part of C = D_R - D_R^dag (``plus_values``),
+    the only part transformed, as C- = C - C+: forward = C+, backward =
+    -C- = C+ - C and D_F = D_R - C- = D_R^dag + C+.  The adjoint keeps the
+    frequency sign and C^dag = -C, so C+ is anti-Hermitian too: given
+    D_R^dag, D_R and -C+ at rows (a, b), the rule makes the adjoints of the
+    kernels' rows (b, a).
     """
-    plus, minus = split_values(np.subtract(d_r, d_r_dag, out=d_r_dag))
-    rule = {"forward": lambda: plus, "backward": lambda: -minus, "d_f": lambda: d_r - minus}
-    return [rule[name]() for name in names]
+    rule = {"forward": lambda: plus, "backward": lambda: plus - (d_r - d_r_dag),
+            "d_f": lambda: d_r_dag + plus}
+    return (rule[name]() for name in names)
 
 
 def reconstruct(d_r: np.ndarray, name: str) -> np.ndarray:
@@ -215,10 +221,21 @@ def reconstruct(d_r: np.ndarray, name: str) -> np.ndarray:
     (``time_order``).  ^dag is the ``adjoint``, which keeps the frequency
     sign, so the rule equals the one over the halves P, M of D_R (forward
     P - P^dag, backward M^dag - M, D_F = P + M^dag) in exact arithmetic.
+    A shape that is not a kernel family raises GridError.
     """
     d_r = np.asarray(d_r)
-    (kernel,) = _rebuilt(d_r, adjoint(d_r), (name,))
-    return kernel
+    rows, out = _label_blocks(d_r), np.empty(d_r.shape, complex)
+    out_rows = _label_blocks(out)
+
+    def fill(a, b):
+        here, dag = rows[a, b], _adjoint_block(rows, a, b)
+        plus = plus_values(here - dag)
+        if len(rows) > 1:       # the rows (b, a), the diagonal ones too, which the next line sets
+            out_rows[b, a] = np.conj(reflect_values(next(_rebuilt(dag, here, -plus, (name,)))))
+        out_rows[a, b] = next(_rebuilt(here, dag, plus, (name,)))
+
+    _each_block(fill, d_r, upper=True)
+    return out
 
 
 def reconstruction_residuals(forward: np.ndarray, d_f: np.ndarray, d_r: np.ndarray, *,
@@ -229,37 +246,56 @@ def reconstruction_residuals(forward: np.ndarray, d_f: np.ndarray, d_r: np.ndarr
     and D_F and D_R from ``time_order``.  A neutral field, the oscillator
     included, passes no backward contraction: its backward one is
     swap_reflect(forward).  "d_r_two_defs" checks the second definition
-    D_R^dag = D_F - forward; as the adjoint of D_R = D_F^dag - forward^dag
-    it has the same maximum, since conjugation and a permutation neither
-    round nor change a maximum.  D_F^dag needs no check of its own for the
-    same reason: its residual is that of D_F.  The names are compared block
-    by block (``_each_block``): a block reads the adjoint rows of D_R from
-    its column view and splits its own rows of C, so a large family never
-    holds a full-size rebuilt kernel, adjoint or difference, and its blocks
-    run on the worker pool.  Every row is split on its own, so the
-    residuals do not depend on the blocking.
+    D_R^dag = D_F - forward.  Conjugation and a permutation neither round
+    nor change a maximum, so D_F^dag needs no check of its own, and each
+    row (b, a) below the diagonal is compared as its adjoint, at (a, b),
+    from the column views of a block of upper label pairs (``_each_block``).
+    So every row of C is transformed once, on its own, whatever the
+    blocking, and a large family never holds a full-size rebuilt kernel,
+    adjoint or difference.  Any shape but D_R's, or a D_R that is not a
+    kernel family, raises GridError.  A NaN compared gives a NaN residual.
     """
     d_r = np.asarray(d_r)
     named = {"forward": forward, "backward": backward, "d_f": d_f, "d_r": d_r}
-    rows = {key: _label_blocks(np.asarray(values))
-            for key, values in named.items() if values is not None}
+    rows = {key: np.asarray(values) for key, values in named.items() if values is not None}
+    for key, values in rows.items():
+        if values.shape != d_r.shape:
+            raise GridError(f"{key} has shape {values.shape}, where D_R has {d_r.shape}")
+        rows[key] = _label_blocks(values)
     rule_names = [name for name in names if name != "d_r_two_defs"]
 
-    def block_residuals(s):
-        d_r_dag = _swap_reflect_block(rows["d_r"], s)
-        np.conjugate(d_r_dag, out=d_r_dag)
-        out = {}
-        if "d_r_two_defs" in names:
-            # in complex, as the rebuilt kernels are
-            diff = np.subtract(rows["d_f"][s], rows["forward"][s], dtype=complex)
-            out["d_r_two_defs"] = np.max(np.abs(np.subtract(diff, d_r_dag, out=diff)))
-        for name, kernel in zip(rule_names, _rebuilt(rows["d_r"][s], d_r_dag, rule_names)):
-            defined = rows[name][s] if name in rows else _swap_reflect_block(rows["forward"], s)
-            out[name] = np.max(np.abs(np.subtract(kernel, defined, out=kernel)))
-        return out
+    def worst(defined, d_r, d_r_dag, plus):
+        """max |rebuilt - defined| of each name over some rows, NaN if a NaN is compared."""
+        kernels = _rebuilt(d_r, d_r_dag, plus, rule_names)
 
-    maxima = _each_block(block_residuals, d_r)
-    return {name: float(max(block[name] for block in maxima)) for name in names}
+        def diff(name):
+            if name == "d_r_two_defs":      # in complex, as the rebuilt kernels are
+                two = np.subtract(defined("d_f"), defined("forward"), dtype=complex)
+                return np.subtract(two, d_r_dag, out=two)
+            kernel = next(kernels)          # forward is C+ itself, which the others read
+            return np.subtract(kernel, defined(name), out=None if kernel is plus else kernel)
+        return [np.abs(diff(name)).max() for name in names]
+
+    def block_residuals(a, b):
+        here = {key: values[a, b] for key, values in rows.items()}
+        if "backward" in names and backward is None:    # a neutral field's
+            here["backward"] = _swap_reflect_block(rows["forward"], a, b)
+        d_r_dag = _adjoint_block(rows["d_r"], a, b)
+        plus = plus_values(here["d_r"] - d_r_dag)
+        found = [worst(here.get, here["d_r"], d_r_dag, plus)]
+        # the rows past the block's leading diagonal ones (``_each_block``)
+        below = slice(np.count_nonzero(np.arange(len(rows["d_r"]))[b] == a), None)
+        if len(d_r_dag[below]):
+            # the adjoints of the definitions' rows (b, a), against the rule at (D_R^dag, D_R, -C+)
+            def adjoint(key):
+                return (_adjoint_block(rows[key], a, b, below) if key in rows
+                        else np.conj(here["forward"][below]))
+            found.append(worst(adjoint, d_r_dag[below], here["d_r"][below],
+                               np.negative(plus, out=plus)[below]))
+        return found
+
+    blocks = _each_block(block_residuals, d_r, upper=True)
+    return dict(zip(names, np.max([side for block in blocks for side in block], axis=0).tolist()))
 
 
 # -- oscillator kernels on a grid ---------------------------------------------
@@ -389,11 +425,11 @@ def neutral_field_kernels(ms: ModeSet, grid: TimeGrid) -> NeutralFieldKernels:
     d, d_f, d_r = (np.empty((labels, points, labels, points, grid.n), complex) for _ in range(3))
     rows, rows_f, rows_r = _label_blocks(d), _label_blocks(d_f), _label_blocks(d_r)
 
-    def sum_block(s):
-        np.matmul(coef[s], phases, out=rows[s])
+    def sum_block(a, b):
+        np.matmul(coef[a, b], phases, out=rows[a, b])
 
-    def order_block(s):
-        _time_order_into(rows[s], rows[:, s].transpose(1, 0, 2), rows_f[s], rows_r[s])
+    def order_block(a, b):
+        _time_order_into(rows[a, b], rows.transpose(1, 0, 2)[a, b], rows_f[a, b], rows_r[a, b])
 
     _each_block(sum_block, d)
     _each_block(order_block, d)

@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 
@@ -5,9 +6,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from oscresp import fock, kernels
-from oscresp.grids import (frequency_split, half_step, kernel_adjoint, make_grid,
-                           reflect_values, swap_reflect)
+from oscresp import fock, grids, kernels
+from oscresp.grids import (GridError, adjoint, frequency_split, half_step, kernel_adjoint,
+                           make_grid, reflect_values, swap_reflect)
 from oscresp.kernels import (RECONSTRUCTED, ChargedModeSet, CommensurabilityError,
                              ModeSet, OscillatorParams, charged_field_kernels,
                              commutator_kernel, neutral_field_kernels, osc_d_value,
@@ -186,6 +187,103 @@ def test_concurrent_callers_of_the_worker_pool_get_the_results_of_one_caller():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == [] and results == [True] * 18
+
+
+def large_field(n, seed=5):
+    """(forward, d_f, d_r, backward) of a neutral field of 3 labels x 3 points at n samples.
+
+    Its 81 rows run inline at n = 256 and in 9 blocks on the worker pool
+    at n = 4096; backward is swap_reflect(forward), passed explicitly.
+    """
+    g = make_grid(n, 0.1)
+    rng = np.random.default_rng(seed)
+    amplitudes = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    nk = neutral_field_kernels(ModeSet(np.array([3, 5, 8, 13]) * 2.0 * np.pi / g.period,
+                                       amplitudes), g)
+    return nk.d, nk.d_f, nk.d_r, swap_reflect(nk.d)
+
+
+@pytest.mark.parametrize("n", [256, 4096])
+@pytest.mark.parametrize("pair", [(0, 0, 0, 0), (2, 1, 0, 0), (1, 2, 2, 0), (0, 1, 2, 2)])
+@pytest.mark.parametrize("name", ["forward", "backward", "d_f", "d_r"])
+def test_a_nan_at_any_label_pair_gives_a_nan_residual(n, pair, name):
+    arrays = dict(zip(("forward", "d_f", "d_r", "backward"), large_field(n)))
+    arrays[name] = arrays[name].copy()
+    arrays[name][pair + (n // 3,)] = np.nan
+    res = reconstruction_residuals(arrays["forward"], arrays["d_f"], arrays["d_r"],
+                                   backward=arrays["backward"])
+    compared = {"forward": ("d_r_two_defs", "forward"), "backward": ("backward",),
+                "d_f": ("d_r_two_defs", "d_f"), "d_r": RECONSTRUCTED}[name]
+    assert all(math.isnan(res[key]) for key in compared), res
+    assert not any(math.isnan(res[key]) for key in RECONSTRUCTED if key not in compared), res
+
+
+@pytest.mark.parametrize("n", [256, 4096])
+@pytest.mark.parametrize("name", ["forward", "backward", "d_f"])
+def test_a_change_at_a_lower_label_pair_is_read_by_its_residual(n, name):
+    # (mu, r, mu', r') = (2, 1, 0, 2): first label half 7, second 2, below the diagonal
+    arrays = dict(zip(("forward", "d_f", "d_r", "backward"), large_field(n)))
+    arrays[name] = arrays[name].copy()
+    arrays[name][2, 1, 0, 2, n // 5] += 1e-3 - 2e-3j
+    res = reconstruction_residuals(arrays["forward"], arrays["d_f"], arrays["d_r"],
+                                   backward=arrays["backward"])
+    assert res[name] == pytest.approx(abs(1e-3 - 2e-3j), abs=1e-13)
+    others = [key for key in RECONSTRUCTED[1:] if key != name]
+    assert all(res[key] < 1e-13 for key in others), res
+
+
+def test_the_pool_and_inline_blockings_give_the_same_bits(monkeypatch):
+    forward, d_f, d_r, backward = large_field(4096)
+    d_f = d_f + 1e-6 * np.random.default_rng(2).standard_normal(d_f.shape)
+    pooled = reconstruction_residuals(forward, d_f, d_r, backward=backward)
+    rebuilt = [reconstruct(d_r, name) for name in RECONSTRUCTED[1:]]
+    monkeypatch.setattr(grids, "_LARGE_SAMPLES", math.inf)
+    assert reconstruction_residuals(forward, d_f, d_r, backward=backward) == pooled
+    for name, kernel in zip(RECONSTRUCTED[1:], rebuilt):
+        assert reconstruct(d_r, name).tobytes() == kernel.tobytes(), name
+
+
+@pytest.mark.parametrize("labels, n", [((), 64), ((2, 3), 64), ((3, 3), 4096)])
+def test_each_upper_label_pair_is_transformed_once(monkeypatch, labels, n):
+    # a 1-d kernel, a 6-row family inline and an 81-row family on the pool
+    rows = {"fft": [], "ifft": []}
+    for transform, counted in rows.items():
+        def count(values, *args, _transform=getattr(np.fft, transform), _rows=counted, **kw):
+            _rows.append(math.prod(np.shape(values)[:-1]))      # append: thread-safe
+            return _transform(values, *args, **kw)
+        monkeypatch.setattr(np.fft, transform, count)
+    rng = np.random.default_rng(4)
+    shape = (*labels, *labels, n)
+    forward, d_f, d_r, backward = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                                   for _ in range(4))
+    h = math.prod(labels)
+    reconstruction_residuals(forward, d_f, d_r, backward=backward)
+    assert {key: sum(counted) for key, counted in rows.items()} == {
+        "fft": h * (h + 1) // 2, "ifft": h * (h + 1) // 2}
+    for counted in rows.values():
+        counted.clear()
+    reconstruct(d_r, "backward")
+    assert [sum(counted) for counted in rows.values()] == [h * (h + 1) // 2] * 2
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 16), (2, 2, 3, 16), (2, 16), (3, 2, 2, 3, 16), ()])
+def test_shapes_that_are_not_a_kernel_family_are_refused(shape):
+    values = np.ones(shape, complex)
+    for call in (lambda: reconstruct(values, "d_f"), lambda: swap_reflect(values),
+                 lambda: adjoint(values),
+                 lambda: reconstruction_residuals(values, values, values)):
+        with pytest.raises(GridError):
+            call()
+
+
+@pytest.mark.parametrize("name", ["forward", "d_f", "d_r", "backward"])
+def test_kernels_of_another_shape_than_d_r_are_refused(name):
+    family = np.ones((2, 2, 16), complex)
+    arrays = {"forward": family, "d_f": family, "d_r": family, "backward": family,
+              name: np.ones((3, 3, 16), complex)}
+    with pytest.raises(GridError, match="where D_R has"):
+        reconstruction_residuals(arrays["forward"], arrays["d_f"], arrays["d_r"],
+                                 backward=arrays["backward"])
 
 
 def test_retarded_from_contractions_equals_stepped_difference():
