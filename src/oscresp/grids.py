@@ -285,9 +285,10 @@ def swap_reflect(values: np.ndarray) -> np.ndarray:
 # blocks of at least _BLOCK_SAMPLES each, is large: its blocks, one per first
 # label half, run on the worker pool.  Timed on 2 CPUs for the triangular
 # blocks of ``reconstruction_residuals``, the pool wins from here on (h = 4
-# label halves at n = 4096, h = 9 at n = 1024) and loses below (h = 9 at
-# n = 512, the demo family's h = 4 at n = 256, and h = 16 at n = 256, whose
-# many small blocks pay the hand-off once each).
+# label halves at n = 4096, h = 9 at n = 1024), and already at h = 4,
+# n = 2048; it ties at h = 9, n = 512 and loses at h = 16, n = 256, whose
+# many small blocks pay the hand-off once each, and at the demo family's
+# h = 4, n = 256.
 _LARGE_SAMPLES = 1 << 16
 _BLOCK_SAMPLES = 1 << 13
 
@@ -354,12 +355,15 @@ def _each_block(fn, values: np.ndarray, *, upper: bool = False) -> list:
 
     A large input (``_LARGE_SAMPLES``, ``_BLOCK_SAMPLES``) has one block
     per first label half s, (s, slice(None)), or with ``upper`` only its
-    rows from the diagonal on, (s, slice(s, None)); they run on the worker
-    pool, where numpy's FFTs and ufuncs release the GIL.  Any other input
-    is one block, run inline: (slice(None), slice(None)), or with ``upper``
-    the gathered ``_upper_pairs`` (a 1-d kernel's one row is (0, slice(0,
-    None))).  So an ``upper`` block begins with its diagonal rows.  fn may
-    run on a worker thread, so it may call only numpy and private helpers.
+    rows from the diagonal on, (s, slice(s, None)).  They run on the
+    worker pool, where numpy's FFTs and ufuncs release the GIL, in the
+    order s = 0, h - 1, 1, h - 2, ..., so that two ``upper`` blocks that
+    run at once hold about h + 1 rows and the threads' heaps grow less.
+    Any other input is one block, run inline: (slice(None), slice(None)),
+    or with ``upper`` the gathered ``_upper_pairs`` (a 1-d kernel's one
+    row is (0, slice(0, None))).  So an ``upper`` block begins with its
+    diagonal rows.  fn may run on a worker thread, so it may call only
+    numpy and private helpers, never a public function of the package.
     """
     blocks = _label_blocks(values)
     labels = len(blocks)
@@ -368,7 +372,7 @@ def _each_block(fn, values: np.ndarray, *, upper: bool = False) -> list:
         return [fn(slice(None), slice(None))]
     if not large and labels > 1:
         return [fn(*_upper_pairs(labels))]
-    firsts = range(labels)
+    firsts = sorted(range(labels), key=lambda s: min(s, labels - 1 - s))
     seconds = [slice(s if upper else 0, None) for s in firsts]
     pool = _pool() if large else None
     return list(map(fn, firsts, seconds) if pool is None else pool.map(fn, firsts, seconds))
@@ -462,8 +466,7 @@ def adjoint(values: np.ndarray) -> np.ndarray:
     adjoint keeps the frequency sign.  Any shape but a kernel family's
     raises GridError.
     """
-    every = slice(None)
-    return _adjoint_block(_label_blocks(values), every, every).reshape(values.shape)
+    return np.conj(swap_reflect(values))
 
 
 def kernel_adjoint(k: Kernel) -> Kernel:
