@@ -323,12 +323,6 @@ def _adjoint_block(blocks: np.ndarray, a, b, part=slice(None)) -> np.ndarray:
     return np.conjugate(rows, out=rows)
 
 
-@functools.lru_cache
-def _upper_pairs(labels: int):
-    """Index arrays (a, b) of the label pairs with a <= b, the diagonal ones first."""
-    return tuple(np.concatenate((np.arange(labels), half)) for half in np.triu_indices(labels, 1))
-
-
 @functools.lru_cache(maxsize=None)
 def _pool():
     """The one worker pool, made on first use; None on a single CPU.
@@ -359,22 +353,18 @@ def _each_block(fn, values: np.ndarray, *, upper: bool = False) -> list:
     worker pool, where numpy's FFTs and ufuncs release the GIL, in the
     order s = 0, h - 1, 1, h - 2, ..., so that two ``upper`` blocks that
     run at once hold about h + 1 rows and the threads' heaps grow less.
-    Any other input is one block, run inline: (slice(None), slice(None)),
-    or with ``upper`` the gathered ``_upper_pairs`` (a 1-d kernel's one
-    row is (0, slice(0, None))).  So an ``upper`` block begins with its
-    diagonal rows.  fn may run on a worker thread, so it may call only
-    numpy and private helpers, never a public function of the package.
+    Any other input, every 1-d kernel included, is one block of every
+    row, (slice(None), slice(None)), run inline.  fn may run on a worker
+    thread, so it may call only numpy and private helpers, never a public
+    function of the package.
     """
     blocks = _label_blocks(values)
     labels = len(blocks)
-    large = labels > 1 and blocks.size >= _LARGE_SAMPLES and blocks[0].size >= _BLOCK_SAMPLES
-    if not large and not upper:
+    if labels < 2 or blocks.size < _LARGE_SAMPLES or blocks[0].size < _BLOCK_SAMPLES:
         return [fn(slice(None), slice(None))]
-    if not large and labels > 1:
-        return [fn(*_upper_pairs(labels))]
     firsts = sorted(range(labels), key=lambda s: min(s, labels - 1 - s))
     seconds = [slice(s if upper else 0, None) for s in firsts]
-    pool = _pool() if large else None
+    pool = _pool()
     return list(map(fn, firsts, seconds) if pool is None else pool.map(fn, firsts, seconds))
 
 

@@ -9,10 +9,10 @@ C = D_R - D_R^dag; ``reconstruct`` applies it and
 ``reconstruction_residuals`` measures it; those are the identities the
 suites drive.  C+ is anti-Hermitian, so only the rows of the upper label
 pairs (a, b), a <= b, are transformed, one inverse transform a row, and
-each lower row is the adjoint of one of them.  Both run block by block
-(``grids._each_block``): a block reads the adjoint rows it needs from
-column views, so a large family makes no full-size adjoint or
-difference, and its blocks run on a small thread pool.  Every residual is
+each lower row is the adjoint of one of them.  A large family is checked
+block by block (``grids._each_block``): a block reads the adjoint rows it
+needs from column views, so it makes no full-size adjoint or difference,
+and the blocks run on a small thread pool.  Every residual is
 bit-identical to the full-array formulas.
 
 All grid kernels require the frequencies in play to sit exactly on DFT
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import (GridError, Kernel, TimeGrid, _adjoint_block, _each_block, _label_blocks,
-                    _snap, _swap_reflect_block, plus_values, reflect_values)
+                    _snap, _swap_reflect_block, adjoint, plus_values, reflect_values)
 
 
 class CommensurabilityError(ValueError):
@@ -196,19 +196,38 @@ RECONSTRUCTED = ("d_r_two_defs", "forward", "backward", "d_f")
 
 
 def _rebuilt(d_r: np.ndarray, d_r_dag: np.ndarray, plus: np.ndarray, names):
-    """The named kernels rebuilt at rows (a, b) of D_R, made one by one as they are read.
+    """The named kernels rebuilt at some rows of D_R, made one by one as they are read.
 
     d_r, d_r_dag and plus are those rows of D_R, of its adjoint and of C+,
-    the frequency-positive part of C = D_R - D_R^dag (``plus_values``),
-    the only part transformed, as C- = C - C+: forward = C+, backward =
-    -C- = C+ - C and D_F = D_R - C- = D_R^dag + C+.  The adjoint keeps the
-    frequency sign and C^dag = -C, so C+ is anti-Hermitian too: given
+    the frequency-positive part of C = D_R - D_R^dag, the only part
+    transformed (``plus_values``), as C- = C - C+: forward = C+, backward
+    = -C- = C+ - C and D_F = D_R - C- = D_R^dag + C+.  The adjoint keeps
+    the frequency sign and C^dag = -C, so C+ is anti-Hermitian too: given
     D_R^dag, D_R and -C+ at rows (a, b), the rule makes the adjoints of the
     kernels' rows (b, a).
     """
     rule = {"forward": lambda: plus, "backward": lambda: plus - (d_r - d_r_dag),
             "d_f": lambda: d_r_dag + plus}
     return (rule[name]() for name in names)
+
+
+_upper_pairs = functools.lru_cache(np.triu_indices)
+
+
+def _upper_plus(c: np.ndarray) -> np.ndarray:
+    """C+ of a family's C, as (h, h, n) rows, from the rows of its upper label pairs.
+
+    Only the rows (a, b) with a <= b are transformed; as C+ is
+    anti-Hermitian, each row (b, a) is the adjoint of -C+ at (a, b).
+    """
+    if len(c) == 1:
+        return plus_values(c)
+    a, b = _upper_pairs(len(c))
+    upper = plus_values(c[a, b])
+    plus = np.empty(c.shape, complex)
+    plus[b, a] = np.conj(reflect_values(-upper))        # the diagonal too, then
+    plus[a, b] = upper                                  # as it was transformed
+    return plus
 
 
 def reconstruct(d_r: np.ndarray, name: str) -> np.ndarray:
@@ -221,21 +240,14 @@ def reconstruct(d_r: np.ndarray, name: str) -> np.ndarray:
     (``time_order``).  ^dag is the ``adjoint``, which keeps the frequency
     sign, so the rule equals the one over the halves P, M of D_R (forward
     P - P^dag, backward M^dag - M, D_F = P + M^dag) in exact arithmetic.
-    A shape that is not a kernel family raises GridError.
+    C+ is transformed at the upper label pairs only (``_upper_plus``).  A
+    shape that is not a kernel family raises GridError.
     """
     d_r = np.asarray(d_r)
-    rows, out = _label_blocks(d_r), np.empty(d_r.shape, complex)
-    out_rows = _label_blocks(out)
-
-    def fill(a, b):
-        here, dag = rows[a, b], _adjoint_block(rows, a, b)
-        plus = plus_values(here - dag)
-        if len(rows) > 1:       # the rows (b, a), the diagonal ones too, which the next line sets
-            out_rows[b, a] = np.conj(reflect_values(next(_rebuilt(dag, here, -plus, (name,)))))
-        out_rows[a, b] = next(_rebuilt(here, dag, plus, (name,)))
-
-    _each_block(fill, d_r, upper=True)
-    return out
+    rows = _label_blocks(d_r)
+    dag = _label_blocks(adjoint(d_r))
+    (kernel,) = _rebuilt(rows, dag, _upper_plus(rows - dag), (name,))
+    return kernel.reshape(d_r.shape)
 
 
 def reconstruction_residuals(forward: np.ndarray, d_f: np.ndarray, d_r: np.ndarray, *,
@@ -247,13 +259,15 @@ def reconstruction_residuals(forward: np.ndarray, d_f: np.ndarray, d_r: np.ndarr
     included, passes no backward contraction: its backward one is
     swap_reflect(forward).  "d_r_two_defs" checks the second definition
     D_R^dag = D_F - forward.  Conjugation and a permutation neither round
-    nor change a maximum, so D_F^dag needs no check of its own, and each
-    row (b, a) below the diagonal is compared as its adjoint, at (a, b),
-    from the column views of a block of upper label pairs (``_each_block``).
-    So every row of C is transformed once, on its own, whatever the
-    blocking, and a large family never holds a full-size rebuilt kernel,
-    adjoint or difference.  Any shape but D_R's, or a D_R that is not a
-    kernel family, raises GridError.  A NaN compared gives a NaN residual.
+    nor change a maximum, so D_F^dag needs no check of its own.  Every
+    row of C is transformed once, on its own, whatever the blocking
+    (``_each_block``): a small family is checked whole, with
+    ``_upper_plus``; a large one on the worker pool, one first label
+    half's upper rows at a time, each row (b, a) below them compared as
+    its adjoint at (a, b), from column views, so that no full-size
+    rebuilt kernel, adjoint or difference is held.  Any shape but D_R's,
+    or a D_R that is not a kernel family, raises GridError.  A NaN
+    compared gives a NaN residual.
     """
     d_r = np.asarray(d_r)
     named = {"forward": forward, "backward": backward, "d_f": d_f, "d_r": d_r}
@@ -281,11 +295,11 @@ def reconstruction_residuals(forward: np.ndarray, d_f: np.ndarray, d_r: np.ndarr
         if "backward" in names and backward is None:    # a neutral field's
             here["backward"] = _swap_reflect_block(rows["forward"], a, b)
         d_r_dag = _adjoint_block(rows["d_r"], a, b)
-        plus = plus_values(here["d_r"] - d_r_dag)
-        found = [worst(here.get, here["d_r"], d_r_dag, plus)]
-        # the rows past the block's leading diagonal ones (``_each_block``)
-        below = slice(np.count_nonzero(np.arange(len(rows["d_r"]))[b] == a), None)
-        if len(d_r_dag[below]):
+        if isinstance(a, slice):        # every row
+            return [worst(here.get, here["d_r"], d_r_dag, _upper_plus(here["d_r"] - d_r_dag))]
+        plus = plus_values(here["d_r"] - d_r_dag)       # rows (a, a), (a, a + 1), ...
+        found, below = [worst(here.get, here["d_r"], d_r_dag, plus)], slice(1, None)
+        if len(plus) > 1:
             # the adjoints of the definitions' rows (b, a), against the rule at (D_R^dag, D_R, -C+)
             def adjoint(key):
                 return (_adjoint_block(rows[key], a, b, below) if key in rows
