@@ -397,18 +397,17 @@ def _split_masks(n: int):
     return plus, minus
 
 
-def plus_values(values: np.ndarray) -> np.ndarray:
-    """The frequency-positive part of samples along the last axis.
+def _plus_part(values: np.ndarray) -> np.ndarray:
+    """The frequency-positive part of complex samples along the last axis, made in their place.
 
-    It is ifft(fft(values) * half_step), transformed in place in one
-    complex output.  Its complement, the negative part, is values minus
-    it: the ``half_step`` mask and its complement sum to exactly 1.  Every
-    row is transformed on its own, so a block of rows gives the same bits
-    as the whole array.
+    It is ifft(fft(values) * half_step), and the negative part is the
+    input minus it: the ``half_step`` mask and its complement sum to
+    exactly 1.  Every row is transformed on its own, so a block of rows
+    gives the same bits as the whole array.
     """
-    plus = np.fft.fft(values, axis=-1)
-    np.multiply(plus, _split_masks(values.shape[-1])[0], out=plus)
-    return np.fft.ifft(plus, axis=-1, out=plus)
+    np.fft.fft(values, axis=-1, out=values)
+    np.multiply(values, _split_masks(values.shape[-1])[0], out=values)
+    return np.fft.ifft(values, axis=-1, out=values)
 
 
 def frequency_split(s):
