@@ -397,11 +397,11 @@ def _split_masks(n: int):
     return plus, minus
 
 
-def _plus_part(values: np.ndarray) -> np.ndarray:
+def plus_values(values: np.ndarray) -> np.ndarray:
     """The frequency-positive part of complex samples along the last axis, made in their place.
 
-    It is ifft(fft(values) * half_step), and the negative part is the
-    input minus it: the ``half_step`` mask and its complement sum to
+    values is overwritten and returned.  The part is ifft(fft(values) *
+    half_step), and the negative part is the input minus it: the ``half_step`` mask and its complement sum to
     exactly 1.  Every row is transformed on its own, so a block of rows
     gives the same bits as the whole array.
     """

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import (GridError, Kernel, TimeGrid, _adjoint_block, _each_block, _label_blocks,
-                    _plus_part, _snap, _swap_reflect_block, adjoint, reflect_values)
+                    _snap, _swap_reflect_block, adjoint, plus_values, reflect_values)
 
 
 class CommensurabilityError(ValueError):
@@ -200,7 +200,7 @@ def _rebuilt(d_r: np.ndarray, d_r_dag: np.ndarray, plus: np.ndarray, names):
 
     d_r, d_r_dag and plus are those rows of D_R, of its adjoint and of C+,
     the frequency-positive part of C = D_R - D_R^dag, the only part
-    transformed (``_plus_part``), as C- = C - C+: forward = C+, backward
+    transformed (``plus_values``), as C- = C - C+: forward = C+, backward
     = -C- = C+ - C and D_F = D_R - C- = D_R^dag + C+.  The adjoint keeps
     the frequency sign and C^dag = -C, so C+ is anti-Hermitian too: given
     D_R^dag, D_R and -C+ at rows (a, b), the rule makes the adjoints of the
@@ -222,9 +222,9 @@ def _upper_plus(c: np.ndarray) -> np.ndarray:
     1-d kernel's C is transformed in its place.
     """
     if len(c) == 1:
-        return _plus_part(c)
+        return plus_values(c)
     a, b = _upper_pairs(len(c))
-    upper = _plus_part(c[a, b])
+    upper = plus_values(c[a, b])
     plus = np.empty(c.shape, complex)
     plus[b, a] = np.conj(reflect_values(-upper))        # the diagonal too, then
     plus[a, b] = upper                                  # as it was transformed
@@ -299,7 +299,7 @@ def reconstruction_residuals(forward: np.ndarray, d_f: np.ndarray, d_r: np.ndarr
         c = np.subtract(here["d_r"], d_r_dag, dtype=complex)
         if isinstance(a, slice):        # every row
             return [worst(here.get, here["d_r"], d_r_dag, _upper_plus(c))]
-        plus = _plus_part(c)            # rows (a, a), (a, a + 1), ..., in the place of C
+        plus = plus_values(c)       # rows (a, a), (a, a + 1), ..., in the place of C
         found, below = [worst(here.get, here["d_r"], d_r_dag, plus)], slice(1, None)
         if len(plus) > 1:
             # the adjoints of the definitions' rows (b, a), against the rule at (D_R^dag, D_R, -C+)

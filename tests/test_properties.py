@@ -18,8 +18,8 @@ from oscresp.functionals import (ProbeSet, _eta_ladder_coefficients,
                                  gaussian_moments, inverse_substitution, moment_residual,
                                  phi_in_state, predicted_moment, quad_form,
                                  response_substitution)
-from oscresp.grids import (Kernel, SampledSignal, _plus_part, frequency_split, half_step,
-                           kernel_adjoint, make_grid, swap_reflect, without_zero_nyquist)
+from oscresp.grids import (Kernel, SampledSignal, frequency_split, half_step, kernel_adjoint,
+                           make_grid, plus_values, swap_reflect, without_zero_nyquist)
 from oscresp.kernels import (RECONSTRUCTED, ChargedModeSet, ModeSet, OscillatorParams,
                              charged_field_kernels, commutator_kernel,
                              neutral_field_kernels, osc_kernels, reconstruct,
@@ -281,7 +281,7 @@ def test_blocked_split_and_residuals_equal_the_full_array_formulas(labels, n, se
                                for _ in range(4))
     back = back if backward else None
     c = d_r - full_adjoint(d_r)
-    assert same_bits(_plus_part(c.copy()), full_plus(c))
+    assert same_bits(plus_values(c.copy()), full_plus(c))
     full = full_rebuilt(forward, d_f, d_r, back)
     res = reconstruction_residuals(forward, d_f, d_r, backward=back)
     assert tuple(res) == RECONSTRUCTED
