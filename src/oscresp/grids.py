@@ -284,11 +284,11 @@ def swap_reflect(values: np.ndarray) -> np.ndarray:
 # an input of at least this many samples (1 MiB of complex), in at least two
 # blocks of at least _BLOCK_SAMPLES each, is large: its blocks, one per first
 # label half, run on the worker pool.  Timed on 2 CPUs for the triangular
-# blocks of ``reconstruction_residuals``, the pool wins from here on (h = 4
-# label halves at n = 4096, h = 9 at n = 1024), and already at h = 4,
-# n = 2048; it ties at h = 9, n = 512 and loses at h = 16, n = 256, whose
-# many small blocks pay the hand-off once each, and at the demo family's
-# h = 4, n = 256.
+# blocks of ``reconstruction_residuals`` against the whole family inline,
+# the pool wins from here on (h = 4 label halves at n = 4096, h = 9 at
+# n = 1024), and already at h = 4, n = 2048; it loses at h = 9, n = 512,
+# at h = 16, n = 256, whose many small blocks pay the hand-off once each,
+# and at the demo family's h = 4, n = 256.
 _LARGE_SAMPLES = 1 << 16
 _BLOCK_SAMPLES = 1 << 13
 

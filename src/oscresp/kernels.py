@@ -297,7 +297,7 @@ def reconstruction_residuals(forward: np.ndarray, d_f: np.ndarray, d_r: np.ndarr
             here["backward"] = _swap_reflect_block(rows["forward"], a, b)
         d_r_dag = _adjoint_block(rows["d_r"], a, b)
         c = np.subtract(here["d_r"], d_r_dag, dtype=complex)
-        if isinstance(a, slice):        # every row
+        if isinstance(a, slice):        # every row, of a small family or a 1-d kernel
             return [worst(here.get, here["d_r"], d_r_dag, _upper_plus(c))]
         plus = plus_values(c)       # rows (a, a), (a, a + 1), ..., in the place of C
         found, below = [worst(here.get, here["d_r"], d_r_dag, plus)], slice(1, None)
