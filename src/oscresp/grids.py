@@ -29,6 +29,7 @@ import csv
 import functools
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -48,8 +49,10 @@ class TimeGrid:
     t0: float
 
     def __post_init__(self):
-        if self.n < 4 or self.n % 2 != 0:
-            raise GridError(f"grid size must be even and >= 4, got {self.n}")
+        n = self.n
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 4 or n % 2:
+            raise GridError(f"grid size must be an even integer >= 4, got {n!r}")
+        object.__setattr__(self, "n", int(n))      # a numpy integer as int
         if not self.dt > 0:
             raise GridError(f"time step must be positive, got {self.dt}")
         if not (math.isfinite(self.dt) and math.isfinite(self.t0)):
@@ -89,7 +92,7 @@ def _snap(x: float):
 
 def make_grid(n: int, dt: float) -> TimeGrid:
     """Grid of n samples centered on zero, so both signs of tau occur."""
-    grid = TimeGrid(n=int(n), dt=float(dt), t0=0.0)
+    grid = TimeGrid(n=n, dt=float(dt), t0=0.0)
     return TimeGrid(n=grid.n, dt=grid.dt, t0=-grid.n * grid.dt / 2.0)
 
 
@@ -170,7 +173,7 @@ class SampledSignal:
     def from_record(cls, rec: dict):
         """Inverse of ``to_record``; a malformed record or non-finite sample is refused."""
         try:
-            n, dt, t0 = int(rec["n"]), float(rec["dt"]), float(rec["t0"])
+            n, dt, t0 = rec["n"], float(rec["dt"]), float(rec["t0"])
             values = np.array([complex(re, im) for re, im in rec["values"]])
         except (KeyError, TypeError, ValueError) as exc:
             raise GridError(f"malformed signal record: {exc!r}") from exc
@@ -282,13 +285,12 @@ def swap_reflect(values: np.ndarray) -> np.ndarray:
 # -- blocks of a kernel family ------------------------------------------------
 
 # an input of at least this many samples (1 MiB of complex), in at least two
-# blocks of at least _BLOCK_SAMPLES each, is large: its blocks, one per first
-# label half, run on the worker pool.  Timed on 2 CPUs for the triangular
-# blocks of ``reconstruction_residuals`` against the whole family inline,
-# the pool wins from here on (h = 4 label halves at n = 4096, h = 9 at
-# n = 1024), and already at h = 4, n = 2048; it loses at h = 9, n = 512,
-# at h = 16, n = 256, whose many small blocks pay the hand-off once each,
-# and at the demo family's h = 4, n = 256.
+# blocks of at least _BLOCK_SAMPLES each, is large: its blocks run on the
+# worker pool, any other's inline, as small blocks pay the hand-off once each.
+# Timed on 2 CPUs for the builder, the rebuild and its check, inline wins at
+# h = 4 label halves, n = 256 (the demo family) and 2048, at h = 9, n = 512 and
+# 1024 (on the pool by this rule) and at h = 16, n = 256; the two are level at
+# h = 4, n = 4096, and the pool wins from h = 9, n = 2048 on (1.5-1.8x at 16384).
 _LARGE_SAMPLES = 1 << 16
 _BLOCK_SAMPLES = 1 << 13
 
@@ -307,19 +309,15 @@ def _label_blocks(values: np.ndarray) -> np.ndarray:
     return values.reshape(labels, labels, values.shape[-1])
 
 
-def _swap_reflect_block(blocks: np.ndarray, a, b, part=slice(None)) -> np.ndarray:
-    """Rows (a, b), or their ``part``, of the ``swap_reflect`` of a ``_label_blocks`` view.
-
-    They are the mirror rows blocks[b, a], read for any index objects a and
-    b as blocks.transpose(1, 0, 2)[a, b] and reflected into a new array.
-    """
-    mirror = blocks.transpose(1, 0, 2)[a, b][part]
+def _swap_reflect_block(blocks: np.ndarray, a, b) -> np.ndarray:
+    """Rows (a, b) of the ``swap_reflect`` of a ``_label_blocks`` view: rows [b, a], reflected."""
+    mirror = blocks.transpose(1, 0, 2)[a, b]
     return _reflect_into(mirror, np.empty(mirror.shape, mirror.dtype))
 
 
-def _adjoint_block(blocks: np.ndarray, a, b, part=slice(None)) -> np.ndarray:
+def _adjoint_block(blocks: np.ndarray, a, b) -> np.ndarray:
     """The ``adjoint`` of a family at rows (a, b), made as ``_swap_reflect_block``."""
-    rows = _swap_reflect_block(blocks, a, b, part)
+    rows = _swap_reflect_block(blocks, a, b)
     return np.conjugate(rows, out=rows)
 
 
@@ -345,26 +343,22 @@ if hasattr(os, "register_at_fork"):
 
 
 def _each_block(fn, values: np.ndarray, *, upper: bool = False) -> list:
-    """fn(a, b) for each block of rows (a, b) of a family's ``_label_blocks`` view.
+    """fn(s, b) for each first label half s of a family's ``_label_blocks`` view.
 
-    A large input (``_LARGE_SAMPLES``, ``_BLOCK_SAMPLES``) has one block
-    per first label half s, (s, slice(None)), or with ``upper`` only its
-    rows from the diagonal on, (s, slice(s, None)).  They run on the
-    worker pool, where numpy's FFTs and ufuncs release the GIL, in the
-    order s = 0, h - 1, 1, h - 2, ..., so that two ``upper`` blocks that
-    run at once hold about h + 1 rows and the threads' heaps grow less.
-    Any other input, every 1-d kernel included, is one block of every
-    row, (slice(None), slice(None)), run inline.  fn may run on a worker
-    thread, so it may call only numpy and private helpers, never a public
-    function of the package.
+    b is slice(0, None), or with ``upper`` slice(s, None), the rows from the
+    diagonal on; a 1-d kernel is the one block s = 0.  The blocks come in
+    the order s = 0, h - 1, 1, h - 2, ..., so that two ``upper`` blocks that
+    run at once hold about h + 1 rows.  A large input (``_LARGE_SAMPLES``)
+    runs them on the worker pool, where numpy's FFTs and ufuncs release the
+    GIL, any other inline.  fn may run on a worker thread, so it may call
+    only numpy and private helpers, never a public function of the package.
     """
     blocks = _label_blocks(values)
     labels = len(blocks)
-    if labels < 2 or blocks.size < _LARGE_SAMPLES or blocks[0].size < _BLOCK_SAMPLES:
-        return [fn(slice(None), slice(None))]
     firsts = sorted(range(labels), key=lambda s: min(s, labels - 1 - s))
     seconds = [slice(s if upper else 0, None) for s in firsts]
-    pool = _pool()
+    large = labels > 1 and blocks.size >= _LARGE_SAMPLES and blocks[0].size >= _BLOCK_SAMPLES
+    pool = _pool() if large else None
     return list(map(fn, firsts, seconds) if pool is None else pool.map(fn, firsts, seconds))
 
 

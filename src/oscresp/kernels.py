@@ -1,19 +1,13 @@
-"""Oscillator and free-field two-point kernels and their reconstruction rules.
+"""Oscillator and free-field two-point kernels and their reconstruction rule.
 
 The plain contraction D of the oscillator is sampled from its closed form
 on a periodic grid; one time-ordering rule (``time_order``) turns it, and
 the fields' forward and backward contractions, into D_F and D_R.  One
 reconstruction rule (``_rebuilt``) rebuilds every kernel of each family
-from the frequency-positive part of the commutator function
-C = D_R - D_R^dag; ``reconstruct`` applies it and
-``reconstruction_residuals`` measures it; those are the identities the
-suites drive.  C+ is anti-Hermitian, so only the rows of the upper label
-pairs (a, b), a <= b, are transformed, one inverse transform a row, and
-each lower row is the adjoint of one of them.  A large family is checked
-block by block (``grids._each_block``): a block reads the adjoint rows it
-needs from column views, so it makes no full-size adjoint or difference,
-and the blocks run on a small thread pool.  Every residual is
-bit-identical to the full-array formulas.
+from C+, the frequency-positive part of C = D_R - D_R^dag;
+``reconstruct`` applies it and ``reconstruction_residuals`` measures it,
+one first label half at a time (``_rule_sides``); those are the
+identities the suites drive.
 
 All grid kernels require the frequencies in play to sit exactly on DFT
 bins (omega = 2*pi*b/(n*dt), 0 < b < n/2); the discrete identities are
@@ -35,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import (GridError, Kernel, TimeGrid, _adjoint_block, _each_block, _label_blocks,
-                    _snap, _swap_reflect_block, adjoint, plus_values, reflect_values)
+                    _snap, _swap_reflect_block, plus_values, reflect_values)
 
 
 class CommensurabilityError(ValueError):
@@ -199,56 +193,56 @@ def _rebuilt(d_r: np.ndarray, d_r_dag: np.ndarray, plus: np.ndarray, names):
     """The named kernels rebuilt at some rows of D_R, made one by one as they are read.
 
     d_r, d_r_dag and plus are those rows of D_R, of its adjoint and of C+,
-    the frequency-positive part of C = D_R - D_R^dag, the only part
-    transformed (``plus_values``), as C- = C - C+: forward = C+, backward
-    = -C- = C+ - C and D_F = D_R - C- = D_R^dag + C+.  The adjoint keeps
-    the frequency sign and C^dag = -C, so C+ is anti-Hermitian too: given
-    D_R^dag, D_R and -C+ at rows (a, b), the rule makes the adjoints of the
-    kernels' rows (b, a).
+    the only part of C = D_R - D_R^dag transformed, as C- = C - C+:
+    forward = C+, backward = -C- = C+ - C and D_F = D_R - C- = D_R^dag + C+.
     """
     rule = {"forward": lambda: plus, "backward": lambda: plus - (d_r - d_r_dag),
             "d_f": lambda: d_r_dag + plus}
     return (rule[name]() for name in names)
 
 
-_upper_pairs = functools.lru_cache(np.triu_indices)
+def _rule_sides(d_r: np.ndarray, a: int, b: slice):
+    """The rule's inputs at the rows (a, b) of a ``_label_blocks`` view of D_R, made as read.
 
-
-def _upper_plus(c: np.ndarray) -> np.ndarray:
-    """C+ of a family's C, as complex (h, h, n) rows, from the rows of its upper label pairs.
-
-    Only the rows (a, b) with a <= b are transformed; as C+ is
-    anti-Hermitian, each row (b, a) is the adjoint of -C+ at (a, b).  A
-    1-d kernel's C is transformed in its place.
+    First (D_R, D_R^dag, C+) at those rows, C+ made in C's place one row at
+    a time, so its bits do not depend on the blocking.  C^dag = -C and the
+    adjoint keeps the frequency sign, so C+ is anti-Hermitian: then, past
+    the diagonal, the rule at (D_R^dag, D_R, -C+) gives the adjoints of the
+    kernels' rows (b, a).
     """
-    if len(c) == 1:
-        return plus_values(c)
-    a, b = _upper_pairs(len(c))
-    upper = plus_values(c[a, b])
-    plus = np.empty(c.shape, complex)
-    plus[b, a] = np.conj(reflect_values(-upper))        # the diagonal too, then
-    plus[a, b] = upper                                  # as it was transformed
-    return plus
+    d_r_dag = _adjoint_block(d_r, a, b)
+    plus = plus_values(np.subtract(d_r[a, b], d_r_dag, dtype=complex))
+    yield d_r[a, b], d_r_dag, plus
+    if len(plus) > 1:
+        yield d_r_dag[1:], d_r[a, b][1:], np.negative(plus, out=plus)[1:]
 
 
 def reconstruct(d_r: np.ndarray, name: str) -> np.ndarray:
-    """The named kernel of a family rebuilt from its D_R alone (``_rebuilt``).
+    """The named kernel, "forward", "backward" or "d_f", of a family rebuilt from its D_R.
 
-    The rule holds for the oscillator and for neutral and charged fields
-    alike: each forward contraction is frequency-positive, each backward
-    one frequency-negative, and both are anti-Hermitian, so
+    The rule (``_rebuilt``) holds for the oscillator and for neutral and
+    charged fields alike: each forward contraction is frequency-positive,
+    each backward one frequency-negative, and both are anti-Hermitian, so
     C = D_R - D_R^dag = forward - backward, and D_F = D_R + backward
-    (``time_order``).  ^dag is the ``adjoint``, which keeps the frequency
-    sign, so the rule equals the one over the halves P, M of D_R (forward
-    P - P^dag, backward M^dag - M, D_F = P + M^dag) in exact arithmetic.
-    C+ is transformed at the upper label pairs only (``_upper_plus``).  A
-    shape that is not a kernel family raises GridError.
+    (``time_order``).  Each block (``_rule_sides``) writes its rows
+    (s, s...) by the rule, and the rows (s+1..., s) below them as the
+    adjoints of its other side.  Any other name, or a shape that is not a
+    kernel family, raises GridError.
     """
-    d_r = np.asarray(d_r)
-    rows = _label_blocks(d_r)
-    dag = _label_blocks(adjoint(d_r))
-    (kernel,) = _rebuilt(rows, dag, _upper_plus(np.subtract(rows, dag, dtype=complex)), (name,))
-    return kernel.reshape(d_r.shape)
+    if name not in RECONSTRUCTED[1:]:
+        raise GridError(f"{name!r} is not one of the rebuilt kernels {RECONSTRUCTED[1:]}")
+    rows, out = _label_blocks(np.asarray(d_r)), np.empty(np.shape(d_r), complex)
+    rows_out = _label_blocks(out)
+
+    def block(a, b):
+        sides = _rule_sides(rows, a, b)
+        rows_out[a, b] = next(_rebuilt(*next(sides), (name,)))
+        for side in sides:
+            lower = next(_rebuilt(*side, (name,)))
+            np.conjugate(reflect_values(lower), out=rows_out.transpose(1, 0, 2)[a, b][1:])
+
+    _each_block(block, out, upper=True)
+    return out
 
 
 def reconstruction_residuals(forward: np.ndarray, d_f: np.ndarray, d_r: np.ndarray, *,
@@ -260,16 +254,15 @@ def reconstruction_residuals(forward: np.ndarray, d_f: np.ndarray, d_r: np.ndarr
     included, passes no backward contraction: its backward one is
     swap_reflect(forward).  "d_r_two_defs" checks the second definition
     D_R^dag = D_F - forward.  Conjugation and a permutation neither round
-    nor change a maximum, so D_F^dag needs no check of its own.  Every
-    row of C is transformed once, on its own, whatever the blocking
-    (``_each_block``): a small family is checked whole, with
-    ``_upper_plus``; a large one on the worker pool, one first label
-    half's upper rows at a time, each row (b, a) below them compared as
-    its adjoint at (a, b), from column views, so that no full-size
-    rebuilt kernel, adjoint or difference is held.  Any shape but D_R's,
-    or a D_R that is not a kernel family, raises GridError.  A NaN
-    compared gives a NaN residual.
+    nor change a maximum, so D_F^dag needs no check of its own, and the
+    rows (s+1..., s) below the diagonal are compared as their adjoints at
+    (s, s+1...), block by block as ``reconstruct`` makes them, so that no
+    full-size kernel, adjoint or difference is held.  A name outside
+    ``RECONSTRUCTED``, any shape but D_R's, or a D_R that is not a kernel
+    family, raises GridError.  A NaN compared gives a NaN residual.
     """
+    if not set(names) <= set(RECONSTRUCTED):
+        raise GridError(f"{names} are not all among the checked names {RECONSTRUCTED}")
     d_r = np.asarray(d_r)
     named = {"forward": forward, "backward": backward, "d_f": d_f, "d_r": d_r}
     rows = {key: np.asarray(values) for key, values in named.items() if values is not None}
@@ -295,20 +288,13 @@ def reconstruction_residuals(forward: np.ndarray, d_f: np.ndarray, d_r: np.ndarr
         here = {key: values[a, b] for key, values in rows.items()}
         if "backward" in names and backward is None:    # a neutral field's
             here["backward"] = _swap_reflect_block(rows["forward"], a, b)
-        d_r_dag = _adjoint_block(rows["d_r"], a, b)
-        c = np.subtract(here["d_r"], d_r_dag, dtype=complex)
-        if isinstance(a, slice):        # every row, of a small family or a 1-d kernel
-            return [worst(here.get, here["d_r"], d_r_dag, _upper_plus(c))]
-        plus = plus_values(c)       # rows (a, a), (a, a + 1), ..., in the place of C
-        found, below = [worst(here.get, here["d_r"], d_r_dag, plus)], slice(1, None)
-        if len(plus) > 1:
-            # the adjoints of the definitions' rows (b, a), against the rule at (D_R^dag, D_R, -C+)
-            def adjoint(key):
-                return (_adjoint_block(rows[key], a, b, below) if key in rows
-                        else np.conj(here["forward"][below]))
-            found.append(worst(adjoint, d_r_dag[below], here["d_r"][below],
-                               np.negative(plus, out=plus)[below]))
-        return found
+
+        def adjoint(key):
+            """The definitions' rows (b, a) below the diagonal, as their adjoints at (a, b)."""
+            return (_adjoint_block(rows[key], a, slice(a + 1, None)) if key in rows
+                    else np.conj(here["forward"][1:]))
+        return [worst(defined, *side) for defined, side in
+                zip((here.get, adjoint), _rule_sides(rows["d_r"], a, b))]
 
     blocks = _each_block(block_residuals, d_r, upper=True)
     return dict(zip(names, np.max([side for block in blocks for side in block], axis=0).tolist()))

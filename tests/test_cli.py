@@ -337,9 +337,14 @@ assert threading.active_count() == start, threading.enumerate()
 assert grids._pool.cache_info().currsize == 0
 ones = np.ones((4, 4, 4, 4, 256))                # 16 blocks of 4096 samples: inline
 kernels.reconstruction_residuals(ones, ones, ones)
+kernels.reconstruct(ones, "d_f")
 assert threading.active_count() == start, threading.enumerate()
 assert grids._pool.cache_info().currsize == 0
 cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+kernels.reconstruct(np.ones((3, 3, 3, 3, 8192)), "backward")    # 9 blocks of 9 rows: large
+assert grids._pool.cache_info().currsize == 1
+extra = threading.active_count() - start
+assert (1 <= extra <= min(cpus, 9)) if cpus > 1 else extra == 0, (extra, cpus)
 grid = grids.make_grid(4096, 0.1)
 modes = oscresp.ModeSet(np.arange(1, 9) * 2 * np.pi / grid.period, np.ones((8, 3, 3)))
 oscresp.neutral_field_kernels(modes, grid)        # 9 blocks of 9 rows: large
@@ -354,8 +359,8 @@ assert (1 <= extra <= min(cpus, 9)) if cpus > 1 else extra == 0, (extra, cpus)
 
 def test_worker_threads_start_only_for_a_large_family(tmp_path):
     # importing and a full verify run stay on the calling thread; the pool
-    # is made by the first large family, built or checked, with at most one
-    # thread per block
+    # is made by the first large family, rebuilt, built or checked, with at
+    # most one thread per block
     done = run_checkout_python(["-c", WORKER_PROBE], tmp_path)
     assert done.returncode == 0, done.stderr
 

@@ -32,6 +32,17 @@ def test_make_grid_rejects_bad_arguments(n, dt):
         make_grid(n, dt)
 
 
+@pytest.mark.parametrize("n", [256.7, 256.0, "256", True, None, np.float64(256.0)])
+def test_grid_sizes_that_are_not_integers_are_refused(n):
+    for make in (lambda: make_grid(n, 0.1), lambda: TimeGrid(n=n, dt=0.1, t0=0.0),
+                 lambda: SampledSignal.from_record({"n": n, "dt": 0.1, "t0": 0.0,
+                                                    "values": [[0.0, 0.0]] * 256})):
+        with pytest.raises(GridError, match="integer"):
+            make()
+    g = make_grid(np.int64(256), 0.1)          # a numpy integer is an integer
+    assert g == make_grid(256, 0.1) and type(g.n) is int
+
+
 @pytest.mark.parametrize("dt,t0", [(float("inf"), 0.0), (float("nan"), 0.0),
                                    (0.1, float("nan")), (0.1, float("-inf"))])
 def test_time_grid_rejects_non_finite_step_and_origin(dt, t0):

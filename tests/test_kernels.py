@@ -15,7 +15,7 @@ from oscresp.kernels import (RECONSTRUCTED, ChargedModeSet, CommensurabilityErro
                              check_commensurate, osc_df_value, osc_dr_value, osc_kernels,
                              qp_commutator_kernel, reconstruct,
                              reconstruction_residuals, time_order)
-from oscresp.suites import _demo_charged_modes, _demo_mode_set
+from oscresp.suites import Config, _demo_charged_modes, _demo_mode_set, run_suite
 
 P = OscillatorParams()          # m = omega0 = hbar = 1
 
@@ -236,8 +236,30 @@ def test_the_pool_and_inline_blockings_give_the_same_bits(monkeypatch):
     forward, d_f, d_r, backward = large_field(4096)
     d_f = d_f + 1e-6 * np.random.default_rng(2).standard_normal(d_f.shape)
     pooled = reconstruction_residuals(forward, d_f, d_r, backward=backward)
+    rebuilt = {name: reconstruct(d_r, name) for name in RECONSTRUCTED[1:]}
     monkeypatch.setattr(grids, "_LARGE_SAMPLES", math.inf)
     assert reconstruction_residuals(forward, d_f, d_r, backward=backward) == pooled
+    for name, kernel in rebuilt.items():
+        assert reconstruct(d_r, name).tobytes() == kernel.tobytes(), name
+
+
+def test_verify_all_gives_the_same_rows_with_every_family_on_the_pool(monkeypatch):
+    inline = run_suite("all", Config(seed=7)).rows
+    monkeypatch.setattr(grids, "_LARGE_SAMPLES", 0)
+    monkeypatch.setattr(grids, "_BLOCK_SAMPLES", 0)
+    assert run_suite("all", Config(seed=7)).rows == inline
+
+
+@pytest.mark.parametrize("labels", [(), (2, 3)])
+def test_unknown_kernel_names_are_refused_before_any_block_runs(monkeypatch, labels):
+    monkeypatch.setattr(kernels, "_each_block", None)   # a block run would raise TypeError
+    values = np.ones((*labels, *labels, 16), complex)
+    for name in ("plain", "forwrd", "d_r_two_defs", "d_r"):
+        with pytest.raises(GridError, match=repr(name)):
+            reconstruct(values, name)
+    for names in (("forwrd",), ("forward", "d_r"), ("d_f_dag",)):
+        with pytest.raises(GridError, match="names"):
+            reconstruction_residuals(values, values, values, names=names)
 
 
 @pytest.mark.parametrize("labels, n", [((), 64), ((2, 3), 64), ((3, 3), 4096)])
