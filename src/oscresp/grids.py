@@ -278,8 +278,7 @@ def swap_reflect(values: np.ndarray) -> np.ndarray:
     last axis.  A 1-d kernel has no labels, so for it this is plain
     reflection.  Any other shape raises GridError.
     """
-    every = slice(None)
-    return _swap_reflect_block(_label_blocks(values), every, every).reshape(values.shape)
+    return _swap_reflect_block(_label_blocks(values), slice(None), slice(None)).reshape(values.shape)
 
 
 # -- blocks of a kernel family ------------------------------------------------
@@ -287,12 +286,12 @@ def swap_reflect(values: np.ndarray) -> np.ndarray:
 # an input of at least this many samples (1 MiB of complex), in at least two
 # blocks of at least _BLOCK_SAMPLES each, is large: its blocks run on the
 # worker pool, any other's inline, as small blocks pay the hand-off once each.
-# Timed on 2 CPUs for the builder, the rebuild and its check, inline wins at
-# h = 4 label halves, n = 256 (the demo family) and 2048, at h = 9, n = 512 and
-# 1024 (on the pool by this rule) and at h = 16, n = 256; the two are level at
-# h = 4, n = 4096, and the pool wins from h = 9, n = 2048 on (1.5-1.8x at 16384).
+# Timed on 2 CPUs, per first label half, inline against the pool: the rebuild
+# and its check run 1.4-2x faster inline at h = 9, n = 1024 and h = 16,
+# n = 512, where the builder is level; at h = 4, n = 4096 and h = 16, n = 1024
+# the check is level or faster on the pool, and the pool wins at larger sizes.
 _LARGE_SAMPLES = 1 << 16
-_BLOCK_SAMPLES = 1 << 13
+_BLOCK_SAMPLES = 1 << 14
 
 
 def _label_blocks(values: np.ndarray) -> np.ndarray:
@@ -399,6 +398,11 @@ def plus_values(values: np.ndarray) -> np.ndarray:
     exactly 1.  Every row is transformed on its own, so a block of rows
     gives the same bits as the whole array.
     """
+    return _plus_into(values)
+
+
+def _plus_into(values: np.ndarray) -> np.ndarray:
+    """``plus_values``, private so that worker-thread blocks (``_each_block``) may call it."""
     np.fft.fft(values, axis=-1, out=values)
     np.multiply(values, _split_masks(values.shape[-1])[0], out=values)
     return np.fft.ifft(values, axis=-1, out=values)

@@ -3,21 +3,19 @@
 The plain contraction D of the oscillator is sampled from its closed form
 on a periodic grid; one time-ordering rule (``time_order``) turns it, and
 the fields' forward and backward contractions, into D_F and D_R.  One
-reconstruction rule (``_rebuilt``) rebuilds every kernel of each family
-from C+, the frequency-positive part of C = D_R - D_R^dag;
-``reconstruct`` applies it and ``reconstruction_residuals`` measures it,
-one first label half at a time (``_rule_sides``); those are the
-identities the suites drive.
+reconstruction rule (``_rebuilt``) rebuilds every kernel of a family from
+C+, the frequency-positive part of C = D_R - D_R^dag: ``reconstruct``
+applies it and ``reconstruction_residuals`` measures it, one first label
+half at a time (``_rule_sides``); the suites drive those identities.
 
 All grid kernels require the frequencies in play to sit exactly on DFT
-bins (omega = 2*pi*b/(n*dt), 0 < b < n/2); the discrete identities are
-then exact to rounding.  Every phase exp(-i omega tau) is then an n-th
-root of unity, read from one exactly conjugate-symmetric table
-(``_roots``), never evaluated by ``exp``.  The neutral family's mode sum
-and its time ordering run block by block too, so the builder makes no
-full-size swapped copy.  The oscillator builder's ``loose`` flag admits an
-off-bin frequency for robustness exploration at degraded tolerances; its
-phases come from ``exp``.
+bins (omega = 2*pi*b/(n*dt), 0 < b < n/2), where the discrete identities
+are exact to rounding and every phase exp(-i omega tau) is an n-th root
+of unity, read from one exactly conjugate-symmetric table (``_roots``),
+never evaluated by ``exp``.  The neutral family's builder runs block by
+block too and makes no full-size swapped copy.  The oscillator builder's
+``loose`` flag admits an off-bin frequency for robustness exploration at
+degraded tolerances; its phases come from ``exp``.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import (GridError, Kernel, TimeGrid, _adjoint_block, _each_block, _label_blocks,
-                    _snap, _swap_reflect_block, plus_values, reflect_values)
+                    _plus_into, _reflect_into, _snap, _swap_reflect_block, reflect_values)
 
 
 class CommensurabilityError(ValueError):
@@ -208,10 +206,12 @@ def _rule_sides(d_r: np.ndarray, a: int, b: slice):
     a time, so its bits do not depend on the blocking.  C^dag = -C and the
     adjoint keeps the frequency sign, so C+ is anti-Hermitian: then, past
     the diagonal, the rule at (D_R^dag, D_R, -C+) gives the adjoints of the
-    kernels' rows (b, a).
+    kernels' rows (b, a).  -C+ is negated in the place of the C+ yielded
+    first, so a caller must be done with the first side (forward's kernel
+    is that C+ itself) before it asks for the second.
     """
     d_r_dag = _adjoint_block(d_r, a, b)
-    plus = plus_values(np.subtract(d_r[a, b], d_r_dag, dtype=complex))
+    plus = _plus_into(np.subtract(d_r[a, b], d_r_dag, dtype=complex))
     yield d_r[a, b], d_r_dag, plus
     if len(plus) > 1:
         yield d_r_dag[1:], d_r[a, b][1:], np.negative(plus, out=plus)[1:]
@@ -238,8 +238,8 @@ def reconstruct(d_r: np.ndarray, name: str) -> np.ndarray:
         sides = _rule_sides(rows, a, b)
         rows_out[a, b] = next(_rebuilt(*next(sides), (name,)))
         for side in sides:
-            lower = next(_rebuilt(*side, (name,)))
-            np.conjugate(reflect_values(lower), out=rows_out.transpose(1, 0, 2)[a, b][1:])
+            lower = rows_out.transpose(1, 0, 2)[a, b][1:]
+            np.conjugate(_reflect_into(next(_rebuilt(*side, (name,))), lower), out=lower)
 
     _each_block(block, out, upper=True)
     return out

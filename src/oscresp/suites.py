@@ -60,8 +60,8 @@ class Config:
             check_commensurate(cfg.params().omega0, cfg.grid())
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
-        for name, value, least in (("n", cfg.n, 4), ("bin_index", cfg.bin_index, 1),
-                                   ("dim", cfg.dim, 2), ("seed", cfg.seed, 0)):
+        for name, value, least in (("bin_index", cfg.bin_index, 1), ("dim", cfg.dim, 2),
+                                   ("seed", cfg.seed, 0)):     # n is checked by cfg.grid()
             if type(value) is not int or value < least:
                 raise ConfigError(f"{name} must be an integer of at least {least}, got {value!r}")
         bad = {k: v for k, v in cfg.tolerances.items() if not 0.0 <= v < math.inf}

@@ -341,19 +341,25 @@ kernels.reconstruct(ones, "d_f")
 assert threading.active_count() == start, threading.enumerate()
 assert grids._pool.cache_info().currsize == 0
 cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-kernels.reconstruct(np.ones((3, 3, 3, 3, 8192)), "backward")    # 9 blocks of 9 rows: large
-assert grids._pool.cache_info().currsize == 1
-extra = threading.active_count() - start
-assert (1 <= extra <= min(cpus, 9)) if cpus > 1 else extra == 0, (extra, cpus)
+
+
+def on_pool(call, *args):
+    # call(*args) must ask for the pool, as only a large family does, and
+    # leave at least one and at most 9 worker threads
+    asked = sum(grids._pool.cache_info()[:2])
+    call(*args)
+    assert sum(grids._pool.cache_info()[:2]) > asked, call
+    extra = threading.active_count() - start
+    assert (1 <= extra <= min(cpus, 9)) if cpus > 1 else extra == 0, (extra, cpus)
+
+
 grid = grids.make_grid(4096, 0.1)
 modes = oscresp.ModeSet(np.arange(1, 9) * 2 * np.pi / grid.period, np.ones((8, 3, 3)))
-oscresp.neutral_field_kernels(modes, grid)        # 9 blocks of 9 rows: large
-extra = threading.active_count() - start
-assert (1 <= extra <= min(cpus, 9)) if cpus > 1 else extra == 0, (extra, cpus)
-ones = np.ones((3, 3, 3, 3, 8192))               # 9 blocks of 9 rows: large
-kernels.reconstruction_residuals(ones, ones, ones)
-extra = threading.active_count() - start
-assert (1 <= extra <= min(cpus, 9)) if cpus > 1 else extra == 0, (extra, cpus)
+on_pool(oscresp.neutral_field_kernels, modes, grid)      # 9 blocks of 9 rows: large
+ones = np.ones((3, 3, 3, 3, 8192))                       # 9 blocks of 9 rows: large
+on_pool(kernels.reconstruction_residuals, ones, ones, ones)
+on_pool(kernels.reconstruct, ones, "backward")
+assert grids._pool.cache_info().currsize == 1
 """
 
 

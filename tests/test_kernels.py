@@ -150,15 +150,15 @@ def test_every_family_is_rebuilt_from_its_retarded_kernel(kind):
 
 
 def test_concurrent_callers_of_the_worker_pool_get_the_results_of_one_caller():
-    # 81 rows of 1024 samples: a large family, whose blocks share the pool
+    # 81 rows of 2048 samples: a large family, whose blocks share the pool
     # with those of the other callers
     rng = np.random.default_rng(3)
-    shape = (3, 3, 3, 3, 1024)
+    shape = (3, 3, 3, 3, 2048)
     forward, d_f, d_r = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
                          for _ in range(3))
     expected = reconstruction_residuals(forward, d_f, d_r)
     rebuilt = reconstruct(d_r, "d_f")
-    g = make_grid(1024, 0.1)
+    g = make_grid(2048, 0.1)
     modes = ModeSet(np.arange(1, 5) * 2.0 * np.pi / g.period,
                     rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3)))
     built = neutral_field_kernels(modes, g)
