@@ -17,12 +17,14 @@ levels with rho zero past its own, so no product reaches an artificial top
 level and every average is exact for the given rho.  Normal,
 antinormal and symmetric (Weyl) products contract the coefficients of the
 factors' a / adag / identity parts with one table of ordered ladder
-moments per ordering (``ladder_moments``), read from the same diagonals;
-``contract_subsets`` does so for every subset of the factors at once.
-Only the truncated a and adag enter, never [a, adag] = 1, so the oracle
-stays independent of the pairing rules that it checks.  Tables that
-depend on sizes alone (ladder matrices, roots, gather indices) are made
-once per size and are read-only.
+moments per ordering (``ladder_moments``); ``contract_subsets`` does so
+for every subset of the factors at once.  A word of j adag and k a moves
+a level by k - j, so every entry of every table is one weighted sum over
+diagonal k - j of rho, read from the same diagonals with the ordering's
+weights (``_table_weights``).  Only the truncated a and adag enter, never
+[a, adag] = 1, so the oracle stays independent of the pairing rules that
+it checks.  Tables that depend on sizes alone (ladder matrices, roots,
+gather indices, table weights) are made once per size and are read-only.
 """
 
 from __future__ import annotations
@@ -319,51 +321,34 @@ def _ladder_roots(dim: int, order: int) -> np.ndarray:
     return _read_only(roots)
 
 
-def _padded(diagonals: np.ndarray, order: int) -> np.ndarray:
-    """The diagonals with `order` zero columns on each side: column i at i + order."""
-    out = np.zeros((diagonals.shape[0], diagonals.shape[1] + 2 * order), dtype=complex)
-    out[:, order:-order or None] = diagonals
-    return out
-
-
 @functools.lru_cache
-def _table_gather(dim: int, order: int, ordering: str):
-    """(weights, rows, columns) of the normal or antinormal table, read-only.
+def _table_weights(levels: int, order: int, ordering: str) -> np.ndarray:
+    """W[j, k, i], the weight of rho[i + k - j, i] in table entry [j, k]; read-only.
 
-    Entry [j, k] of the table (``ladder_moments``) is
-    sum(weights[j, k] * padded[rows, columns][j, k]), padded the ``_padded``
-    diagonals, and S the ``_ladder_roots``:
-    normal <adag^j a^k> = sum_l rho[l+k, l+j] S[j, l+j] S[k, l+k], l the
-    level a^k lowers to; antinormal <a^k adag^j> = sum_u rho[u-j, u-k]
-    S[j, u] S[k, u], u the level adag^j raises to.
+    A word of j adag and k a takes level i + k - j to level i, so its
+    average reads diagonal k - j of rho, row order + k - j of the
+    ``_diagonals`` over `levels` levels.  With S the ``_ladder_roots``:
+    normal adag^j a^k steps down to i - j, then up: S[k, i + k - j] S[j, i]
+    (where i + k - j < 0, S[j, i] = 0).  antinormal a^k adag^j steps up to
+    i + k, then down: S[j, i + k] S[k, i + k].  weyl, for n = j + k <= order:
+    diagonal k - j of the band of (a + adag)^n, built by ``_band_step`` on
+    these levels, sums the comb(n, k) words, and W is it over comb(n, k).
     """
-    j, k, lvl = np.ogrid[:order + 1, :order + 1, :dim]
+    if ordering == "weyl":
+        weights = np.zeros((order + 1, order + 1, levels))
+        band = np.zeros((2 * order + 1, levels))
+        band[order] = 1.0
+        for n in range(order + 1):
+            if n:
+                band = _band_step(band, 1.0, 1.0, 0.0)
+            for k in range(n + 1):
+                weights[n - k, k] = band[order + 2 * k - n] / math.comb(n, k)
+        return _read_only(weights)
+    roots = _ladder_roots(levels + order, order)
+    j, k, i = np.ogrid[:order + 1, :order + 1, :levels]
     if ordering == "normal":
-        rise = _ladder_roots(dim + order, order)
-        weights, columns = rise[j, lvl + j] * rise[k, lvl + k], order + lvl + j
-    else:
-        fall = _ladder_roots(dim, order)
-        weights, columns = fall[j, lvl] * fall[k, lvl], order + lvl - k
-    return _read_only(weights, order + k - j, columns)
-
-
-def _weyl_table(diagonals: np.ndarray, order: int) -> np.ndarray:
-    """<Sym(adag^j a^k)> for j + k <= order, zero beyond.
-
-    (a + adag)^n sums every word of n ladder factors once, and its
-    diagonal k - j holds exactly the comb(n, k) words with j adag and k a,
-    n = j + k; their average is the symmetric product.
-    """
-    table = np.zeros((order + 1, order + 1), dtype=complex)
-    band = np.zeros_like(diagonals, dtype=float)
-    band[order] = 1.0
-    for n in range(order + 1):
-        if n:
-            band = _band_step(band, 1.0, 1.0, 0.0)
-        traces = (band * diagonals).sum(axis=1)
-        for k in range(n + 1):
-            table[n - k, k] = traces[order + 2 * k - n] / math.comb(n, k)
-    return table
+        return _read_only(roots[j, i] * roots[k, i + k - j])
+    return _read_only(roots[j, i + k] * roots[k, i + k])
 
 
 _TABLE_ORDERINGS = ("normal", "antinormal", "weyl")
@@ -374,16 +359,20 @@ def ladder_moments(state: FockState, order: int, ordering: str = "normal") -> np
 
     normal <adag^j a^k>; antinormal <a^k adag^j>; weyl the equal-weight
     average over every order of the j adag and k a factors, for
-    j + k <= order.  Each entry is read from the diagonals -order..order
-    of rho with the truncated ladder matrix elements.
+    j + k <= order, zero beyond.  Each entry is one weighted sum over
+    diagonal k - j of rho, T[j, k] = sum_i W[j, k, i] R[order + k - j, i],
+    R the ``_diagonals`` over dim + order levels and W the ordering's
+    ``_table_weights``, which hold the truncated ladder matrix elements.
+    The order must be a non-negative integer.
     """
     if ordering not in _TABLE_ORDERINGS:
         raise FockError(f"no ladder-moment table for ordering {ordering!r}")
+    if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order < 0:
+        raise FockError(f"order must be a non-negative integer, got {order!r}")
     diagonals = _diagonals(state.rho, order)
-    if ordering == "weyl":
-        return _weyl_table(diagonals, order)
-    weights, rows, columns = _table_gather(diagonals.shape[1], order, ordering)
-    return (weights * _padded(diagonals, order)[rows, columns]).sum(axis=-1)
+    rows = np.arange(order, 2 * order + 1) - np.arange(order + 1)[:, None]   # order + k - j
+    weights = _table_weights(diagonals.shape[1], order, ordering)
+    return (weights * diagonals[rows]).sum(axis=-1)
 
 
 def _poly_step(poly: np.ndarray, c: complex, d: complex, s: complex) -> np.ndarray:
@@ -397,6 +386,14 @@ def _poly_step(poly: np.ndarray, c: complex, d: complex, s: complex) -> np.ndarr
     return grown
 
 
+def _leading_block(moments: np.ndarray, m: int) -> np.ndarray:
+    """The [:m+1, :m+1] block of a moment table, refused if the table stops short of order m."""
+    moments = np.asarray(moments)
+    if moments.ndim != 2 or min(moments.shape) <= m:
+        raise FockError(f"a moment table of shape {moments.shape} does not reach order {m}")
+    return moments[:m + 1, :m + 1]
+
+
 def contract_moments(moments: np.ndarray, parts) -> complex:
     """Average of the product of factors c*a + d*adag + s, one (c, d, s) per factor.
 
@@ -404,12 +401,12 @@ def contract_moments(moments: np.ndarray, parts) -> complex:
     are contracted with the leading block of a ``ladder_moments`` table
     of the wanted ordering, which must reach order len(parts).
     """
-    m = len(parts)
-    poly = np.zeros((m + 1, m + 1), dtype=complex)     # [adag power, a power]
+    block = _leading_block(moments, len(parts))
+    poly = np.zeros(block.shape, dtype=complex)         # [adag power, a power]
     poly[0, 0] = 1.0
     for c, d, s in parts:
         poly = _poly_step(poly, c, d, s)
-    return complex((poly * moments[:m + 1, :m + 1]).sum())
+    return complex((poly * block).sum())
 
 
 def contract_subsets(moments: np.ndarray, parts) -> np.ndarray:
@@ -420,12 +417,12 @@ def contract_subsets(moments: np.ndarray, parts) -> np.ndarray:
     step appending a copy with one more factor, and are contracted with
     the table in one product.  The table must reach order len(parts).
     """
-    m = len(parts)
-    poly = np.zeros((1, m + 1, m + 1), dtype=complex)
+    block = _leading_block(moments, len(parts))
+    poly = np.zeros((1, *block.shape), dtype=complex)
     poly[0, 0, 0] = 1.0
     for c, d, s in parts:
         poly = np.concatenate((poly, _poly_step(poly, c, d, s)))
-    return poly.reshape(len(poly), -1) @ moments[:m + 1, :m + 1].ravel()
+    return poly.reshape(len(poly), -1) @ block.ravel()
 
 
 def _contour_order(labels) -> list:
@@ -449,8 +446,10 @@ def ordered_average(state: FockState, spec: OrderedProductSpec,
     plain: the factors as given.  double_time: the factors in contour
     order (``_contour_order``), so contour-earlier operators go right.
     Both are one banded product.  normal, antinormal and weyl: every
-    factor is c*a + d*adag + s, contracted with the ordering's
-    ``ladder_moments`` table by ``contract_moments``.
+    factor is c*a + d*adag + s, and the coefficients of the product are
+    contracted by ``contract_moments`` with the ordering's
+    ``ladder_moments`` table of order m, whose entries are weighted sums
+    over the diagonals of rho.
     """
     factors = spec.factors
     parts = [_factor_parts(f, p, spec.shift) for f in factors]

@@ -521,6 +521,50 @@ def test_ladder_moments_in_closed_form():
     assert np.max(np.abs(coh - np.conj(alpha) ** j * alpha ** k)) < 1e-10
 
 
+def mixed_state(rng, dim):
+    """A random full-rank density matrix: weight on every level, the top one included."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = g @ g.conj().T
+    return fock.FockState(rho / np.trace(rho).real)
+
+
+@pytest.mark.parametrize("ordering", ["normal", "antinormal", "weyl"])
+def test_every_table_entry_matches_dense_matrices(ordering):
+    # the state zero-padded by `order` levels holds every word of <= order ladder factors
+    # exactly, so each entry must equal its dense average there
+    rng = np.random.default_rng(5)
+    for dim, order in product((2, 5), range(fock.MAX_FACTORS + 1)):
+        state = mixed_state(rng, dim)
+        table = fock.ladder_moments(state, order, ordering)
+        padded = zero_padded(state, order)
+        if ordering == "weyl":
+            a, adag = ladder(padded.dim)
+            expected = np.zeros_like(table)
+            for j, k in product(range(order + 1), repeat=2):
+                if j + k <= order:
+                    expected[j, k] = polarization_average(padded, [adag] * j + [a] * k)
+        else:
+            expected = dense_ladder_moments(padded, order, ordering == "antinormal")
+        scale = max(1.0, np.max(np.abs(expected)))
+        assert np.max(np.abs(table - expected)) <= 1e-14 * scale, (dim, order)
+
+
+@pytest.mark.parametrize("order", [-1, 2.5, True, False, "3", None])
+def test_ladder_moments_refuses_an_order_that_is_not_a_nonnegative_integer(order):
+    with pytest.raises(FockError, match="non-negative integer"):
+        fock.ladder_moments(make_state("vacuum", 6), order)
+
+
+def test_contraction_refuses_a_table_short_of_the_factor_count():
+    state = make_state("coherent", 20, alpha=0.4)
+    parts = [(0.5, 0.5j, 0.1)] * 3
+    for table in (fock.ladder_moments(state, 2), fock.ladder_moments(state, 0),
+                  fock.ladder_moments(state, 3)[0], fock.ladder_moments(state, 3)[:3]):
+        for contract in (fock.contract_moments, fock.contract_subsets):
+            with pytest.raises(FockError, match="does not reach order 3"):
+                contract(table, parts)
+
+
 def test_contraction_reads_the_leading_block_of_a_larger_table():
     # verify_wick contracts every leftover subset against one table of order m
     state = make_state("coherent", 40, alpha=0.6 - 0.2j)
@@ -548,8 +592,8 @@ def test_subset_table_holds_the_normal_average_of_every_subset():
 def test_memoised_tables_are_shared_and_read_only():
     assert ladder(6) is ladder(6)
     tables = [*ladder(6), fock._ladder_roots(12, 4), fock._band_roots(9, 12),
-              *fock._diagonal_gather(12, 3), *fock._table_gather(12, 3, "normal"),
-              *fock._table_gather(12, 3, "antinormal")]
+              *fock._diagonal_gather(12, 3), fock._table_weights(12, 3, "normal"),
+              fock._table_weights(12, 3, "antinormal"), fock._table_weights(12, 3, "weyl")]
     for table in tables:
         with pytest.raises(ValueError):
             table[(0,) * table.ndim] = 0
