@@ -32,13 +32,12 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .grids import SampledSignal
+from .grids import SampledSignal, _require_int
 from .kernels import OscillatorParams
 
 MAX_FACTORS = 8
@@ -60,9 +59,7 @@ def ladder(dim: int):
 
     The pair is made once per dim and is read-only.
     """
-    if dim < 2:
-        raise FockError("need dim >= 2 for a ladder pair")
-    return _ladder_pair(dim)
+    return _ladder_pair(_require_int(dim, "dim", FockError, least=2))
 
 
 def _read_only(*arrays):
@@ -140,11 +137,7 @@ def make_state(kind: str, dim: int, *, alpha: complex = 0.0, n: int = 0,
     that (its Poisson weight past the mean), so it is refused before its
     amplitudes are formed.  Sizes and levels must be integers.
     """
-    for name, value in (("dim", dim), ("n", n)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise FockError(f"{name} must be an integer, got {value!r}")
-    if dim < 2:
-        raise FockError("need dim >= 2")
+    dim, n = _require_int(dim, "dim", FockError, least=2), _require_int(n, "n", FockError)
     if not (cmath.isfinite(alpha) and math.isfinite(nbar)):
         raise FockError(f"alpha and nbar must be finite, got alpha={alpha}, nbar={nbar}")
     if kind in ("vacuum", "fock"):
@@ -367,8 +360,7 @@ def ladder_moments(state: FockState, order: int, ordering: str = "normal") -> np
     """
     if ordering not in _TABLE_ORDERINGS:
         raise FockError(f"no ladder-moment table for ordering {ordering!r}")
-    if isinstance(order, bool) or not isinstance(order, numbers.Integral) or order < 0:
-        raise FockError(f"order must be a non-negative integer, got {order!r}")
+    order = _require_int(order, "order", FockError)
     diagonals = _diagonals(state.rho, order)
     rows = np.arange(order, 2 * order + 1) - np.arange(order + 1)[:, None]   # order + k - j
     weights = _table_weights(diagonals.shape[1], order, ordering)

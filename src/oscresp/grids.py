@@ -49,10 +49,10 @@ class TimeGrid:
     t0: float
 
     def __post_init__(self):
-        n = self.n
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 4 or n % 2:
-            raise GridError(f"grid size must be an even integer >= 4, got {n!r}")
-        object.__setattr__(self, "n", int(n))      # a numpy integer as int
+        n = _require_int(self.n, "grid size", GridError, least=4)
+        if n % 2:
+            raise GridError(f"grid size must be even, got {n}")
+        object.__setattr__(self, "n", n)
         if not self.dt > 0:
             raise GridError(f"time step must be positive, got {self.dt}")
         if not (math.isfinite(self.dt) and math.isfinite(self.t0)):
@@ -88,6 +88,14 @@ def _snap(x: float):
         return None
     k = round(x)
     return k if abs(x - k) <= 1e-9 * max(1.0, abs(x)) else None
+
+
+def _require_int(value, name: str, error: type, least: int = 0) -> int:
+    """value as an int; raises error unless it is an integer (numpy's too, no bool) >= least."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        wanted = "a non-negative integer" if least == 0 else f"an integer of at least {least}"
+        raise error(f"{name} must be {wanted}, got {value!r}")
+    return int(value)
 
 
 def make_grid(n: int, dt: float) -> TimeGrid:
@@ -314,10 +322,10 @@ def _swap_reflect_block(blocks: np.ndarray, a, b) -> np.ndarray:
     return _reflect_into(mirror, np.empty(mirror.shape, mirror.dtype))
 
 
-def _adjoint_block(blocks: np.ndarray, a, b) -> np.ndarray:
-    """The ``adjoint`` of a family at rows (a, b), made as ``_swap_reflect_block``."""
-    rows = _swap_reflect_block(blocks, a, b)
-    return np.conjugate(rows, out=rows)
+def _adjoint_rows(rows: np.ndarray) -> np.ndarray:
+    """conj(rows) at -tau in a fresh buffer: a family's ``adjoint`` at (a, b) from its rows (b, a)."""
+    out = _reflect_into(rows, np.empty(rows.shape, rows.dtype))
+    return np.conjugate(out, out=out)
 
 
 @functools.lru_cache(maxsize=None)
@@ -341,24 +349,23 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_pool.cache_clear)
 
 
-def _each_block(fn, values: np.ndarray, *, upper: bool = False) -> list:
-    """fn(s, b) for each first label half s of a family's ``_label_blocks`` view.
+def _each_block(fn, values: np.ndarray) -> list:
+    """fn(s) for each first label half s of a family's ``_label_blocks`` view.
 
-    b is slice(0, None), or with ``upper`` slice(s, None), the rows from the
-    diagonal on; a 1-d kernel is the one block s = 0.  The blocks come in
-    the order s = 0, h - 1, 1, h - 2, ..., so that two ``upper`` blocks that
-    run at once hold about h + 1 rows.  A large input (``_LARGE_SAMPLES``)
-    runs them on the worker pool, where numpy's FFTs and ufuncs release the
-    GIL, any other inline.  fn may run on a worker thread, so it may call
-    only numpy and private helpers, never a public function of the package.
+    A 1-d kernel is the one block s = 0.  The blocks come in the order
+    s = 0, h - 1, 1, h - 2, ..., so that two blocks that run at once and
+    each take the rows from their diagonal on hold about h + 1 rows.  A
+    large input (``_LARGE_SAMPLES``) runs them on the worker pool, where
+    numpy's FFTs and ufuncs release the GIL, any other inline.  fn may run
+    on a worker thread, so it may call only numpy and private helpers,
+    never a public function of the package.
     """
     blocks = _label_blocks(values)
     labels = len(blocks)
     firsts = sorted(range(labels), key=lambda s: min(s, labels - 1 - s))
-    seconds = [slice(s if upper else 0, None) for s in firsts]
     large = labels > 1 and blocks.size >= _LARGE_SAMPLES and blocks[0].size >= _BLOCK_SAMPLES
     pool = _pool() if large else None
-    return list(map(fn, firsts, seconds) if pool is None else pool.map(fn, firsts, seconds))
+    return list(map(fn, firsts) if pool is None else pool.map(fn, firsts))
 
 
 # -- frequency-sign decomposition -------------------------------------------
@@ -374,17 +381,19 @@ def half_step(n: int) -> np.ndarray:
     sits in the upper bins, and the zero and Nyquist bins are shared
     half/half so that the two parts always add back exactly.
     """
-    step = np.zeros(n)
-    step[n // 2 + 1:] = 1.0
-    step[0] = 0.5
-    step[n // 2] = 0.5
-    return step
+    return _split_masks(n)[0].copy()
 
 
 @functools.lru_cache
 def _split_masks(n: int):
-    """The ``half_step`` mask of n bins and its complement, read-only."""
-    plus = half_step(n)
+    """The ``half_step`` mask of n bins and its complement, read-only.
+
+    Made here, not by ``half_step``: worker-thread blocks reach it through
+    ``_plus_into``.
+    """
+    plus = np.zeros(n)
+    plus[n // 2 + 1:] = 1.0
+    plus[0] = plus[n // 2] = 0.5
     minus = 1.0 - plus
     plus.flags.writeable = minus.flags.writeable = False
     return plus, minus

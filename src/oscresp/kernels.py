@@ -5,8 +5,9 @@ on a periodic grid; one time-ordering rule (``time_order``) turns it, and
 the fields' forward and backward contractions, into D_F and D_R.  One
 reconstruction rule (``_rebuilt``) rebuilds every kernel of a family from
 C+, the frequency-positive part of C = D_R - D_R^dag: ``reconstruct``
-applies it and ``reconstruction_residuals`` measures it, one first label
-half at a time (``_rule_sides``); the suites drive those identities.
+applies it and ``reconstruction_residuals`` measures it, with the rows of
+one first label half at a time (``_rebuilt_rows``); the suites drive
+those identities.
 
 All grid kernels require the frequencies in play to sit exactly on DFT
 bins (omega = 2*pi*b/(n*dt), 0 < b < n/2), where the discrete identities
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import (GridError, Kernel, TimeGrid, _adjoint_block, _each_block, _label_blocks,
-                    _plus_into, _reflect_into, _snap, _swap_reflect_block, reflect_values)
+from .grids import (GridError, Kernel, TimeGrid, _adjoint_rows, _each_block, _label_blocks,
+                    _plus_into, _snap, _swap_reflect_block, reflect_values)
 
 
 class CommensurabilityError(ValueError):
@@ -193,28 +194,34 @@ def _rebuilt(d_r: np.ndarray, d_r_dag: np.ndarray, plus: np.ndarray, names):
     d_r, d_r_dag and plus are those rows of D_R, of its adjoint and of C+,
     the only part of C = D_R - D_R^dag transformed, as C- = C - C+:
     forward = C+, backward = -C- = C+ - C and D_F = D_R - C- = D_R^dag + C+.
+    "d_r_two_defs" is D_R^dag itself, whose second definition is D_F - forward.
     """
-    rule = {"forward": lambda: plus, "backward": lambda: plus - (d_r - d_r_dag),
-            "d_f": lambda: d_r_dag + plus}
+    rule = {"d_r_two_defs": lambda: d_r_dag, "forward": lambda: plus,
+            "backward": lambda: plus - (d_r - d_r_dag), "d_f": lambda: d_r_dag + plus}
     return (rule[name]() for name in names)
 
 
-def _rule_sides(d_r: np.ndarray, a: int, b: slice):
-    """The rule's inputs at the rows (a, b) of a ``_label_blocks`` view of D_R, made as read.
+def _rebuilt_rows(d_r: np.ndarray, a: int, names):
+    """(rows, kernels) at the rows (a, a...) of a ``_label_blocks`` view of D_R, then (a+1..., a).
 
-    First (D_R, D_R^dag, C+) at those rows, C+ made in C's place one row at
-    a time, so its bits do not depend on the blocking.  C^dag = -C and the
-    adjoint keeps the frequency sign, so C+ is anti-Hermitian: then, past
-    the diagonal, the rule at (D_R^dag, D_R, -C+) gives the adjoints of the
-    kernels' rows (b, a).  -C+ is negated in the place of the C+ yielded
-    first, so a caller must be done with the first side (forward's kernel
-    is that C+ itself) before it asks for the second.
+    kernels makes the named kernels at rows one by one as read (``_rebuilt``).
+    Only C+ at (a, a...) is transformed, in C's place one row at a time, so
+    its bits do not depend on the blocking.  C^dag = -C and the adjoint
+    keeps the frequency sign, so C+ is anti-Hermitian: a kernel's row (b, a)
+    is the adjoint of the rule at (D_R^dag, D_R, -C+) at (a, b).  C+ and
+    D_R^dag come read-only, and -C+ is made in C+'s place: a caller must be
+    done with the first kernels before it asks for the next.
     """
-    d_r_dag = _adjoint_block(d_r, a, b)
-    plus = _plus_into(np.subtract(d_r[a, b], d_r_dag, dtype=complex))
-    yield d_r[a, b], d_r_dag, plus
+    upper = (a, slice(a, None))
+    d_r_dag = _adjoint_rows(d_r[a:, a])
+    plus = _plus_into(np.subtract(d_r[upper], d_r_dag, dtype=complex))
+    shared = plus.view()
+    d_r_dag.flags.writeable = shared.flags.writeable = False
+    yield upper, _rebuilt(d_r[upper], d_r_dag, shared, names)
     if len(plus) > 1:
-        yield d_r_dag[1:], d_r[a, b][1:], np.negative(plus, out=plus)[1:]
+        # map, unlike a generator expression, holds no kernel once it is adjointed
+        yield (slice(a + 1, None), a), map(_adjoint_rows, _rebuilt(
+            d_r_dag[1:], d_r[a, a + 1:], np.negative(plus, out=plus)[1:], names))
 
 
 def reconstruct(d_r: np.ndarray, name: str) -> np.ndarray:
@@ -224,24 +231,20 @@ def reconstruct(d_r: np.ndarray, name: str) -> np.ndarray:
     charged fields alike: each forward contraction is frequency-positive,
     each backward one frequency-negative, and both are anti-Hermitian, so
     C = D_R - D_R^dag = forward - backward, and D_F = D_R + backward
-    (``time_order``).  Each block (``_rule_sides``) writes its rows
-    (s, s...) by the rule, and the rows (s+1..., s) below them as the
-    adjoints of its other side.  Any other name, or a shape that is not a
-    kernel family, raises GridError.
+    (``time_order``).  Each block writes the rows that ``_rebuilt_rows``
+    makes.  Any other name, or a shape that is not a kernel family, raises
+    GridError.
     """
     if name not in RECONSTRUCTED[1:]:
         raise GridError(f"{name!r} is not one of the rebuilt kernels {RECONSTRUCTED[1:]}")
-    rows, out = _label_blocks(np.asarray(d_r)), np.empty(np.shape(d_r), complex)
+    d_r, out = _label_blocks(np.asarray(d_r)), np.empty(np.shape(d_r), complex)
     rows_out = _label_blocks(out)
 
-    def block(a, b):
-        sides = _rule_sides(rows, a, b)
-        rows_out[a, b] = next(_rebuilt(*next(sides), (name,)))
-        for side in sides:
-            lower = rows_out.transpose(1, 0, 2)[a, b][1:]
-            np.conjugate(_reflect_into(next(_rebuilt(*side, (name,))), lower), out=lower)
+    def block(a):
+        for rows, kernels in _rebuilt_rows(d_r, a, (name,)):
+            rows_out[rows] = next(kernels)
 
-    _each_block(block, out, upper=True)
+    _each_block(block, out)
     return out
 
 
@@ -254,49 +257,40 @@ def reconstruction_residuals(forward: np.ndarray, d_f: np.ndarray, d_r: np.ndarr
     included, passes no backward contraction: its backward one is
     swap_reflect(forward).  "d_r_two_defs" checks the second definition
     D_R^dag = D_F - forward.  Conjugation and a permutation neither round
-    nor change a maximum, so D_F^dag needs no check of its own, and the
-    rows (s+1..., s) below the diagonal are compared as their adjoints at
-    (s, s+1...), block by block as ``reconstruct`` makes them, so that no
-    full-size kernel, adjoint or difference is held.  A name outside
-    ``RECONSTRUCTED``, any shape but D_R's, or a D_R that is not a kernel
-    family, raises GridError.  A NaN compared gives a NaN residual.
+    nor change a maximum, so D_F^dag needs no check of its own.  The
+    kernels are compared block by block as ``_rebuilt_rows`` makes them,
+    so that no full-size kernel, adjoint or difference is held.  A name
+    outside ``RECONSTRUCTED``, any shape but D_R's, or a D_R that is not a
+    kernel family, raises GridError.  A NaN compared gives a NaN residual.
     """
     if not set(names) <= set(RECONSTRUCTED):
         raise GridError(f"{names} are not all among the checked names {RECONSTRUCTED}")
     d_r = np.asarray(d_r)
     named = {"forward": forward, "backward": backward, "d_f": d_f, "d_r": d_r}
-    rows = {key: np.asarray(values) for key, values in named.items() if values is not None}
-    for key, values in rows.items():
+    defined = {key: np.asarray(values) for key, values in named.items() if values is not None}
+    for key, values in defined.items():
         if values.shape != d_r.shape:
             raise GridError(f"{key} has shape {values.shape}, where D_R has {d_r.shape}")
-        rows[key] = _label_blocks(values)
-    rule_names = [name for name in names if name != "d_r_two_defs"]
+        defined[key] = _label_blocks(values)
 
-    def worst(defined, d_r, d_r_dag, plus):
-        """max |rebuilt - defined| of each name over some rows, NaN if a NaN is compared."""
-        kernels = _rebuilt(d_r, d_r_dag, plus, rule_names)
+    def worst(rows, kernels):
+        """max |rebuilt - defined| of each name at some rows, NaN if a NaN is compared."""
+        here = {key: values[rows] for key, values in defined.items()}
+        if "backward" in names and backward is None:    # a neutral field's
+            here["backward"] = _swap_reflect_block(defined["forward"], *rows)
 
         def diff(name):
+            kernel = next(kernels)
             if name == "d_r_two_defs":      # in complex, as the rebuilt kernels are
-                two = np.subtract(defined("d_f"), defined("forward"), dtype=complex)
-                return np.subtract(two, d_r_dag, out=two)
-            kernel = next(kernels)          # forward is C+ itself, which the others read
-            return np.subtract(kernel, defined(name), out=None if kernel is plus else kernel)
+                two = np.subtract(here["d_f"], here["forward"], dtype=complex)
+                return np.subtract(two, kernel, out=two)
+            return np.subtract(kernel, here[name], out=kernel if kernel.flags.writeable else None)
         return [np.abs(diff(name)).max() for name in names]
 
-    def block_residuals(a, b):
-        here = {key: values[a, b] for key, values in rows.items()}
-        if "backward" in names and backward is None:    # a neutral field's
-            here["backward"] = _swap_reflect_block(rows["forward"], a, b)
+    def block_residuals(a):
+        return [worst(*side) for side in _rebuilt_rows(defined["d_r"], a, names)]
 
-        def adjoint(key):
-            """The definitions' rows (b, a) below the diagonal, as their adjoints at (a, b)."""
-            return (_adjoint_block(rows[key], a, slice(a + 1, None)) if key in rows
-                    else np.conj(here["forward"][1:]))
-        return [worst(defined, *side) for defined, side in
-                zip((here.get, adjoint), _rule_sides(rows["d_r"], a, b))]
-
-    blocks = _each_block(block_residuals, d_r, upper=True)
+    blocks = _each_block(block_residuals, d_r)
     return dict(zip(names, np.max([side for block in blocks for side in block], axis=0).tolist()))
 
 
@@ -427,14 +421,8 @@ def neutral_field_kernels(ms: ModeSet, grid: TimeGrid) -> NeutralFieldKernels:
     d, d_f, d_r = (np.empty((labels, points, labels, points, grid.n), complex) for _ in range(3))
     rows, rows_f, rows_r = _label_blocks(d), _label_blocks(d_f), _label_blocks(d_r)
 
-    def sum_block(a, b):
-        np.matmul(coef[a, b], phases, out=rows[a, b])
-
-    def order_block(a, b):
-        _time_order_into(rows[a, b], rows.transpose(1, 0, 2)[a, b], rows_f[a, b], rows_r[a, b])
-
-    _each_block(sum_block, d)
-    _each_block(order_block, d)
+    _each_block(lambda a: np.matmul(coef[a], phases, out=rows[a]), d)
+    _each_block(lambda a: _time_order_into(rows[a], rows[:, a], rows_f[a], rows_r[a]), d)
     return NeutralFieldKernels(grid=grid, d=d, d_f=d_f, d_r=d_r)
 
 

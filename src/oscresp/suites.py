@@ -18,9 +18,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import driven, fock, functionals, wick
-from .grids import (Kernel, SampledSignal, TimeGrid, adjoint, circular_convolve,
-                    frequency_split, half_step, kernel_adjoint, make_grid,
-                    reflect_values, without_zero_nyquist)
+from .grids import (Kernel, SampledSignal, TimeGrid, _require_int, adjoint, circular_convolve,
+                    frequency_split, half_step, kernel_adjoint, make_grid, reflect_values,
+                    without_zero_nyquist)
 from .kernels import (ChargedModeSet, ModeSet, OscillatorParams,
                       charged_field_kernels, check_commensurate, commutator_kernel,
                       neutral_field_kernels, osc_kernels, qp_commutator_kernel,
@@ -60,10 +60,8 @@ class Config:
             check_commensurate(cfg.params().omega0, cfg.grid())
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
-        for name, value, least in (("bin_index", cfg.bin_index, 1), ("dim", cfg.dim, 2),
-                                   ("seed", cfg.seed, 0)):     # n is checked by cfg.grid()
-            if type(value) is not int or value < least:
-                raise ConfigError(f"{name} must be an integer of at least {least}, got {value!r}")
+        for name, least in (("n", 4), ("bin_index", 1), ("dim", 2), ("seed", 0)):
+            setattr(cfg, name, _require_int(getattr(cfg, name), name, ConfigError, least))
         bad = {k: v for k, v in cfg.tolerances.items() if not 0.0 <= v < math.inf}
         if bad:
             raise ConfigError(f"tolerances must be finite and nonnegative, got {bad}")

@@ -25,6 +25,7 @@ from itertools import combinations
 import numpy as np
 
 from . import fock
+from .grids import _require_int
 from .kernels import OscillatorParams, osc_d_value, osc_df_value
 
 
@@ -32,9 +33,11 @@ class WickError(ValueError):
     """Invalid expansion request."""
 
 
-def _require_factor_count(m: int) -> None:
-    if not 0 <= m <= fock.MAX_FACTORS:
+def _require_factor_count(m: int) -> int:
+    m = _require_int(m, "factor count", WickError)
+    if m > fock.MAX_FACTORS:
         raise WickError(f"factor count {m} outside 0..{fock.MAX_FACTORS}")
+    return m
 
 
 @dataclass(frozen=True)
@@ -53,8 +56,7 @@ def enumerate_pairings(m: int) -> tuple:
     tuples, made once per m; for even m the number of perfect pairings is
     (m-1)!!.
     """
-    _require_factor_count(m)
-    return _pairings(m)
+    return _pairings(_require_factor_count(m))
 
 
 @functools.lru_cache
@@ -197,6 +199,8 @@ def pair_operator_counts(m: int, applications: int) -> dict:
     k pairs is produced exactly k! times by k applications, which is what
     the 1/n! of the exponential generating operator divides out.
     """
+    m = _require_int(m, "m", WickError)
+    applications = _require_int(applications, "applications", WickError)
     counts = {frozenset(): 1}
     for _ in range(applications):
         new_counts = {}

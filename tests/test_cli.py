@@ -45,6 +45,14 @@ def test_config_loading_and_validation(tmp_path):
         Config.load(bad)
 
 
+def test_config_takes_numpy_integers_as_ints():
+    # one integer rule for every size: a numpy integer is an integer, stored as int
+    cfg = Config.from_dict({"grid": {"n": np.int64(128), "bin_index": np.int32(4)},
+                            "dim": np.int64(30), "seed": np.uint8(3)})
+    assert all(type(getattr(cfg, name)) is int for name in ("n", "bin_index", "dim", "seed"))
+    assert Config.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
 @pytest.mark.parametrize("data", [
     {"grid": {"n": 7}},
     {"dim": 1},
@@ -368,6 +376,55 @@ def test_worker_threads_start_only_for_a_large_family(tmp_path):
     # is made by the first large family, rebuilt, built or checked, with at
     # most one thread per block
     done = run_checkout_python(["-c", WORKER_PROBE], tmp_path)
+    assert done.returncode == 0, done.stderr
+
+
+OFF_MAIN_PROBE = """
+import inspect, sys, threading
+import numpy as np
+import oscresp.cli
+from oscresp import grids, kernels
+
+ran_off_main = []
+
+
+def traced(name, fn):
+    def wrapper(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            ran_off_main.append(name)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+wrappers = {}
+for layer in ("grids", "kernels", "fock", "wick", "functionals", "driven", "suites"):
+    module = sys.modules["oscresp." + layer]
+    wrappers.update({fn: traced(layer + "." + name, fn) for name, fn in vars(module).items()
+                     if inspect.isfunction(fn) and fn.__module__ == module.__name__
+                     and not name.startswith("_")})
+for key, module in list(sys.modules.items()):
+    if key == "oscresp" or key.startswith("oscresp."):
+        for name, obj in list(vars(module).items()):
+            if inspect.isfunction(obj) and obj in wrappers:
+                setattr(module, name, wrappers[obj])
+
+grid = grids.make_grid(8192, 0.1)                        # no split mask of 8192 bins yet
+modes = oscresp.ModeSet(np.arange(1, 9) * 2 * np.pi / grid.period, np.ones((8, 3, 3)))
+nk = kernels.neutral_field_kernels(modes, grid)          # 9 blocks of 9 rows: large
+for name in kernels.RECONSTRUCTED[1:]:
+    kernels.reconstruct(nk.d_r, name)
+kernels.reconstruction_residuals(nk.d, nk.d_f, nk.d_r)
+kernels.reconstruction_residuals(nk.d, nk.d_f, nk.d_r, backward=grids.swap_reflect(nk.d))
+assert grids._pool.cache_info().currsize == 1            # the pool was asked for
+assert ran_off_main == [], sorted(set(ran_off_main))
+"""
+
+
+def test_worker_thread_blocks_call_no_public_function(tmp_path):
+    # every public function of the seven layers is wrapped where it is bound,
+    # as a tracer wraps them; the blocks of a large family, on a cold cache,
+    # must call none of them
+    done = run_checkout_python(["-c", OFF_MAIN_PROBE], tmp_path)
     assert done.returncode == 0, done.stderr
 
 

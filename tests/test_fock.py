@@ -16,6 +16,16 @@ from oscresp.kernels import OscillatorParams, osc_d_value, osc_df_value
 P = OscillatorParams()
 
 
+@pytest.mark.parametrize("dim", [3.5, 4.0, np.float64(4.0), True, "4"],
+                         ids=["float", "whole-float", "numpy-float", "bool", "str"])
+def test_ladder_sizes_that_are_not_integers_are_refused(dim):
+    for build in (lambda: ladder(dim), lambda: heisenberg_q(P, 0.3, dim),
+                  lambda: heisenberg_p(P, 0.3, dim)):
+        with pytest.raises(FockError, match="integer"):
+            build()
+    assert ladder(np.int64(4))[0].shape == (4, 4)      # a numpy integer is an integer
+
+
 def test_ladder_matrix_elements():
     a, adag = ladder(2)
     assert a[0, 1] == 1.0 and np.count_nonzero(a) == 1

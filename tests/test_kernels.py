@@ -219,16 +219,20 @@ def test_a_nan_at_any_label_pair_gives_a_nan_residual(n, pair, name):
 
 
 @pytest.mark.parametrize("n", [256, 4096])
-@pytest.mark.parametrize("name", ["forward", "backward", "d_f"])
+@pytest.mark.parametrize("name", ["forward", "backward", "d_f", "neutral"])
 def test_a_change_at_a_lower_label_pair_is_read_by_its_residual(n, name):
-    # (mu, r, mu', r') = (2, 1, 0, 2): first label half 7, second 2, below the diagonal
+    # (mu, r, mu', r') = (2, 1, 0, 2): first label half 7, second 2, below the diagonal;
+    # "neutral" changes forward and passes no backward contraction, which is then
+    # swap_reflect(forward) and carries the change to the rows (2, 7) above
     arrays = dict(zip(("forward", "d_f", "d_r", "backward"), large_field(n)))
-    arrays[name] = arrays[name].copy()
-    arrays[name][2, 1, 0, 2, n // 5] += 1e-3 - 2e-3j
+    changed, read = ("forward", ("d_r_two_defs", "forward", "backward")) if name == "neutral" \
+        else (name, (name,))
+    arrays[changed] = arrays[changed].copy()
+    arrays[changed][2, 1, 0, 2, n // 5] += 1e-3 - 2e-3j
     res = reconstruction_residuals(arrays["forward"], arrays["d_f"], arrays["d_r"],
-                                   backward=arrays["backward"])
-    assert res[name] == pytest.approx(abs(1e-3 - 2e-3j), abs=1e-13)
-    others = [key for key in RECONSTRUCTED[1:] if key != name]
+                                   backward=None if name == "neutral" else arrays["backward"])
+    assert all(res[key] == pytest.approx(abs(1e-3 - 2e-3j), abs=1e-13) for key in read), res
+    others = [key for key in RECONSTRUCTED[1:] if key not in read]
     assert all(res[key] < 1e-13 for key in others), res
 
 

@@ -79,6 +79,22 @@ def test_normal_ordering_pairs_to_zero_and_other_orderings_are_refused():
         pair_value("sideways", later, earlier, P)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: enumerate_pairings(True),
+    lambda: enumerate_pairings(2.0),
+    lambda: pair_operator_counts(3.5, 1),
+    lambda: pair_operator_counts(4, 1.0),
+    lambda: pair_operator_counts(-1, 1),
+    lambda: pair_operator_counts(4, -1),
+], ids=["pairings-bool", "pairings-float", "counts-float-m", "counts-float-applications",
+        "counts-negative-m", "counts-negative-applications"])
+def test_factor_and_application_counts_must_be_non_negative_integers(call):
+    with pytest.raises(WickError, match="integer"):
+        call()
+    assert enumerate_pairings(np.int64(4)) == enumerate_pairings(4)
+    assert pair_operator_counts(np.int64(4), np.int8(2)) == pair_operator_counts(4, 2)
+
+
 def test_pair_operator_counts_are_factorials():
     for m, k in [(4, 1), (4, 2), (6, 2), (6, 3)]:
         counts = pair_operator_counts(m, k)
