@@ -463,12 +463,16 @@ def _ladder_exp_sizes(dim: int) -> np.ndarray:
 
     Each entry is sqrt(comb(j, i) / (j-i)!) from exact integers: the int
     division and the square root each round once, so every entry is
-    within about one ulp.
+    within about one ulp.  The quotient is taken times 4^p and its root
+    times 2^-p, both exact, with p such that it stays in the float range
+    where the entry does.
     """
     sizes = np.zeros((dim, dim))
     for j in range(dim):
         for i in range(j + 1):
-            sizes[i, j] = math.sqrt(math.comb(j, i) / math.factorial(j - i))
+            num, den = math.comb(j, i), math.factorial(j - i)
+            p = max(0, den.bit_length() - num.bit_length()) // 2
+            sizes[i, j] = math.ldexp(math.sqrt((num << 2 * p) / den), -p)
     sizes.flags.writeable = False
     return sizes
 
@@ -477,14 +481,29 @@ def _ladder_exp(c: complex, dim: int) -> np.ndarray:
     """exp(c*a) in the truncated basis, c^(j-i) sqrt(j!/i!) / (j-i)! at (i, j >= i).
 
     a is nilpotent there, so the series ends and the matrix is exact.
-    exp(d*adag) is the transpose of exp(d*a), because a is real.
+    exp(d*adag) is the transpose of exp(d*a), because a is real.  Each
+    entry is the power c^k, k = j - i, times its size (``_ladder_exp_sizes``).
+    Where the power overflows, or the size is below the normal floats,
+    that product is not finite or not precise though the entry may be;
+    there the entry is walked along row i by the ratios c sqrt(i + m) / m,
+    m = 1..k.  Every step of the walk is an entry of the row, and the
+    entries of a row rise to one peak and fall, so the walk is finite
+    wherever every entry of the row is.
     """
     n = np.arange(dim)
     lag = n[None, :] - n[:, None]                                     # j - i
     upper = lag >= 0
     k = np.where(upper, lag, 0)
-    powers = np.cumprod(np.concatenate(([1.0 + 0.0j], np.full(dim - 1, c))))
-    return np.where(upper, powers[k] * _ladder_exp_sizes(dim), 0.0)
+    sizes = _ladder_exp_sizes(dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = np.cumprod(np.concatenate(([1.0 + 0.0j], np.full(dim - 1, c))))
+        out = np.where(upper, powers[k] * sizes, 0.0)
+    lost = ~np.isfinite(out) | upper & (sizes < np.finfo(float).tiny)
+    if lost.any():
+        ratios = c * np.sqrt(n[:, None] + n[1:]) / n[1:]             # c sqrt(i + m) / m
+        walks = np.cumprod(np.concatenate((np.ones((dim, 1)), ratios), axis=1), axis=1)
+        out[lost] = walks[lost.nonzero()[0], lag[lost]]
+    return out
 
 
 def _double_ordered(state: FockState, minus_probe: Probe, plus_probe: Probe,

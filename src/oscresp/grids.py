@@ -298,6 +298,8 @@ def swap_reflect(values: np.ndarray) -> np.ndarray:
 # and its check run 1.4-2x faster inline at h = 9, n = 1024 and h = 16,
 # n = 512, where the builder is level; at h = 4, n = 4096 and h = 16, n = 1024
 # the check is level or faster on the pool, and the pool wins at larger sizes.
+# A run of the rebuild (``kernels._rebuilt_rows``) holds at most _BLOCK_SAMPLES
+# samples, one row at least, so that its temporaries do not grow with h.
 _LARGE_SAMPLES = 1 << 16
 _BLOCK_SAMPLES = 1 << 14
 
@@ -350,22 +352,20 @@ if hasattr(os, "register_at_fork"):
 
 
 def _each_block(fn, values: np.ndarray) -> list:
-    """fn(s) for each first label half s of a family's ``_label_blocks`` view.
+    """fn(s) for each first label half s = 0, 1, ... of a family's ``_label_blocks`` view.
 
-    A 1-d kernel is the one block s = 0.  The blocks come in the order
-    s = 0, h - 1, 1, h - 2, ..., so that two blocks that run at once and
-    each take the rows from their diagonal on hold about h + 1 rows.  A
-    large input (``_LARGE_SAMPLES``) runs them on the worker pool, where
-    numpy's FFTs and ufuncs release the GIL, any other inline.  fn may run
-    on a worker thread, so it may call only numpy and private helpers,
-    never a public function of the package.
+    A 1-d kernel is the one block s = 0.  The rebuild's half s walks the
+    rows from its diagonal on, so this order hands out the largest halves
+    first.  A large input (``_LARGE_SAMPLES``) runs the blocks on the
+    worker pool, where numpy's FFTs and ufuncs release the GIL, any other
+    inline.  fn may run on a worker thread, so it may call only numpy and
+    private helpers, never a public function of the package.
     """
     blocks = _label_blocks(values)
     labels = len(blocks)
-    firsts = sorted(range(labels), key=lambda s: min(s, labels - 1 - s))
     large = labels > 1 and blocks.size >= _LARGE_SAMPLES and blocks[0].size >= _BLOCK_SAMPLES
     pool = _pool() if large else None
-    return list(map(fn, firsts) if pool is None else pool.map(fn, firsts))
+    return list(map(fn, range(labels)) if pool is None else pool.map(fn, range(labels)))
 
 
 # -- frequency-sign decomposition -------------------------------------------

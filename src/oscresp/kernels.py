@@ -5,8 +5,9 @@ on a periodic grid; one time-ordering rule (``time_order``) turns it, and
 the fields' forward and backward contractions, into D_F and D_R.  One
 reconstruction rule (``_rebuilt``) rebuilds every kernel of a family from
 C+, the frequency-positive part of C = D_R - D_R^dag: ``reconstruct``
-applies it and ``reconstruction_residuals`` measures it, with the rows of
-one first label half at a time (``_rebuilt_rows``); the suites drive
+applies it and ``reconstruction_residuals`` measures it, a run of the
+rows of one first label half at a time (``_rebuilt_rows``), so that no
+call holds more than a run's temporaries per thread; the suites drive
 those identities.
 
 All grid kernels require the frequencies in play to sit exactly on DFT
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import grids
 from .grids import (GridError, Kernel, TimeGrid, _adjoint_rows, _each_block, _label_blocks,
                     _plus_into, _snap, _swap_reflect_block, reflect_values)
 
@@ -202,26 +204,36 @@ def _rebuilt(d_r: np.ndarray, d_r_dag: np.ndarray, plus: np.ndarray, names):
 
 
 def _rebuilt_rows(d_r: np.ndarray, a: int, names):
-    """(rows, kernels) at the rows (a, a...) of a ``_label_blocks`` view of D_R, then (a+1..., a).
+    """(rows, kernels) of first label half a of a ``_label_blocks`` view of D_R, run by run.
 
-    kernels makes the named kernels at rows one by one as read (``_rebuilt``).
-    Only C+ at (a, a...) is transformed, in C's place one row at a time, so
-    its bits do not depend on the blocking.  C^dag = -C and the adjoint
-    keeps the frequency sign, so C+ is anti-Hermitian: a kernel's row (b, a)
-    is the adjoint of the rule at (D_R^dag, D_R, -C+) at (a, b).  C+ and
-    D_R^dag come read-only, and -C+ is made in C+'s place: a caller must be
-    done with the first kernels before it asks for the next.
+    A run is the upper rows (a, b0:b1), b0 >= a, of at most
+    ``grids._BLOCK_SAMPLES`` samples and one row at least.  It yields its
+    rows, then their mirrors (b0:b1, a), but for the diagonal row (a, a),
+    which is its own mirror.  A run transforms only its own rows, so the
+    temporaries of a half are those of one run, however many rows it has.
+    kernels makes the named kernels at rows one by one as read
+    (``_rebuilt``).  Only C+ at (a, b0:b1) is transformed, in C's place
+    one row at a time, so its bits do not depend on the runs.  C^dag = -C
+    and the adjoint keeps the frequency sign, so C+ is anti-Hermitian: a
+    kernel's row (b, a) is the adjoint of the rule at (D_R^dag, D_R, -C+)
+    at (a, b).  C+ and D_R^dag come read-only, and -C+ is made in C+'s
+    place: a caller must be done with the first kernels before it asks
+    for the next.
     """
-    upper = (a, slice(a, None))
-    d_r_dag = _adjoint_rows(d_r[a:, a])
-    plus = _plus_into(np.subtract(d_r[upper], d_r_dag, dtype=complex))
-    shared = plus.view()
-    d_r_dag.flags.writeable = shared.flags.writeable = False
-    yield upper, _rebuilt(d_r[upper], d_r_dag, shared, names)
-    if len(plus) > 1:
-        # map, unlike a generator expression, holds no kernel once it is adjointed
-        yield (slice(a + 1, None), a), map(_adjoint_rows, _rebuilt(
-            d_r_dag[1:], d_r[a, a + 1:], np.negative(plus, out=plus)[1:], names))
+    h, n = d_r.shape[1:]
+    step = max(1, grids._BLOCK_SAMPLES // n)
+    for b0 in range(a, h, step):
+        b1, skip = b0 + step, int(b0 == a)
+        upper = (a, slice(b0, b1))
+        d_r_dag = _adjoint_rows(d_r[b0:b1, a])
+        plus = _plus_into(np.subtract(d_r[upper], d_r_dag, dtype=complex))
+        shared = plus.view()
+        d_r_dag.flags.writeable = shared.flags.writeable = False
+        yield upper, _rebuilt(d_r[upper], d_r_dag, shared, names)
+        if len(plus) > skip:
+            # map, unlike a generator expression, holds no kernel once it is adjointed
+            yield (slice(b0 + skip, b1), a), map(_adjoint_rows, _rebuilt(
+                d_r_dag[skip:], d_r[a, b0 + skip:b1], np.negative(plus, out=plus)[skip:], names))
 
 
 def reconstruct(d_r: np.ndarray, name: str) -> np.ndarray:
@@ -258,7 +270,7 @@ def reconstruction_residuals(forward: np.ndarray, d_f: np.ndarray, d_r: np.ndarr
     swap_reflect(forward).  "d_r_two_defs" checks the second definition
     D_R^dag = D_F - forward.  Conjugation and a permutation neither round
     nor change a maximum, so D_F^dag needs no check of its own.  The
-    kernels are compared block by block as ``_rebuilt_rows`` makes them,
+    kernels are compared run by run as ``_rebuilt_rows`` makes them,
     so that no full-size kernel, adjoint or difference is held.  A name
     outside ``RECONSTRUCTED``, any shape but D_R's, or a D_R that is not a
     kernel family, raises GridError.  A NaN compared gives a NaN residual.

@@ -337,6 +337,21 @@ def test_ladder_exp_entries_are_correctly_rounded(dim):
     assert not np.any(np.tril(sizes, -1))
 
 
+@pytest.mark.parametrize("c, dim", [(30.0, 230), (1000.0, 120), (-20.0 + 21.0j, 230)])
+def test_ladder_exp_is_finite_where_the_power_alone_overflows(c, dim):
+    # c^(j-i) overflows at the top right corner, where the size underflows
+    # against it; the entries themselves reach about 1e127 and 1e259
+    out = fock._ladder_exp(c, dim)
+    assert np.isfinite(out).all()
+    rng = np.random.default_rng(dim)
+    corner = [(0, dim - 1), (0, dim // 2), (dim // 3, dim - 1)]
+    with mpmath.workdps(40):
+        for i, j in corner + [tuple(sorted(pair)) for pair in rng.integers(0, dim, (60, 2))]:
+            size = mpmath.sqrt(mpmath.factorial(j) / mpmath.factorial(i)) / mpmath.factorial(j - i)
+            exact = mpmath.mpc(c) ** (j - i) * size
+            assert abs(mpmath.mpc(complex(out[i, j])) - exact) <= 1e-13 * abs(exact), (i, j)
+
+
 @pytest.mark.parametrize("kind", ["vacuum", "thermal", "coherent"])
 def test_double_ordered_pair_matches_the_gaussian_closed_form(kind):
     # weights up to 0.5; Gaussian states give

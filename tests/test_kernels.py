@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -237,14 +238,43 @@ def test_a_change_at_a_lower_label_pair_is_read_by_its_residual(n, name):
 
 
 def test_the_pool_and_inline_blockings_give_the_same_bits(monkeypatch):
+    # runs of 4 rows of 4096 samples on the pool, then inline, then runs of one row
     forward, d_f, d_r, backward = large_field(4096)
     d_f = d_f + 1e-6 * np.random.default_rng(2).standard_normal(d_f.shape)
     pooled = reconstruction_residuals(forward, d_f, d_r, backward=backward)
     rebuilt = {name: reconstruct(d_r, name) for name in RECONSTRUCTED[1:]}
+    for setting, value in (("_LARGE_SAMPLES", math.inf), ("_BLOCK_SAMPLES", 1)):
+        with monkeypatch.context() as patch:
+            patch.setattr(grids, setting, value)
+            assert reconstruction_residuals(forward, d_f, d_r, backward=backward) == pooled
+            for name, kernel in rebuilt.items():
+                assert reconstruct(d_r, name).tobytes() == kernel.tobytes(), (setting, name)
+
+
+def test_the_rebuild_holds_a_few_rows_however_many_label_halves(monkeypatch):
+    # inline, so that the bound does not depend on the CPU count: h = 4 label
+    # halves of one-row runs; whole-half runs would hold 11 to 20 rows here
     monkeypatch.setattr(grids, "_LARGE_SAMPLES", math.inf)
-    assert reconstruction_residuals(forward, d_f, d_r, backward=backward) == pooled
-    for name, kernel in rebuilt.items():
-        assert reconstruct(d_r, name).tobytes() == kernel.tobytes(), name
+    n = 16384
+    rng = np.random.default_rng(6)
+    shape = (2, 2, 2, 2, n)
+    forward, d_f, d_r = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                         for _ in range(3))
+    backward = swap_reflect(forward)
+    calls = {"residuals": lambda: reconstruction_residuals(forward, d_f, d_r, backward=backward),
+             "neutral residuals": lambda: reconstruction_residuals(forward, d_f, d_r)}
+    calls.update({name: lambda name=name: reconstruct(d_r, name) for name in RECONSTRUCTED[1:]})
+    for name, call in calls.items():
+        call()                              # the masks and caches are made once
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = call()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        held = peak / (16 * n) - (out.size // n if isinstance(out, np.ndarray) else 0)
+        assert held < 8, (name, held)
 
 
 def test_verify_all_gives_the_same_rows_with_every_family_on_the_pool(monkeypatch):
