@@ -514,12 +514,15 @@ def _double_ordered(state: FockState, minus_probe: Probe, plus_probe: Probe,
     one, in contour order (``_contour_order``).  Weights at equal times on
     one branch add into one factor, since q(t) commutes with itself (the
     truncated factors would not commute exactly).  Each factor is normal
-    ordered, exp(c a + d adag) = e^{cd/2} exp(d adag) exp(c a).
+    ordered, exp(c a + d adag) = e^{cd/2} exp(d adag) exp(c a).  A
+    non-finite probe time or weight raises FockError.
     """
     dim = state.dim
     merged = {}
     for branch, probe in (("minus", minus_probe), ("plus", plus_probe)):
         for t, w in probe:
+            if not (math.isfinite(t) and cmath.isfinite(w)):
+                raise FockError(f"probe times and weights must be finite, got ({t}, {w})")
             merged[branch, t] = merged.get((branch, t), 0.0) + w
     labels = list(merged)
     op = np.eye(dim, dtype=complex)

@@ -230,10 +230,6 @@ def gaussian_moments(quad: np.ndarray, lin: np.ndarray) -> complex:
 Mean = Optional[Callable[[float], complex]]
 
 
-def _mean_at(mean: Mean, t: float) -> complex:
-    return complex(mean(t)) if mean is not None else 0.0j
-
-
 def predicted_moment(spec: fock.OrderedProductSpec, p: OscillatorParams,
                      mean: Mean = None) -> complex:
     """Ordered moment of q factors predicted by the exponential functional.
@@ -246,7 +242,7 @@ def predicted_moment(spec: fock.OrderedProductSpec, p: OscillatorParams,
     factors = spec.factors
     if any(f.observable != "q" for f in factors):
         raise FunctionalError("moment predictions cover q factors only")
-    lin = np.array([_mean_at(mean, f.time) + fock._shift_value(spec.shift, f.time)
+    lin = np.array([fock._shift_value(mean, f.time) + fock._shift_value(spec.shift, f.time)
                     for f in factors], dtype=complex)
     return gaussian_moments(pair_table(spec.ordering, factors, p), lin)
 
@@ -274,7 +270,7 @@ def predicted_normal_moment(times, mean: Mean = None) -> complex:
     """Normally ordered moment of the shifted operators: a bare product."""
     out = 1.0 + 0.0j
     for t in times:
-        out *= _mean_at(mean, t)
+        out *= fock._shift_value(mean, t)
     return out
 
 

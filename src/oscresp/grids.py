@@ -291,16 +291,13 @@ def swap_reflect(values: np.ndarray) -> np.ndarray:
 
 # -- blocks of a kernel family ------------------------------------------------
 
-# an input of at least this many samples (1 MiB of complex), in at least two
-# blocks of at least _BLOCK_SAMPLES each, is large: its blocks run on the
-# worker pool, any other's inline, as small blocks pay the hand-off once each.
-# Timed on 2 CPUs, per first label half, inline against the pool: the rebuild
-# and its check run 1.4-2x faster inline at h = 9, n = 1024 and h = 16,
-# n = 512, where the builder is level; at h = 4, n = 4096 and h = 16, n = 1024
-# the check is level or faster on the pool, and the pool wins at larger sizes.
+# a label half of at least _BLOCK_SAMPLES samples (256 KiB of complex) runs on
+# the worker pool, a smaller one inline, as small halves pay the hand-off once
+# each.  Timed on 2 CPUs, per half, inline against the pool: the rebuild and its
+# check run 1.4-2x faster inline at h = 9, n = 1024 and h = 16, n = 512; at
+# h = 4, n = 4096 and h = 16, n = 1024 the check is level or faster on the pool.
 # A run of the rebuild (``kernels._rebuilt_rows``) holds at most _BLOCK_SAMPLES
 # samples, one row at least, so that its temporaries do not grow with h.
-_LARGE_SAMPLES = 1 << 16
 _BLOCK_SAMPLES = 1 << 14
 
 
@@ -356,15 +353,14 @@ def _each_block(fn, values: np.ndarray) -> list:
 
     A 1-d kernel is the one block s = 0.  The rebuild's half s walks the
     rows from its diagonal on, so this order hands out the largest halves
-    first.  A large input (``_LARGE_SAMPLES``) runs the blocks on the
-    worker pool, where numpy's FFTs and ufuncs release the GIL, any other
-    inline.  fn may run on a worker thread, so it may call only numpy and
-    private helpers, never a public function of the package.
+    first.  Halves of at least ``_BLOCK_SAMPLES`` samples, two or more,
+    run on the worker pool, where numpy's FFTs and ufuncs release the GIL.
+    fn may run on a worker thread, so it may call only numpy and private
+    helpers, never a public function of the package.
     """
     blocks = _label_blocks(values)
     labels = len(blocks)
-    large = labels > 1 and blocks.size >= _LARGE_SAMPLES and blocks[0].size >= _BLOCK_SAMPLES
-    pool = _pool() if large else None
+    pool = _pool() if labels > 1 and blocks[0].size >= _BLOCK_SAMPLES else None
     return list(map(fn, range(labels)) if pool is None else pool.map(fn, range(labels)))
 
 

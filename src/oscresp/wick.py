@@ -185,7 +185,7 @@ def _expansion(state: fock.FockState, factors, p: OscillatorParams) -> complex:
     averages of every leftover subset come from one table of ladder moments
     (``fock.contract_subsets``), and ``_pairing_sum`` sums the patterns.
     """
-    parts = [(*fock.ladder_parts("q", f.time, p), 0.0) for f in factors]
+    parts = [fock._factor_parts(f, p, None) for f in factors]
     leftovers = fock.contract_subsets(fock.ladder_moments(state, len(factors)), parts)
     return _pairing_sum(pair_table("double_time", factors, p).tolist(), leftovers.tolist())
 

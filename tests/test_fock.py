@@ -315,6 +315,16 @@ def test_reality_check_examples():
     assert reality_check(near_top, tied, [], P) < 1e-12
 
 
+@pytest.mark.parametrize("probe", [(0.1, math.inf), (0.1, math.nan), (math.inf, 0.1),
+                                   (math.nan, 0.1), (0.1, complex(0.5, math.nan))])
+@pytest.mark.parametrize("side", ["plus", "minus"])
+def test_reality_check_refuses_non_finite_probes(monkeypatch, probe, side):
+    monkeypatch.setattr(fock, "_ladder_exp", None)      # a formed matrix would raise TypeError
+    probes = ([probe], []) if side == "plus" else ([], [probe])
+    with pytest.raises(FockError, match="probe times and weights must be finite"):
+        reality_check(make_state("vacuum", 4), *probes, P)
+
+
 def test_ladder_exp_is_the_terminating_series():
     for dim in (2, 7, 40):
         a = ladder(dim)[0]

@@ -431,3 +431,15 @@ def test_predicted_normal_moment_is_a_product():
     times = [0.1, 0.9]
     assert predicted_normal_moment(times, mean) == pytest.approx(mean(0.1) * mean(0.9))
     assert predicted_normal_moment(times, None) == 0.0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), complex(0.0, float("inf"))])
+def test_predictions_refuse_a_non_finite_mean(bad):
+    def mean(t):
+        return bad if t > 0.5 else 0.3
+
+    spec = fock.OrderedProductSpec((("q", 0.1, None), ("q", 0.9, None)), "weyl")
+    with pytest.raises(fock.FockError, match="must be finite"):
+        predicted_moment(spec, P, mean)
+    with pytest.raises(fock.FockError, match="must be finite"):
+        predicted_normal_moment([0.1, 0.9], mean)

@@ -7,9 +7,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from oscresp import fock, grids, kernels
-from oscresp.grids import (GridError, adjoint, frequency_split, half_step, kernel_adjoint,
-                           make_grid, reflect_values, swap_reflect)
+from oscresp import fock, grids, kernels, suites
+from oscresp.grids import (GridError, Kernel, adjoint, frequency_split, half_step,
+                           kernel_adjoint, make_grid, reflect_values, swap_reflect)
 from oscresp.kernels import (RECONSTRUCTED, ChargedModeSet, CommensurabilityError,
                              ModeSet, OscillatorParams, charged_field_kernels,
                              commutator_kernel, neutral_field_kernels, osc_d_value,
@@ -243,7 +243,7 @@ def test_the_pool_and_inline_blockings_give_the_same_bits(monkeypatch):
     d_f = d_f + 1e-6 * np.random.default_rng(2).standard_normal(d_f.shape)
     pooled = reconstruction_residuals(forward, d_f, d_r, backward=backward)
     rebuilt = {name: reconstruct(d_r, name) for name in RECONSTRUCTED[1:]}
-    for setting, value in (("_LARGE_SAMPLES", math.inf), ("_BLOCK_SAMPLES", 1)):
+    for setting, value in (("_pool", lambda: None), ("_BLOCK_SAMPLES", 1)):
         with monkeypatch.context() as patch:
             patch.setattr(grids, setting, value)
             assert reconstruction_residuals(forward, d_f, d_r, backward=backward) == pooled
@@ -254,7 +254,7 @@ def test_the_pool_and_inline_blockings_give_the_same_bits(monkeypatch):
 def test_the_rebuild_holds_a_few_rows_however_many_label_halves(monkeypatch):
     # inline, so that the bound does not depend on the CPU count: h = 4 label
     # halves of one-row runs; whole-half runs would hold 11 to 20 rows here
-    monkeypatch.setattr(grids, "_LARGE_SAMPLES", math.inf)
+    monkeypatch.setattr(grids, "_pool", lambda: None)
     n = 16384
     rng = np.random.default_rng(6)
     shape = (2, 2, 2, 2, n)
@@ -279,7 +279,6 @@ def test_the_rebuild_holds_a_few_rows_however_many_label_halves(monkeypatch):
 
 def test_verify_all_gives_the_same_rows_with_every_family_on_the_pool(monkeypatch):
     inline = run_suite("all", Config(seed=7)).rows
-    monkeypatch.setattr(grids, "_LARGE_SAMPLES", 0)
     monkeypatch.setattr(grids, "_BLOCK_SAMPLES", 0)
     assert run_suite("all", Config(seed=7)).rows == inline
 
@@ -386,6 +385,42 @@ def test_qp_commutator_kernel_closed_form():
     qp = qp_commutator_kernel(P, g)
     assert qp.value_at_tau(0.0) == pytest.approx(1j * P.hbar, abs=1e-15)
     assert np.max(np.abs(qp.values - 1j * np.cos(g.times()))) < 1e-14
+
+
+def scaled_kernel(build):
+    def mutant(*args):
+        kernel = build(*args)
+        return Kernel(kernel.grid, (1 + 1e-8) * kernel.values)
+    return mutant
+
+
+def scaled_p_parts(observable, t, p, parts=fock.ladder_parts):
+    c, d = parts(observable, t, p)
+    scale = 1 + 1e-8 if observable == "p" else 1.0
+    return scale * c, scale * d
+
+
+@pytest.mark.parametrize("module, name, mutant, failing", [
+    (suites, "commutator_kernel", scaled_kernel(commutator_kernel),
+     {"commutator-reconstruction"}),
+    (suites, "qp_commutator_kernel", scaled_kernel(qp_commutator_kernel), {"qp-commutator"}),
+    (fock, "ladder_parts", scaled_p_parts, {"qp-commutator", "canonical-commutator"}),
+], ids=["commutator-kernel", "qp-commutator-kernel", "p-ladder-parts"])
+def test_a_relative_commutator_defect_of_1e_8_fails_its_rows(monkeypatch, module, name,
+                                                             mutant, failing):
+    monkeypatch.setattr(module, name, mutant)
+    report = run_suite("kernels", Config(seed=7))
+    assert {row.id for row in report.rows if not row.passed} == failing
+
+
+def test_the_kernels_suite_forms_no_dense_truncated_operator(monkeypatch):
+    # the commutator rows read the banded oracle, which has no top level to crop
+    def refuse(*args):
+        raise AssertionError("a dense truncated operator was formed")
+
+    for name in ("heisenberg_q", "heisenberg_p", "expectation"):
+        monkeypatch.setattr(fock, name, refuse)
+    assert run_suite("kernels", Config(seed=7)).passed
 
 
 # -- neutral fields ---------------------------------------------------------
