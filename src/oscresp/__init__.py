@@ -16,7 +16,7 @@ from .kernels import (ChargedModeSet, CommensurabilityError, ModeSet,
                       osc_kernels, qp_commutator_kernel)
 from .fock import (Factor, FockState, OrderedProductSpec, TruncationError,
                    heisenberg_p, heisenberg_q, ladder, make_state,
-                   ordered_average, reality_check)
+                   ordered_average, ordered_averages, reality_check)
 from .wick import WickTerm, enumerate_pairings, hori_expand, verify_wick
 from .functionals import (ProbeSet, gaussian_moments, inverse_substitution,
                           phi_cl, phi_full, phi_vac_quadratic,
@@ -40,8 +40,9 @@ __all__ = [
     "heisenberg_p", "heisenberg_q", "hori_expand", "inverse_substitution",
     "kernel_adjoint", "ladder", "make_grid", "make_state",
     "neutral_field_kernels", "ode_oscillator", "ordered_average",
-    "osc_kernels", "phi_cl", "phi_full", "phi_vac_quadratic",
-    "phi_vac_response", "qp_commutator_kernel", "reality_check",
-    "response_substitution", "run_suite", "sin_scenario", "step_scenario",
-    "verify_wick", "verify_driven_factorization", "zero_nyquist_fraction",
+    "ordered_averages", "osc_kernels", "phi_cl", "phi_full",
+    "phi_vac_quadratic", "phi_vac_response", "qp_commutator_kernel",
+    "reality_check", "response_substitution", "run_suite", "sin_scenario",
+    "step_scenario", "verify_wick", "verify_driven_factorization",
+    "zero_nyquist_fraction",
 ]

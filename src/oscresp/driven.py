@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import fock
-from .functionals import Mean, moment_residual
+from .functionals import Mean, moment_residuals
 from .grids import Kernel, SampledSignal, TimeGrid, _snap, circular_convolve
 from .kernels import OscillatorParams
 
@@ -244,9 +244,10 @@ def verify_driven_factorization(sc: DriveScenario, d_r: Kernel, state: fock.Fock
 
     Matrix-oracle averages in the initial state of the operators shifted
     by the classical displacement are compared with the functional
-    predictions (``functionals.moment_residual``, with the state's mean
-    path) for first and second moments under the branch orderings and for
-    symmetric and normal second moments: the shift drops out of each.
+    predictions (``functionals.moment_residuals``, one oracle call, with
+    the state's mean path) for first and second moments under the branch
+    orderings and for symmetric and normal second moments: the shift drops
+    out of each.
     """
     q_j = classical_displacement(sc, d_r)
     window = np.flatnonzero(causal_window(sc.grid, sc.t_on))
@@ -262,9 +263,7 @@ def verify_driven_factorization(sc: DriveScenario, d_r: Kernel, state: fock.Fock
         ("second_moment_symmetric", "weyl", [(t1, None), (t2, None)]),
         ("second_moment_normal", "normal", [(t1, None), (t2, None)]),
     ]
-    return {
-        name: moment_residual(state, fock.OrderedProductSpec(
-            tuple(("q", t, branch) for t, branch in factors), ordering, shift=q_j),
-            sc.params, mean)
-        for name, ordering, factors in table
-    }
+    specs = [fock.OrderedProductSpec(tuple(("q", t, branch) for t, branch in factors),
+                                     ordering, shift=q_j) for _, ordering, factors in table]
+    residuals = moment_residuals(state, specs, sc.params, mean)
+    return {name: float(res) for (name, _, _), res in zip(table, residuals)}

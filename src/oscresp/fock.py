@@ -24,7 +24,8 @@ diagonal k - j of rho, read from the same diagonals with the ordering's
 weights (``_table_weights``).  Only the truncated a and adag enter, never
 [a, adag] = 1, so the oracle stays independent of the pairing rules that
 it checks.  Tables that depend on sizes alone (ladder matrices, roots,
-gather indices, table weights) are made once per size and are read-only.
+gather indices, table weights, the log-factorials of the coherent
+amplitudes) are made once per size and are read-only.
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ def make_state(kind: str, dim: int, *, alpha: complex = 0.0, n: int = 0,
         # at alpha = 0 only 0^0 = 1 survives
         k = np.arange(dim)
         log_power = k * math.log(abs(alpha)) if alpha else np.where(k, -np.inf, 0.0)
-        log_size = log_power - 0.5 * np.array([math.lgamma(j + 1.0) for j in k])
+        log_size = log_power - 0.5 * _log_factorials(dim)
         amps = np.exp(log_size - abs(alpha) ** 2 / 2.0 + 1j * cmath.phase(alpha) * k)
         norm2 = float(np.vdot(amps, amps).real)
         deficit = 1.0 - norm2
@@ -175,6 +176,12 @@ def make_state(kind: str, dim: int, *, alpha: complex = 0.0, n: int = 0,
                 f"thermal(nbar={nbar}) loses {deficit:.3e} of its norm at dim={dim}")
         return FockState(np.diag(weights / weights.sum()).astype(complex), deficit)
     raise FockError(f"unknown state kind {kind!r}")
+
+
+@functools.lru_cache
+def _log_factorials(dim: int) -> np.ndarray:
+    """log(j!) = lgamma(j + 1) for j < dim; read-only."""
+    return _read_only(np.array([math.lgamma(j + 1.0) for j in range(dim)]))
 
 
 def expectation(state: FockState, op: np.ndarray) -> complex:
@@ -228,12 +235,13 @@ class OrderedProductSpec:
                 raise FockError("double_time ordering needs a branch on every factor")
 
 
-def _shift_value(shift: Shift, t: float) -> complex:
+def _shift_value(shift: Shift, t: float, path: str = "shift") -> complex:
+    """The c-number path at t, 0 for None; a non-finite value is refused, naming the path."""
     if shift is None:
         return 0.0
     value = shift.value_at(t) if isinstance(shift, SampledSignal) else complex(shift(t))
     if not cmath.isfinite(value):
-        raise FockError(f"shift must be finite, got {value} at t={t}")
+        raise FockError(f"{path} must be finite, got {value} at t={t}")
     return value
 
 
@@ -302,6 +310,31 @@ def _product_average(rho: np.ndarray, parts) -> complex:
     for c, d, s in reversed(parts):
         band = _band_step(band, c, d, s)
     return complex((band * diagonals).sum())
+
+
+def _stacked_averages(rho: np.ndarray, c: np.ndarray, d: np.ndarray,
+                      s: np.ndarray) -> np.ndarray:
+    """``_product_average`` of K products of m factors, (K, m) coefficients, in one walk.
+
+    The K bands lie one above the other in one (K (2m+1)) x (dim + m)
+    array, stepped by ``_band_step`` with c and d repeated over each
+    product's entries of the flattened stack and s over its rows.  A step
+    moves an entry by at most one row, and the rows -m and m of a band
+    (its first and last) are written by its last step only, so the moves
+    across the seam between two bands carry only zeros: every band, and
+    every average, has the bits of its own walk.
+    """
+    k, m = c.shape
+    diagonals = _diagonals(rho, m)
+    span = diagonals.size
+    band = np.zeros((k * (2 * m + 1), diagonals.shape[1]), dtype=complex)
+    band[m::2 * m + 1] = 1.0
+    flat = k * span - (diagonals.shape[1] - 1)          # the entries _band_step moves
+    c_flat, d_flat = (np.repeat(x.T, span, axis=1)[:, :flat] for x in (c, d))
+    s_rows = np.repeat(s.T, 2 * m + 1, axis=1)[..., None]
+    for j in reversed(range(m)):
+        band = _band_step(band, c_flat[j], d_flat[j], s_rows[j])
+    return (band.reshape(k, *diagonals.shape) * diagonals).reshape(k, span).sum(axis=1)
 
 
 @functools.lru_cache
@@ -450,6 +483,58 @@ def ordered_average(state: FockState, spec: OrderedProductSpec,
     if spec.ordering == "double_time":
         parts = [parts[i] for i in _contour_order([(f.branch, f.time) for f in factors])]
     return _product_average(state.rho, parts)
+
+
+def _stacked_parts(specs, p: OscillatorParams):
+    """(c, d, s), each (K, m): the parts of K specs of m factors, in walk order.
+
+    The factors of a double_time spec are put in contour order first.  c
+    and d come from one ``ladder_parts`` call per observable over the
+    (K, m) times, s from the spec's shift at each q factor.
+    """
+    rows = []
+    for spec in specs:
+        factors = spec.factors
+        if spec.ordering == "double_time":
+            factors = [factors[i] for i in _contour_order([(f.branch, f.time) for f in factors])]
+        rows.append(factors)
+    times = np.array([[f.time for f in row] for row in rows], dtype=float)
+    is_q = np.array([[f.observable == "q" for f in row] for row in rows], dtype=bool)
+    c, d = ladder_parts("q", times, p)
+    if not is_q.all():
+        c_p, d_p = ladder_parts("p", times, p)
+        c, d = np.where(is_q, c, c_p), np.where(is_q, d, d_p)
+    s = np.array([[_shift_value(spec.shift, f.time) if f.observable == "q" else 0.0
+                   for f in row] for spec, row in zip(specs, rows)], dtype=complex)
+    return c, d, s
+
+
+def ordered_averages(state: FockState, specs: Sequence[OrderedProductSpec],
+                     p: OscillatorParams) -> np.ndarray:
+    """``ordered_average`` of each spec in one state, bit for bit, in input order.
+
+    Specs of one kind (plain and double_time are one kind; normal,
+    antinormal and weyl one each) and one factor count m form a group.
+    A band group of K products is one walk of K stacked bands
+    (``_stacked_averages``), K (2m+1) (dim + m) complex entries; a table
+    group reads one ``ladder_moments`` table and runs one
+    ``contract_moments`` per product.  An empty list gives an empty array.
+    """
+    specs = list(specs)
+    out = np.zeros(len(specs), dtype=complex)
+    groups = {}
+    for i, spec in enumerate(specs):
+        kind = spec.ordering if spec.ordering in _TABLE_ORDERINGS else "band"
+        groups.setdefault((kind, len(spec.factors)), []).append(i)
+    for (kind, m), members in groups.items():
+        c, d, s = _stacked_parts([specs[i] for i in members], p)
+        if kind == "band":
+            out[members] = _stacked_averages(state.rho, c, d, s)
+        else:
+            moments = ladder_moments(state, m, kind)
+            out[members] = [contract_moments(moments, list(zip(*parts)))
+                            for parts in zip(c.tolist(), d.tolist(), s.tolist())]
+    return out
 
 
 # -- double-ordered exponential pair ---------------------------------------------

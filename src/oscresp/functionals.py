@@ -10,7 +10,7 @@ factor, and forward/backward currents j+- enter ``response_substitution``
 as eta+- = j+-/hbar.  This module also evaluates the quadratic vacuum form
 and the initial-state factor, and predicts the ordered moments of every
 ordering through the pairing formula (``predicted_moment``);
-``moment_residual`` is the one place where the Fock oracle meets that
+``moment_residuals`` is the one place where the Fock oracle meets that
 prediction.
 
 Probes are grid signals; functional derivatives are represented as
@@ -242,16 +242,23 @@ def predicted_moment(spec: fock.OrderedProductSpec, p: OscillatorParams,
     factors = spec.factors
     if any(f.observable != "q" for f in factors):
         raise FunctionalError("moment predictions cover q factors only")
-    lin = np.array([fock._shift_value(mean, f.time) + fock._shift_value(spec.shift, f.time)
-                    for f in factors], dtype=complex)
+    lin = np.array([fock._shift_value(mean, f.time, "mean path")
+                    + fock._shift_value(spec.shift, f.time) for f in factors], dtype=complex)
     return gaussian_moments(pair_table(spec.ordering, factors, p), lin)
 
 
-def moment_residual(state: fock.FockState, spec: fock.OrderedProductSpec,
-                    p: OscillatorParams, mean: Mean = None) -> float:
-    """|Fock-oracle average - functional prediction| of an ordered q product."""
-    predicted = predicted_moment(spec, p, mean)
-    return abs(fock.ordered_average(state, spec, p) - predicted)
+def moment_residuals(state: fock.FockState, specs, p: OscillatorParams,
+                     mean: Mean = None) -> np.ndarray:
+    """|Fock-oracle average - functional prediction| of each ordered q product, in order.
+
+    The averages in the one state come from one ``fock.ordered_averages``
+    call; every prediction is made first, so a spec with a p factor is
+    refused before the oracle runs.
+    """
+    specs = list(specs)
+    predicted = [predicted_moment(spec, p, mean) for spec in specs]
+    averages = fock.ordered_averages(state, specs, p).tolist()
+    return np.array([abs(a - b) for a, b in zip(averages, predicted)], dtype=float)
 
 
 def predicted_double_time_moment(factors, p: OscillatorParams, mean: Mean = None) -> complex:
@@ -270,7 +277,7 @@ def predicted_normal_moment(times, mean: Mean = None) -> complex:
     """Normally ordered moment of the shifted operators: a bare product."""
     out = 1.0 + 0.0j
     for t in times:
-        out *= fock._shift_value(mean, t)
+        out *= fock._shift_value(mean, t, "mean path")
     return out
 
 

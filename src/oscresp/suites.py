@@ -280,12 +280,16 @@ def suite_kernels(cfg: Config):
     vac = fock.make_state("vacuum", 20)
     pairs = (("forward", "double_time", "plus"), ("plain", "plain", None),
              ("backward", "double_time", "minus"))
-    res = {name: 0.0 for name, _, _ in pairs}
+    specs, names = [], []
     for _ in range(10):
         t1, t2 = rng.uniform(-4.0, 4.0, size=2)
         for name, ordering, branch in pairs:
-            spec = fock.OrderedProductSpec((("q", t1, branch), ("q", t2, branch)), ordering)
-            res[name] = max(res[name], functionals.moment_residual(vac, spec, p))
+            specs.append(fock.OrderedProductSpec((("q", t1, branch), ("q", t2, branch)),
+                                                 ordering))
+            names.append(name)
+    res = {name: 0.0 for name, _, _ in pairs}
+    for name, residual in zip(names, functionals.moment_residuals(vac, specs, p).tolist()):
+        res[name] = max(res[name], residual)
     yield ("two-point-forward", "forward-ordered vacuum pair equals the F kernel",
            res["forward"], 1e-12)
     yield ("two-point-plain", "plain vacuum pair equals the plain kernel", res["plain"],
@@ -293,10 +297,14 @@ def suite_kernels(cfg: Config):
     yield ("two-point-backward", "backward-ordered vacuum pair equals the conjugate kernel",
            res["backward"], 1e-12)
 
-    def commutator(state, x, t1, y, t2):
-        """<[X(t1), Y(t2)]> = 2i Im<X(t1) Y(t2)>: X, Y and rho are Hermitian."""
-        spec = fock.OrderedProductSpec(((x, t1, None), (y, t2, None)), "plain")
-        return 2j * fock.ordered_average(state, spec, p).imag
+    def commutators(state, products):
+        """<[X(t1), Y(t2)]> = 2i Im<X(t1) Y(t2)> of each (X, t1, Y, t2), X, Y, rho Hermitian."""
+        specs = [fock.OrderedProductSpec(((x, t1, None), (y, t2, None)), "plain")
+                 for x, t1, y, t2 in products]
+        return [2j * value.imag for value in fock.ordered_averages(state, specs, p).tolist()]
+
+    def time_pairs():
+        return [grid.times()[rng.integers(0, grid.n, size=2)] for _ in range(4)]
 
     # commutators rebuilt from the response kernel, in three states
     dim = cfg.dim
@@ -304,29 +312,29 @@ def suite_kernels(cfg: Config):
     res = 0.0
     for kind, kw in [("vacuum", {}), ("coherent", {"alpha": 1.0}), ("fock", {"n": 2})]:
         state = fock.make_state(kind, dim, **kw)
-        for _ in range(4):
-            i1, i2 = rng.integers(0, grid.n, size=2)
-            t1, t2 = grid.times()[[i1, i2]]
-            res = max(res, abs(commutator(state, "q", t1, "q", t2) - comm.value_at_tau(t1 - t2)))
+        times = time_pairs()
+        values = commutators(state, [("q", t1, "q", t2) for t1, t2 in times])
+        for (t1, t2), value in zip(times, values):
+            res = max(res, abs(value - comm.value_at_tau(t1 - t2)))
     yield ("commutator-reconstruction",
            "two-time commutator equals the response-kernel difference in any state",
            res, 1e-10)
 
-    # the vacuum and the top level of the basis
+    # the vacuum and the top level of the basis, each read in one call with the
+    # equal-time pair last
     ends = (fock.make_state("vacuum", dim), fock.make_state("fock", dim, n=dim - 1))
     qp = qp_commutator_kernel(p, grid)
-    res = 0.0
-    for _ in range(4):
-        i1, i2 = rng.integers(0, grid.n, size=2)
-        t1, t2 = grid.times()[[i1, i2]]
-        for state in ends:
-            res = max(res, abs(commutator(state, "q", t1, "p", t2) - qp.value_at_tau(t1 - t2)))
+    times = time_pairs()
+    res, canonical = 0.0, 0.0
+    for state in ends:
+        *values, equal = commutators(
+            state, [("q", t1, "p", t2) for t1, t2 in times] + [("q", 0.7, "p", 0.7)])
+        for (t1, t2), value in zip(times, values):
+            res = max(res, abs(value - qp.value_at_tau(t1 - t2)))
+        canonical = max(canonical, abs(equal - 1j * p.hbar))
     yield ("qp-commutator", "position-momentum commutator from the response kernel",
            res, 1e-10)
-
-    yield ("canonical-commutator", "equal-time commutator is i*hbar",
-           max(abs(commutator(state, "q", 0.7, "p", 0.7) - 1j * p.hbar) for state in ends),
-           1e-10)
+    yield ("canonical-commutator", "equal-time commutator is i*hbar", canonical, 1e-10)
 
 
 # -- wick ----------------------------------------------------------------------
@@ -427,19 +435,20 @@ def suite_functional(cfg: Config):
         states[alpha] = (fock.make_state("coherent", cfg.dim, alpha=alpha),
                          functionals.coherent_mean(alpha, p))
 
-    def weyl_residual(times, alpha=None):
+    def weyl_residual(alpha, *time_lists):
+        """The largest moment residual of the symmetric products at these times."""
         state, mean = states[alpha]
-        spec = fock.OrderedProductSpec(tuple(("q", t, None) for t in times), "weyl")
-        return functionals.moment_residual(state, spec, p, mean)
+        specs = [fock.OrderedProductSpec(tuple(("q", t, None) for t in times), "weyl")
+                 for times in time_lists]
+        return max(functionals.moment_residuals(state, specs, p, mean).tolist())
 
-    res = max(weyl_residual([0.0, 0.0]), weyl_residual([0.3, 1.1]),
-              weyl_residual([0.3, 1.1], alpha=1.0))
+    res = max(weyl_residual(None, [0.0, 0.0], [0.3, 1.1]), weyl_residual(1.0, [0.3, 1.1]))
     yield ("weyl-two-point", "symmetric two-point average matches the Gaussian factor",
            res, 1e-10)
 
     times = [0.2, 0.7, 1.3, 1.9]
     yield ("weyl-four-point", "four-point symmetric average matches the Gaussian factor",
-           max(weyl_residual(times), weyl_residual(times, alpha=0.5)), 1e-9)
+           max(weyl_residual(None, times), weyl_residual(0.5, times)), 1e-9)
 
 
 # -- driven ----------------------------------------------------------------------

@@ -390,6 +390,43 @@ def test_empty_product_is_the_trace():
     assert value == pytest.approx(1.0, abs=1e-12)
 
 
+# -- many products of one state in one call ---------------------------------------
+
+def one_at_a_time(state, specs, p=P):
+    return np.array([ordered_average(state, spec, p) for spec in specs], dtype=complex)
+
+
+def test_a_batch_is_its_products_in_input_order():
+    assert fock.ordered_averages(make_state("vacuum", 10), [], P).shape == (0,)
+    state = mixed_state(np.random.default_rng(3), 6)
+    specs = [OrderedProductSpec((("q", 0.1 * k, "plus"), ("p", -0.3 * k, "minus")), ordering)
+             for k in range(4) for ordering in fock.ORDERINGS]
+    specs += [OrderedProductSpec((("q", 0.2),) * m, "plain") for m in (0, 1, 3)]
+    got = fock.ordered_averages(state, specs, P)
+    assert got.tobytes() == one_at_a_time(state, specs).tobytes()
+    # one spec alone, and the batch reversed, give the same bits in their own order
+    assert fock.ordered_averages(state, specs[::-1], P).tobytes() == got[::-1].tobytes()
+    assert fock.ordered_averages(state, specs[5:6], P).tobytes() == got[5:6].tobytes()
+
+
+@pytest.mark.parametrize("ordering", ["plain", "double_time"])
+def test_a_large_product_leaves_the_bits_of_its_stacked_neighbours(ordering):
+    # a band step moves an entry by one row at most and fills the first and last rows
+    # of a band only at its last step, so nothing crosses the seam between two bands
+    state = mixed_state(np.random.default_rng(4), 4)
+    # in either ordering the shifted q factor on the backward branch is leftmost, so the
+    # large shift enters the last step, where the rows next to the seam are written
+    factors = [(("q", t, "minus"), ("p", t + 0.4, "plus"), ("q", -t, "plus"))
+               for t in (0.3, 1.1, -0.8, 2.0)]
+    specs = [OrderedProductSpec(f, ordering, lambda t: 0.2 - 0.1j * t) for f in factors]
+    small = fock.ordered_averages(state, specs, P)
+    specs[1] = OrderedProductSpec(factors[1], ordering, lambda t: 1e120 * (1.0 + t))
+    large = fock.ordered_averages(state, specs, P)
+    assert abs(large[1]) > 1e200
+    assert large[[0, 2, 3]].tobytes() == small[[0, 2, 3]].tobytes()
+    assert large.tobytes() == one_at_a_time(state, specs).tobytes()
+
+
 # -- reference oracles for the weyl, normal and antinormal orderings -------------
 
 ORACLE_DIM = 30
@@ -622,6 +659,14 @@ def test_subset_table_holds_the_normal_average_of_every_subset():
         chosen = [part for k, part in enumerate(parts) if mask >> k & 1]
         expected = fock.contract_moments(table, chosen)
         assert abs(subsets[mask] - expected) <= 1e-14 * max(1.0, abs(expected))
+
+
+def test_log_factorial_table_is_read_only_lgamma():
+    table = fock._log_factorials(30)
+    assert table is fock._log_factorials(30)
+    assert table.tolist() == [math.lgamma(j + 1.0) for j in range(30)]
+    with pytest.raises(ValueError):
+        table[0] = 1.0
 
 
 def test_memoised_tables_are_shared_and_read_only():

@@ -10,7 +10,7 @@ from oscresp.functionals import (FunctionalError, ProbeSet,
                                  _eta_ladder_coefficients,
                                  charged_substitution_residual, coherent_mean,
                                  gaussian_moments, inverse_substitution,
-                                 log_phi_vac_quadratic, moment_residual, phi_cl,
+                                 log_phi_vac_quadratic, moment_residuals, phi_cl,
                                  phi_full, phi_in_state, phi_vac_quadratic,
                                  phi_vac_response, predicted_double_time_moment,
                                  predicted_moment, predicted_normal_moment,
@@ -372,12 +372,14 @@ def test_weyl_kernel_identity():
 
 
 def weyl_residual(times, dim, alpha=None):
-    """moment_residual of the symmetric q product in the vacuum or a coherent state."""
+    """moment_residuals of the symmetric q product in the vacuum or a coherent state."""
     spec = fock.OrderedProductSpec(tuple(("q", t, None) for t in times), "weyl")
     if alpha is None:
-        return moment_residual(fock.make_state("vacuum", dim), spec, P)
+        (res,) = moment_residuals(fock.make_state("vacuum", dim), [spec], P)
+        return res
     state = fock.make_state("coherent", dim, alpha=alpha)
-    return moment_residual(state, spec, P, coherent_mean(alpha, P))
+    (res,) = moment_residuals(state, [spec], P, coherent_mean(alpha, P))
+    return res
 
 
 def test_weyl_two_point_values():
@@ -405,7 +407,7 @@ def test_predicted_moment_refuses_momentum_factors():
     with pytest.raises(FunctionalError):
         predicted_moment(spec, P)
     with pytest.raises(FunctionalError):
-        moment_residual(fock.make_state("vacuum", 20), spec, P)
+        moment_residuals(fock.make_state("vacuum", 20), [spec], P)
 
 
 # -- charged substitution ----------------------------------------------------------------------
@@ -439,7 +441,7 @@ def test_predictions_refuse_a_non_finite_mean(bad):
         return bad if t > 0.5 else 0.3
 
     spec = fock.OrderedProductSpec((("q", 0.1, None), ("q", 0.9, None)), "weyl")
-    with pytest.raises(fock.FockError, match="must be finite"):
+    with pytest.raises(fock.FockError, match="mean path must be finite"):
         predicted_moment(spec, P, mean)
-    with pytest.raises(fock.FockError, match="must be finite"):
+    with pytest.raises(fock.FockError, match="mean path must be finite"):
         predicted_normal_moment([0.1, 0.9], mean)

@@ -400,12 +400,20 @@ def scaled_p_parts(observable, t, p, parts=fock.ladder_parts):
     return scale * c, scale * d
 
 
+def reversed_batch(state, specs, p, averages=fock.ordered_averages):
+    return averages(state, specs, p)[::-1]
+
+
 @pytest.mark.parametrize("module, name, mutant, failing", [
     (suites, "commutator_kernel", scaled_kernel(commutator_kernel),
      {"commutator-reconstruction"}),
     (suites, "qp_commutator_kernel", scaled_kernel(qp_commutator_kernel), {"qp-commutator"}),
     (fock, "ladder_parts", scaled_p_parts, {"qp-commutator", "canonical-commutator"}),
-], ids=["commutator-kernel", "qp-commutator-kernel", "p-ladder-parts"])
+    # a batch read back in the wrong order cannot pass: every row that reads one fails
+    (fock, "ordered_averages", reversed_batch,
+     {"two-point-forward", "two-point-plain", "two-point-backward",
+      "commutator-reconstruction", "qp-commutator", "canonical-commutator"}),
+], ids=["commutator-kernel", "qp-commutator-kernel", "p-ladder-parts", "reversed-batch"])
 def test_a_relative_commutator_defect_of_1e_8_fails_its_rows(monkeypatch, module, name,
                                                              mutant, failing):
     monkeypatch.setattr(module, name, mutant)

@@ -15,7 +15,7 @@ from oscresp import fock
 from oscresp.driven import _rk4, causal_window, sin_scenario, step_scenario
 from oscresp.functionals import (ProbeSet, _eta_ladder_coefficients,
                                  charged_substitution_residual, coherent_mean,
-                                 gaussian_moments, inverse_substitution, moment_residual,
+                                 gaussian_moments, inverse_substitution, moment_residuals,
                                  phi_in_state, predicted_moment, quad_form,
                                  response_substitution)
 from oscresp.grids import (Kernel, SampledSignal, frequency_split, half_step, kernel_adjoint,
@@ -478,7 +478,7 @@ def test_every_ordered_moment_matches_its_prediction(spec, alpha):
     else:
         state, mean = fock.make_state("coherent", 40, alpha=alpha), coherent_mean(alpha, p)
     bound = 1e-10 * max(1.0, abs(predicted_moment(spec, p, mean)))
-    assert moment_residual(state, spec, p, mean) <= bound
+    assert moment_residuals(state, [spec], p, mean)[0] <= bound
 
 
 @st.composite
@@ -530,6 +530,54 @@ def test_banded_oracle_keeps_the_truncated_products_on_full_support(case):
     for levels in (1, m + 1):
         padded = fock.ordered_average(zero_padded(state, levels), spec, OscillatorParams())
         assert abs(value - padded) <= 1e-14 * scale
+
+
+@st.composite
+def batch_states(draw):
+    """A state of full support, the top number state or a thermal state, at dim 2 to 24."""
+    kind = draw(st.sampled_from(("random", "top", "thermal")))
+    if kind == "random":
+        return draw(fock_states(headroom=0, least=2, most=24))
+    dim = draw(st.integers(2, 24))
+    if kind == "top":
+        return fock.make_state("fock", dim, n=dim - 1)
+    # the thermal tail past the basis must stay below 1e-10
+    return fock.make_state("thermal", dim, nbar=1e-6 if dim < 16 else 0.3)
+
+
+@st.composite
+def batch_specs(draw):
+    """A spec of 0 to MAX_FACTORS q and p factors in any ordering, shifted or not.
+
+    A sampled shift puts every factor on a sample of its grid.
+    """
+    ordering = draw(st.sampled_from(fock.ORDERINGS))
+    m = draw(st.integers(0, fock.MAX_FACTORS))
+    shift = draw(st.sampled_from(("none", "callable", "sampled")))
+    grid = make_grid(16, 0.25)
+    if shift == "sampled":
+        factor_times = st.sampled_from(grid.times().tolist())
+    else:
+        factor_times = times
+    branch = branches if ordering == "double_time" else st.none()
+    factors = draw(st.lists(st.tuples(st.sampled_from("qp"), factor_times, branch),
+                            min_size=m, max_size=m))
+    if shift == "sampled":
+        shift = random_signal(grid, draw(seeds))
+    elif shift == "callable":
+        a, b = (draw(st.complex_numbers(max_magnitude=1.0)) for _ in range(2))
+        shift = lambda t: a + b * t    # noqa: E731
+    else:
+        shift = None
+    return fock.OrderedProductSpec(tuple(factors), ordering, shift)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(batch_states(), st.lists(batch_specs(), max_size=12),
+       st.builds(OscillatorParams, near_one, near_one, near_one))
+def test_a_batch_of_averages_has_the_bits_of_one_call_each(state, specs, p):
+    expected = np.array([fock.ordered_average(state, spec, p) for spec in specs], dtype=complex)
+    assert fock.ordered_averages(state, specs, p).tobytes() == expected.tobytes()
 
 
 def padded_diagonals(rho, m):
