@@ -301,10 +301,10 @@ def _band_step(band: np.ndarray, c: complex, d: complex, s: complex) -> np.ndarr
     return out
 
 
-def _product_average(rho: np.ndarray, parts) -> complex:
-    """Tr[rho F_1 ... F_m] for factors F = (c, d, s), leftmost first."""
+def _product_average(diagonals: np.ndarray, parts) -> complex:
+    """Tr[rho F_1 ... F_m] for factors F = (c, d, s), leftmost first, from rho's
+    ``_diagonals`` over m = len(parts)."""
     m = len(parts)
-    diagonals = _diagonals(rho, m)
     band = np.zeros_like(diagonals)
     band[m] = 1.0
     for c, d, s in reversed(parts):
@@ -394,7 +394,11 @@ def ladder_moments(state: FockState, order: int, ordering: str = "normal") -> np
     if ordering not in _TABLE_ORDERINGS:
         raise FockError(f"no ladder-moment table for ordering {ordering!r}")
     order = _require_int(order, "order", FockError)
-    diagonals = _diagonals(state.rho, order)
+    return _moments(_diagonals(state.rho, order), order, ordering)
+
+
+def _moments(diagonals: np.ndarray, order: int, ordering: str) -> np.ndarray:
+    """The ``ladder_moments`` table from rho's ``_diagonals`` over this order."""
     rows = np.arange(order, 2 * order + 1) - np.arange(order + 1)[:, None]   # order + k - j
     weights = _table_weights(diagonals.shape[1], order, ordering)
     return (weights * diagonals[rows]).sum(axis=-1)
@@ -478,11 +482,12 @@ def ordered_average(state: FockState, spec: OrderedProductSpec,
     """
     factors = spec.factors
     parts = [_factor_parts(f, p, spec.shift) for f in factors]
+    diagonals = _diagonals(state.rho, len(parts))
     if spec.ordering in _TABLE_ORDERINGS:
-        return contract_moments(ladder_moments(state, len(parts), spec.ordering), parts)
+        return contract_moments(_moments(diagonals, len(parts), spec.ordering), parts)
     if spec.ordering == "double_time":
         parts = [parts[i] for i in _contour_order([(f.branch, f.time) for f in factors])]
-    return _product_average(state.rho, parts)
+    return _product_average(diagonals, parts)
 
 
 def _stacked_parts(specs, p: OscillatorParams):

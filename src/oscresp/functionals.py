@@ -16,6 +16,14 @@ prediction.
 Probes are grid signals; functional derivatives are represented as
 polynomial coefficients in the weights of grid spikes and evaluated
 analytically, never by numerical functional differentiation.
+
+A probe may be a stack of signals (``grids``): the substitution, the
+quadratic forms, the vacuum and emission forms and the charged residual
+then return one value per stacked signal, a Python scalar for a single
+signal.  Each quadratic form of a stack has the bits of its single-signal
+form; what is computed from the forms may differ from single-signal calls
+by rounding.  The initial-state factor, the full functional and the Weyl
+kernel residual read one signal and refuse a stack.
 """
 
 from __future__ import annotations
@@ -28,8 +36,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import fock
-from .grids import (Kernel, SampledSignal, _require_same_grid, frequency_split,
-                    zero_nyquist_fraction)
+from .grids import (Kernel, SampledSignal, _per_signal, _require_broadcast, _require_same_grid,
+                    _require_single, frequency_split, zero_nyquist_fraction)
 from .kernels import ChargedKernels, OscKernels, OscillatorParams, contraction_from_retarded
 from .wick import _pairing_sum, pair_table
 
@@ -81,6 +89,9 @@ class ProbeSet:
     def __post_init__(self):
         if self.eta_plus.grid != self.eta_minus.grid:
             raise FunctionalError("probe pair lives on different grids")
+        if self.eta_plus.stack_shape != self.eta_minus.stack_shape:
+            raise FunctionalError(f"probe stacks of shapes {self.eta_plus.stack_shape} and "
+                                  f"{self.eta_minus.stack_shape} differ")
         _check_hbar(self.hbar)
 
     @property
@@ -99,31 +110,40 @@ class ProbeSet:
     def sigma(self) -> SampledSignal:
         return self._substitution[1]
 
-    def edge_bin_fraction(self) -> float:
-        """Worst zero/Nyquist energy fraction of the pair (flag if > 1e-10)."""
-        return max(zero_nyquist_fraction(self.eta_plus),
-                   zero_nyquist_fraction(self.eta_minus))
+    def edge_bin_fraction(self):
+        """Worst zero/Nyquist energy fraction of each stacked pair (flag if > 1e-10)."""
+        return _per_signal(np.maximum(zero_nyquist_fraction(self.eta_plus),
+                                      zero_nyquist_fraction(self.eta_minus)))
 
 
 # -- quadratic forms and the vacuum functional -----------------------------------
 
-def quad_form(f: SampledSignal, k: Kernel, g: SampledSignal) -> complex:
-    """dt^2 * sum_{t,t'} f(t) k(t - t') g(t'); f, k and g must share one grid.
+def quad_form(f: SampledSignal, k: Kernel, g: SampledSignal):
+    """dt^2 * sum_{t,t'} f(t) k(t - t') g(t') of each stacked pair (f, g); one grid for all.
 
     Summed over bins by Parseval, dt^2/n * sum_k F[-k] K0[k] G[k], with F
     and G the spectra of f and g and K0 the zero-based spectrum of k, so
-    no inverse transform is made.
+    no inverse transform is made.  The stacks of f and g broadcast; each
+    form is one ``np.dot`` over the reversed spectrum of its row, so every
+    row has the bits of its single-signal form.
     """
     _require_same_grid(f, k)
     _require_same_grid(k, g)
     n, dt = f.grid.n, f.grid.dt
-    f_spec = f._spectrum
-    kg = k._zero_based_spectrum * g._spectrum
-    return complex(dt * dt / n * (f_spec[0] * kg[0] + np.dot(f_spec[:0:-1], kg[1:])))
+    f_spec, kg = f._spectrum, k._zero_based_spectrum * g._spectrum
+    if f_spec.shape != kg.shape:
+        _require_broadcast(f, g)
+        f_spec, kg = np.broadcast_arrays(f_spec, kg)
+    f_rows, kg_rows = f_spec.reshape(-1, n), kg.reshape(-1, n)
+    forms = np.empty(kg.shape[:-1], dtype=complex)
+    for i in range(len(kg_rows)):
+        forms.flat[i] = dt * dt / n * (f_rows[i, 0] * kg_rows[i, 0]
+                                      + np.dot(f_rows[i, :0:-1], kg_rows[i, 1:]))
+    return _per_signal(forms)
 
 
-def log_phi_vac_quadratic(ps: ProbeSet, kers: OscKernels) -> complex:
-    """log of the vacuum functional as a quadratic form of contractions."""
+def log_phi_vac_quadratic(ps: ProbeSet, kers: OscKernels):
+    """log of the vacuum functional as a quadratic form of contractions, per stacked pair."""
     forward = quad_form(ps.eta_plus, kers.d_f, ps.eta_plus)
     # the form of conj(d_f) is the conjugate of a form of d_f, whose spectrum
     # is made anyway, so no conjugate kernel is made and transformed
@@ -133,21 +153,21 @@ def log_phi_vac_quadratic(ps: ProbeSet, kers: OscKernels) -> complex:
                            + quad_form(ps.eta_minus, kers.d, ps.eta_plus))
 
 
-def phi_vac_quadratic(ps: ProbeSet, kers: OscKernels) -> complex:
-    return complex(np.exp(log_phi_vac_quadratic(ps, kers)))
+def phi_vac_quadratic(ps: ProbeSet, kers: OscKernels):
+    return _per_signal(np.exp(log_phi_vac_quadratic(ps, kers)))
 
 
-def phi_cl(eta: SampledSignal, current: SampledSignal, d_r: Kernel) -> complex:
-    """Emission factor exp[dt^2 sum eta(t) D_R(t - t') current(t')].
+def phi_cl(eta: SampledSignal, current: SampledSignal, d_r: Kernel):
+    """Emission factor exp[dt^2 sum eta(t) D_R(t - t') current(t')], per stacked pair.
 
     The source radiates through the plain dt-weighted periodic convolution
     with D_R, so the identity holds exactly in the discrete algebra.
     """
-    return complex(np.exp(quad_form(eta, d_r, current)))
+    return _per_signal(np.exp(quad_form(eta, d_r, current)))
 
 
-def phi_vac_response(ps: ProbeSet, d_r: Kernel) -> complex:
-    """The vacuum functional in emission form: sigma radiating through D_R."""
+def phi_vac_response(ps: ProbeSet, d_r: Kernel):
+    """The vacuum functional in emission form: sigma radiating through D_R, per stacked pair."""
     return phi_cl(ps.eta, ps.sigma, d_r)
 
 
@@ -174,8 +194,10 @@ def phi_in_state(state: fock.FockState, eta: SampledSignal, p: OscillatorParams)
     """Normally ordered exponential average Tr[e^{c a} rho e^{d adag}].
 
     Exact for any state inside the truncated basis: only lowering
-    operators act on the support of rho.
+    operators act on the support of rho.  eta is one signal; a stack is
+    refused.
     """
+    _require_single(eta, "phi_in_state", FunctionalError)
     c, d = _eta_ladder_coefficients(eta, p)
     return complex(np.sum((fock._ladder_exp(c, state.dim) @ state.rho)
                           * fock._ladder_exp(d, state.dim)))
@@ -193,6 +215,9 @@ class PhiFull:
 
 def phi_full(ps: ProbeSet, current: SampledSignal, kers: OscKernels,
              state: fock.FockState) -> PhiFull:
+    """Both arrangements of the full functional of one probe pair and current; no stacks."""
+    _require_single(ps.eta_plus, "phi_full", FunctionalError)
+    _require_single(current, "phi_full", FunctionalError)
     eta = ps.eta
     in_factor = phi_in_state(state, eta, kers.params)
     factored = (
@@ -289,8 +314,9 @@ def weyl_kernel_identity_residual(eta: SampledSignal, d: Kernel, d_r: Kernel) ->
     Three forms of the same quadratic functional of eta must agree: the
     retarded kernel acting on the split difference of eta, the plain
     contraction rebuilt from the retarded kernel (``contraction_from_retarded``),
-    and the plain contraction.
+    and the plain contraction.  eta is one signal; a stack is refused.
     """
+    _require_single(eta, "weyl_kernel_identity_residual", FunctionalError)
     eta_p, eta_m = frequency_split(eta)
     form_a = quad_form(eta, d_r, eta_p - eta_m)
     form_b = quad_form(eta, contraction_from_retarded(d_r), eta)
@@ -301,8 +327,8 @@ def weyl_kernel_identity_residual(eta: SampledSignal, d: Kernel, d_r: Kernel) ->
 # -- charged-field substitution ---------------------------------------------------------
 
 def charged_substitution_residual(bar_probes: ProbeSet, probes: ProbeSet,
-                                  ck: ChargedKernels) -> float:
-    """Residual of the four-block quadratic form against its emission form.
+                                  ck: ChargedKernels):
+    """Residual of the four-block quadratic form against its emission form, per stacked pair.
 
     The four contraction blocks, weighted by the two independent probe
     pairs of a charged field, must collapse to two retarded-kernel terms

@@ -105,10 +105,10 @@ def make_grid(n: int, dt: float) -> TimeGrid:
 
 
 def _as_values(values, n: int) -> np.ndarray:
-    """A read-only copy of n finite complex samples; anything else is refused."""
+    """A read-only copy of a (..., n) stack of finite complex samples; anything else is refused."""
     v = np.asarray(values, dtype=complex)
-    if v.shape != (n,):
-        raise GridError(f"expected {n} samples, got shape {v.shape}")
+    if v.shape[-1:] != (n,):
+        raise GridError(f"expected a stack of {n} samples, got shape {v.shape}")
     # sum |v|^2 is finite when every sample is, unless it overflows: one BLAS
     # call, where an elementwise test costs twice as much at n = 256
     if not math.isfinite(np.vdot(v, v).real) and not np.isfinite(v).all():
@@ -120,7 +120,7 @@ def _as_values(values, n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SampledSignal:
-    """Complex samples of a function of time on a grid."""
+    """Complex samples of a function of time on a grid, or a stack of them on its leading axes."""
 
     grid: TimeGrid
     values: np.ndarray = field(repr=False)
@@ -140,6 +140,11 @@ class SampledSignal:
         out.__dict__.update({"grid": grid, "_made_in": name, name: array})
         return out
 
+    @property
+    def stack_shape(self) -> tuple:
+        """The shape of the stack: () for a single signal."""
+        return self.__dict__[self._made_in].shape[:-1]
+
     def __getattr__(self, name):
         """The domain the signal was not made in, made from the other on first read and kept."""
         if name == "_spectrum" and self._made_in == "values":
@@ -154,10 +159,12 @@ class SampledSignal:
 
     def __add__(self, other):
         _require_same_grid(self, other)
+        _require_broadcast(self, other)
         return _derive(type(self), np.add, np.add, self, other)
 
     def __sub__(self, other):
         _require_same_grid(self, other)
+        _require_broadcast(self, other)
         return _derive(type(self), np.subtract, np.subtract, self, other)
 
     def __mul__(self, scalar):
@@ -175,6 +182,9 @@ class SampledSignal:
         return _derive(type(self), np.conj, lambda spec: np.conj(reflect_values(spec)), self)
 
     def value_at(self, t: float) -> complex:
+        """The sample at grid time t of one signal; a stack is refused."""
+        if self.values.ndim != 1:
+            raise GridError(f"value_at reads one signal, not a stack of shape {self.stack_shape}")
         return complex(self.values[self.grid.index_of(t)])
 
     @classmethod
@@ -230,9 +240,57 @@ def _derive(cls, fn, spectral_fn, *operands):
     return cls._made(grid, spectrum=spectral_fn(*(x._spectrum for x in operands)))
 
 
+def _require_broadcast(a, b) -> None:
+    """Raise GridError unless the stacks of a and b broadcast together."""
+    if a.stack_shape != b.stack_shape:
+        try:
+            np.broadcast_shapes(a.stack_shape, b.stack_shape)
+        except ValueError:
+            raise GridError(f"signal stacks of shapes {a.stack_shape} and {b.stack_shape} "
+                            "do not broadcast") from None
+
+
+def _require_single(s, what: str, error: type) -> None:
+    """Raise error unless s holds one signal, not a stack."""
+    if s.stack_shape:
+        raise error(f"{what} takes one signal, not a stack of shape {s.stack_shape}")
+
+
+def _per_signal(values: np.ndarray):
+    """One value per stacked signal: the array, or a Python scalar for a single signal."""
+    return values.item() if values.ndim == 0 else values
+
+
+def _unstack(s) -> list:
+    """The signals along the last stack axis of s, each a stack of the leading axes.
+
+    Each is read from the domain s was made in, so it has the bits of s.
+    """
+    if not s.stack_shape:
+        raise GridError("a single signal has no stack axis to take apart")
+
+    def row(j):
+        return lambda array: array[..., j, :]
+    return [_derive(type(s), row(j), row(j), s) for j in range(s.stack_shape[-1])]
+
+
 @dataclass(frozen=True, eq=False)
 class Kernel(SampledSignal):
-    """Samples of a two-point kernel as a function of tau on the grid."""
+    """Samples of a two-point kernel as a function of tau on the grid.
+
+    A kernel is one kernel: a stack is refused.  A family of kernels is a
+    raw (labels..., n) array (``swap_reflect``, ``adjoint``).
+    """
+
+    def __post_init__(self):
+        super().__post_init__()
+        _require_single(self, "a Kernel", GridError)
+
+    @classmethod
+    def _made(cls, grid: TimeGrid, values=None, spectrum=None):
+        out = super()._made(grid, values, spectrum)
+        _require_single(out, "a Kernel", GridError)
+        return out
 
     def value_at_tau(self, tau: float) -> complex:
         """Kernel value at a (periodically wrapped) grid time difference."""
@@ -263,7 +321,8 @@ def _alternating(n: int) -> np.ndarray:
 
 
 def _require_same_grid(a, b) -> None:
-    if a.grid != b.grid:
+    # signals made on one grid share its object, which skips the field compare
+    if a.grid is not b.grid and a.grid != b.grid:
         raise GridError("operands live on different grids")
 
 
@@ -421,32 +480,31 @@ def frequency_split(s):
             type(s)._made(s.grid, spectrum=spec * mask_minus))
 
 
-def zero_nyquist_fraction(s) -> float:
-    """Fraction of the signal energy sitting in the zero and Nyquist bins.
+def zero_nyquist_fraction(s):
+    """Fraction of the signal energy sitting in the zero and Nyquist bins, per stacked signal.
 
-    The half/half split convention is only unambiguous when this is
-    negligible; suites flag probe sets where it exceeds 1e-10.
+    0 for a signal with no energy.  The half/half split convention is only
+    unambiguous when this is negligible; suites flag probe sets where it
+    exceeds 1e-10.
     """
     spec = s._spectrum
-    total = float(np.sum(np.abs(spec) ** 2))
-    if total == 0.0:
-        return 0.0
-    edge = float(np.abs(spec[0]) ** 2 + np.abs(spec[s.grid.n // 2]) ** 2)
-    return edge / total
+    total = np.sum(np.abs(spec) ** 2, axis=-1)
+    edge = np.abs(spec[..., 0]) ** 2 + np.abs(spec[..., s.grid.n // 2]) ** 2
+    return _per_signal(np.divide(edge, total, out=np.zeros_like(total), where=total != 0.0))
 
 
 def without_zero_nyquist(s):
     """Remove the zero and Nyquist bin content from a signal."""
     spec = s._spectrum.copy()
-    spec[0] = 0.0
-    spec[s.grid.n // 2] = 0.0
+    spec[..., 0] = 0.0
+    spec[..., s.grid.n // 2] = 0.0
     return type(s)._made(s.grid, spectrum=spec)
 
 
 # -- convolution and kernel conjugation --------------------------------------
 
 def circular_convolve(k: Kernel, s: SampledSignal) -> SampledSignal:
-    """out(t) = dt * sum_t' k(t - t') s(t'), with periodic index wrap."""
+    """out(t) = dt * sum_t' k(t - t') s(t'), with periodic index wrap, for each stacked s."""
     _require_same_grid(k, s)
     return SampledSignal._made(s.grid, spectrum=k.grid.dt * (k._zero_based_spectrum * s._spectrum))
 
@@ -469,7 +527,8 @@ def kernel_adjoint(k: Kernel) -> Kernel:
 # -- serialization ------------------------------------------------------------
 
 def to_record(s) -> dict:
-    """JSON-ready record {n, dt, t0, values: [[re, im], ...]}."""
+    """JSON-ready record {n, dt, t0, values: [[re, im], ...]}; a stack is refused."""
+    _require_single(s, "a signal record", GridError)
     return {
         "n": s.grid.n,
         "dt": s.grid.dt,
@@ -479,12 +538,14 @@ def to_record(s) -> dict:
 
 
 def write_json(s, path) -> None:
+    rec = to_record(s)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_record(s), fh)
+        json.dump(rec, fh)
 
 
 def write_csv(s, path) -> None:
-    """CSV with columns index, t, re, im (17 significant digits)."""
+    """CSV with columns index, t, re, im (17 significant digits); a stack is refused."""
+    _require_single(s, "a CSV file", GridError)
     times = s.grid.times()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -18,9 +18,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import driven, fock, functionals, wick
-from .grids import (Kernel, SampledSignal, TimeGrid, _require_int, adjoint, circular_convolve,
-                    frequency_split, half_step, kernel_adjoint, make_grid, reflect_values,
-                    without_zero_nyquist)
+from .grids import (Kernel, SampledSignal, TimeGrid, _require_int, _unstack, adjoint,
+                    circular_convolve, frequency_split, half_step, kernel_adjoint, make_grid,
+                    reflect_values, without_zero_nyquist)
 from .kernels import (ChargedModeSet, ModeSet, OscillatorParams,
                       charged_field_kernels, check_commensurate, commutator_kernel,
                       neutral_field_kernels, osc_kernels, qp_commutator_kernel,
@@ -160,44 +160,49 @@ class SuiteReport:
             return cls.from_dict(json.load(fh))
 
 
-def _random_signal(grid: TimeGrid, rng, scale=1.0, clean=True) -> SampledSignal:
-    values = scale * (rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
-    sig = SampledSignal(grid, values)
+def _random_signals(grid: TimeGrid, rng, shape=(), scale=1.0, clean=True) -> SampledSignal:
+    """A stack of random complex signals of the given shape, drawn in one ``rng`` call.
+
+    Each signal takes its real samples and then its imaginary ones, in C
+    order over the stack, so the stack holds the signals that drawing one
+    signal at a time would give.  Shape () is one signal.
+    """
+    draws = rng.standard_normal((*shape, 2, grid.n))
+    sig = SampledSignal(grid, scale * (draws[..., 0, :] + 1j * draws[..., 1, :]))
     return without_zero_nyquist(sig) if clean else sig
 
 
 # -- spectral ------------------------------------------------------------------
 
 def _direct_convolution(k: Kernel, s: SampledSignal) -> np.ndarray:
-    """dt * sum_m k(m dt) s(t - m dt), summed over samples with no transform.
+    """dt * sum_m k(m dt) s(t - m dt) of each stacked s, summed over samples with no transform.
 
     Window o of s reversed and repeated holds s[(-1 - o - m) % n] at m, so
     output i is window n - 1 - i against the zero-based kernel samples.
     """
     n = k.grid.n
     zero_based = np.concatenate((k.values[n // 2:], k.values[:n // 2]))
-    windows = sliding_window_view(np.concatenate((s.values, s.values))[::-1], n)
-    return k.grid.dt * (windows[:n] @ zero_based)[::-1]
+    repeated = np.concatenate((s.values, s.values), axis=-1)[..., ::-1]
+    windows = sliding_window_view(repeated, n, axis=-1)
+    return k.grid.dt * (windows[..., :n, :] @ zero_based)[..., ::-1]
 
 
 def suite_spectral(cfg: Config):
     rng = np.random.default_rng(cfg.seed)
     grid = cfg.grid()
 
-    res = 0.0
-    for _ in range(5):
-        s = _random_signal(grid, rng, clean=False)
-        plus, minus = frequency_split(s)
-        res = max(res, float(np.max(np.abs(plus.values + minus.values - s.values))))
-    yield ("split-additivity", "plus and minus parts re-add to the signal", res, 1e-14)
+    s = _random_signals(grid, rng, (5,), clean=False)
+    plus, minus = frequency_split(s)
+    yield ("split-additivity", "plus and minus parts re-add to the signal",
+           float(np.max(np.abs(plus.values + minus.values - s.values))), 1e-14)
 
-    s = _random_signal(grid, rng, clean=True)
+    s = _random_signals(grid, rng, clean=True)
     plus, _ = frequency_split(s)
     pp, _ = frequency_split(plus)
     yield ("split-projection", "taking the plus part twice is idempotent",
            float(np.max(np.abs(pp.values - plus.values))), 1e-14)
 
-    s = _random_signal(grid, rng, clean=False)
+    s = _random_signals(grid, rng, clean=False)
     plus, minus = frequency_split(s)
     rs = SampledSignal(grid, reflect_values(s.values))
     rplus, rminus = frequency_split(rs)
@@ -212,7 +217,7 @@ def suite_spectral(cfg: Config):
     yield ("split-conjugation", "conjugating a real signal swaps the halves",
            float(np.max(np.abs(np.conj(plus.values) - minus.values))), 1e-13)
 
-    s = _random_signal(grid, rng, clean=False)
+    s = _random_signals(grid, rng, clean=False)
     plus, minus = frequency_split(s)
     spec = np.fft.fft(s.values)
     edge = 0.5 * (abs(spec[0]) ** 2 + abs(spec[grid.n // 2]) ** 2) / grid.n
@@ -224,13 +229,13 @@ def suite_spectral(cfg: Config):
     delta = np.zeros(grid.n, dtype=complex)
     delta[grid.n // 2] = 1.0 / grid.dt
     k = Kernel(grid, delta)
-    s = _random_signal(grid, rng, clean=False)
+    s = _random_signals(grid, rng, clean=False)
     out = circular_convolve(k, s)
     yield ("conv-identity-kernel", "the unit spike kernel convolves to the identity",
            float(np.max(np.abs(out.values - s.values))), 1e-12)
 
     k = Kernel(grid, rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
-    s = _random_signal(grid, rng, clean=False)
+    s = _random_signals(grid, rng, clean=False)
     # both sides are the same bin-by-bin product, so one is summed sample by sample
     lhs = _direct_convolution(frequency_split(k)[0], s)
     rhs = circular_convolve(k, frequency_split(s)[0]).values
@@ -388,32 +393,23 @@ def suite_functional(cfg: Config):
     grid = cfg.grid()
     kers = osc_kernels(p, grid)
 
-    res = 0.0
-    for _ in range(5):
-        ep = _random_signal(grid, rng, scale=0.3, clean=False)
-        em = _random_signal(grid, rng, scale=0.3, clean=False)
-        eta, sigma = functionals.response_substitution(ep, em, p.hbar)
-        ep2, em2 = functionals.inverse_substitution(eta, sigma, p.hbar)
-        res = max(res, float(np.max(np.abs(ep2.values - ep.values))),
-                  float(np.max(np.abs(em2.values - em.values))))
+    ep, em = _unstack(_random_signals(grid, rng, (5, 2), scale=0.3, clean=False))
+    eta, sigma = functionals.response_substitution(ep, em, p.hbar)
+    ep2, em2 = functionals.inverse_substitution(eta, sigma, p.hbar)
+    res = max(float(np.max(np.abs(ep2.values - ep.values))),
+              float(np.max(np.abs(em2.values - em.values))))
     yield ("substitution-roundtrip", "probe substitution inverts exactly", res, 1e-12)
 
-    res = 0.0
-    flagged = 0.0
-    for _ in range(10):
-        ps = functionals.ProbeSet(
-            _random_signal(grid, rng, scale=0.15), _random_signal(grid, rng, scale=0.15),
-            hbar=p.hbar)
-        flagged = max(flagged, ps.edge_bin_fraction())
-        quad = functionals.phi_vac_quadratic(ps, kers)
-        resp = functionals.phi_vac_response(ps, kers.d_r)
-        res = max(res, abs(quad - resp) / max(abs(quad), 1e-300))
+    ps = functionals.ProbeSet(*_unstack(_random_signals(grid, rng, (10, 2), scale=0.15)),
+                              hbar=p.hbar)
+    quad = functionals.phi_vac_quadratic(ps, kers)
+    resp = functionals.phi_vac_response(ps, kers.d_r)
     yield ("vacuum-emission-form", "quadratic vacuum functional equals its emission form",
-           res, 1e-10)
+           float(np.max(np.abs(quad - resp) / np.maximum(np.abs(quad), 1e-300))), 1e-10)
     yield ("probe-edge-content", "probe sets stay clear of the shared edge bins",
-           flagged, 1e-10)
+           float(np.max(ps.edge_bin_fraction())), 1e-10)
 
-    ep = _random_signal(grid, rng, scale=0.2, clean=False)
+    ep = _random_signals(grid, rng, scale=0.2, clean=False)
     ps = functionals.ProbeSet(ep, ep.conj(), hbar=p.hbar)
     phi = functionals.phi_vac_quadratic(ps, kers)
     yield ("vacuum-reality", "conjugate probe pairs give a real functional",
@@ -425,7 +421,7 @@ def suite_functional(cfg: Config):
            "double-ordered exponential pair obeys the conjugation symmetry",
            res, 1e-10)
 
-    eta = _random_signal(grid, rng, scale=0.3)
+    eta = _random_signals(grid, rng, scale=0.3)
     yield ("weyl-kernel-rearrangement",
            "symmetric Gaussian factor rewrites through the retarded kernel",
            functionals.weyl_kernel_identity_residual(eta, kers.d, kers.d_r), 1e-10)
@@ -449,6 +445,14 @@ def suite_functional(cfg: Config):
     times = [0.2, 0.7, 1.3, 1.9]
     yield ("weyl-four-point", "four-point symmetric average matches the Gaussian factor",
            max(weyl_residual(None, times), weyl_residual(0.5, times)), 1e-9)
+
+    # the one row that reads quad_form against a sum with no transform: each
+    # form of the stack is dt sum eta (D_R * j), the convolution summed directly
+    eta, current = _unstack(_random_signals(grid, rng, (2, 2), scale=0.3, clean=False))
+    forms = functionals.quad_form(eta, kers.d_r, current)
+    direct = grid.dt * np.sum(eta.values * _direct_convolution(kers.d_r, current), axis=-1)
+    yield ("quad-form-direct-sum", "the quadratic form equals its direct periodic sum",
+           float(np.max(np.abs(forms - direct) / np.abs(direct))), 1e-12)
 
 
 # -- driven ----------------------------------------------------------------------
@@ -551,15 +555,11 @@ def suite_charged(cfg: Config):
            max(float(np.max(np.abs(da_minus.values))),
                float(np.max(np.abs(db_plus.values)))), 1e-12)
 
-    res = 0.0
-    for _ in range(5):
-        bar = functionals.ProbeSet(_random_signal(grid, rng, scale=0.3),
-                                   _random_signal(grid, rng, scale=0.3), hbar=p.hbar)
-        plain = functionals.ProbeSet(_random_signal(grid, rng, scale=0.3),
-                                     _random_signal(grid, rng, scale=0.3), hbar=p.hbar)
-        res = max(res, functionals.charged_substitution_residual(bar, plain, ck))
+    bar_plus, bar_minus, plus, minus = _unstack(_random_signals(grid, rng, (5, 4), scale=0.3))
+    bar = functionals.ProbeSet(bar_plus, bar_minus, hbar=p.hbar)
+    plain = functionals.ProbeSet(plus, minus, hbar=p.hbar)
     yield ("charged-substitution", "doubled substitution collapses the four-block form",
-           res, 1e-10)
+           float(np.max(functionals.charged_substitution_residual(bar, plain, ck))), 1e-10)
 
     single = ChargedModeSet(
         omegas_a=np.array([9 * 2.0 * np.pi / grid.period]), weights_a=np.array([1.0]),

@@ -166,28 +166,34 @@ def _pairing_sum(pair, leftovers) -> complex:
 
 
 def verify_wick(state: fock.FockState, factors, p: OscillatorParams) -> float:
-    """|double-ordered average - pair expansion| for the given factors.
+    """|double-ordered average - pair expansion| for the given factors (``_sides``)."""
+    average, expansion = _sides(state, factors, p)
+    return abs(average - expansion)
+
+
+def _sides(state: fock.FockState, factors, p: OscillatorParams):
+    """(double-ordered average, pair expansion) of (branch, time) position factors.
 
     The left side is the banded Fock-oracle average of the branch-ordered
-    position factors; the right side is the pair expansion (``_expansion``).
+    factors, with the bits of ``fock.ordered_average``; the right side sums
+    over all contraction patterns the pair values times the leftovers'
+    average.  The normally ordered averages of every leftover subset come
+    from one table of ladder moments (``fock.contract_subsets``), and
+    ``_pairing_sum`` sums the patterns.  Both sides read one set of factor
+    parts and one set of the diagonals of rho.
     """
     factors = list(factors)
-    _require_factor_count(len(factors))
+    m = _require_factor_count(len(factors))
     spec = fock.OrderedProductSpec(tuple(("q", t, branch) for branch, t in factors),
                                    "double_time")
-    return abs(fock.ordered_average(state, spec, p) - _expansion(state, spec.factors, p))
-
-
-def _expansion(state: fock.FockState, factors, p: OscillatorParams) -> complex:
-    """Sum over all contraction patterns of the pair values times the leftovers' average.
-
-    factors are branch-labelled ``fock.Factor``s of q.  The normally ordered
-    averages of every leftover subset come from one table of ladder moments
-    (``fock.contract_subsets``), and ``_pairing_sum`` sums the patterns.
-    """
-    parts = [fock._factor_parts(f, p, None) for f in factors]
-    leftovers = fock.contract_subsets(fock.ladder_moments(state, len(factors)), parts)
-    return _pairing_sum(pair_table("double_time", factors, p).tolist(), leftovers.tolist())
+    parts = [fock._factor_parts(f, p, None) for f in spec.factors]
+    diagonals = fock._diagonals(state.rho, m)
+    order = fock._contour_order([(f.branch, f.time) for f in spec.factors])
+    average = fock._product_average(diagonals, [parts[i] for i in order])
+    leftovers = fock.contract_subsets(fock._moments(diagonals, m, "normal"), parts)
+    expansion = _pairing_sum(pair_table("double_time", spec.factors, p).tolist(),
+                             leftovers.tolist())
+    return average, expansion
 
 
 def pair_operator_counts(m: int, applications: int) -> dict:

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import eval_laguerre
 
-from oscresp import fock
+from oscresp import fock, functionals
 from oscresp.functionals import (FunctionalError, ProbeSet,
                                  _eta_ladder_coefficients,
                                  charged_substitution_residual, coherent_mean,
@@ -17,10 +17,11 @@ from oscresp.functionals import (FunctionalError, ProbeSet,
                                  predicted_weyl_moment, quad_form,
                                  response_substitution,
                                  weyl_kernel_identity_residual)
-from oscresp.grids import GridError, SampledSignal, make_grid, without_zero_nyquist
+from oscresp.grids import GridError, SampledSignal, _unstack, make_grid, without_zero_nyquist
 from oscresp.kernels import (OscillatorParams, charged_field_kernels,
                              ChargedModeSet, osc_df_value, osc_dr_value,
                              osc_kernels)
+from oscresp.suites import Config, _random_signals, run_suite
 
 P = OscillatorParams()
 
@@ -445,3 +446,84 @@ def test_predictions_refuse_a_non_finite_mean(bad):
         predicted_moment(spec, P, mean)
     with pytest.raises(fock.FockError, match="mean path must be finite"):
         predicted_normal_moment([0.1, 0.9], mean)
+
+
+# -- stacks ---------------------------------------------------------------------------
+
+def stack_of(grid, rng, shape, scale=0.2):
+    return without_zero_nyquist(SampledSignal(grid, scale * (
+        rng.standard_normal((*shape, grid.n)) + 1j * rng.standard_normal((*shape, grid.n)))))
+
+
+def test_stacked_functionals_give_one_value_per_pair_and_a_scalar_for_one():
+    g = reference_grid(32, 2)
+    kers = osc_kernels(P, g)
+    rng = np.random.default_rng(21)
+    stacked = ProbeSet(stack_of(g, rng, (2, 3)), stack_of(g, rng, (2, 3)))
+    single = ProbeSet(random_signal(g, rng), random_signal(g, rng))
+    for fn in (lambda ps: phi_vac_quadratic(ps, kers), lambda ps: phi_vac_response(ps, kers.d_r),
+               lambda ps: log_phi_vac_quadratic(ps, kers), lambda ps: phi_cl(ps.eta, ps.sigma,
+                                                                             kers.d_r)):
+        assert fn(stacked).shape == (2, 3)
+        assert type(fn(single)) is complex
+    assert stacked.edge_bin_fraction().shape == (2, 3)
+    assert type(single.edge_bin_fraction()) is float
+
+
+def test_a_probe_set_refuses_stacks_of_different_shapes():
+    g = reference_grid(16, 2)
+    rng = np.random.default_rng(22)
+    for minus in (stack_of(g, rng, (3, 1)), random_signal(g, rng), stack_of(g, rng, (2,))):
+        with pytest.raises(FunctionalError):
+            ProbeSet(stack_of(g, rng, (3,)), minus)
+
+
+def test_what_reads_one_probe_refuses_a_stack():
+    g = reference_grid(16, 2)
+    kers = osc_kernels(P, g)
+    rng = np.random.default_rng(23)
+    stacked = stack_of(g, rng, (2,))
+    single = random_signal(g, rng)
+    state = fock.make_state("coherent", 10, alpha=0.3)
+    with pytest.raises(FunctionalError):
+        phi_in_state(state, stacked, P)
+    with pytest.raises(FunctionalError):
+        phi_full(ProbeSet(stacked, stacked), single, kers, state)
+    with pytest.raises(FunctionalError):
+        phi_full(ProbeSet(single, single), stacked, kers, state)
+    with pytest.raises(FunctionalError):
+        weyl_kernel_identity_residual(stacked, kers.d, kers.d_r)
+
+
+def test_one_draw_gives_the_signals_of_one_draw_per_signal():
+    g = reference_grid(32, 2)
+    for shape, clean in (((5, 2), True), ((3, 4), False), ((), True)):
+        stacked = _random_signals(g, np.random.default_rng(24), shape, scale=0.3, clean=clean)
+        columns = _unstack(stacked) if shape else [stacked]
+        rng = np.random.default_rng(24)
+        for trial in np.ndindex(shape[:-1]):
+            for column in columns:
+                values = 0.3 * (rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n))
+                one = SampledSignal(g, values)
+                one = without_zero_nyquist(one) if clean else one
+                assert column._made_in == one._made_in
+                assert column.values[trial].tobytes() == one.values.tobytes()
+                assert column._spectrum[trial].tobytes() == one._spectrum.tobytes()
+
+
+def doubled_form(f, k, g, form=quad_form):
+    return 2 * form(f, k, g)
+
+
+def reversed_stack(f, k, g, form=quad_form):
+    forms = form(f, k, g)
+    return forms[::-1] if np.ndim(forms) else forms
+
+
+@pytest.mark.parametrize("mutant", [doubled_form, reversed_stack], ids=["doubled", "reversed"])
+def test_a_quad_form_defect_fails_the_direct_sum_row(monkeypatch, mutant):
+    # every other functional row compares two arrangements of quad_form, which a
+    # defect shared by both leaves equal
+    monkeypatch.setattr(functionals, "quad_form", mutant)
+    report = run_suite("functional", Config(seed=7))
+    assert {row.id for row in report.rows if not row.passed} == {"quad-form-direct-sum"}

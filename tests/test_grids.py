@@ -525,3 +525,80 @@ def test_spectrum_made_signals_are_within_rounding_of_the_transforms(n):
     assert zero_nyquist_fraction(s) == float(np.abs(spec[0]) ** 2 + np.abs(spec[n // 2]) ** 2) / (
         float(np.sum(np.abs(spec) ** 2)))
     assert np.array_equal(s._spectrum, spec)      # the derived signals left it as it was
+
+
+# -- stacks ---------------------------------------------------------------------
+
+def stack_of(grid, rng, shape):
+    return SampledSignal(grid, rng.standard_normal((*shape, grid.n))
+                         + 1j * rng.standard_normal((*shape, grid.n)))
+
+
+def test_a_stack_holds_its_shape_and_a_single_signal_the_empty_one():
+    g = make_grid(16, 0.25)
+    rng = np.random.default_rng(4)
+    assert stack_of(g, rng, (3, 2)).stack_shape == (3, 2)
+    assert random_signal(g, rng).stack_shape == ()
+    assert without_zero_nyquist(stack_of(g, rng, (5,))).stack_shape == (5,)
+    assert isinstance(zero_nyquist_fraction(random_signal(g, rng)), float)
+    assert zero_nyquist_fraction(stack_of(g, rng, (3, 2))).shape == (3, 2)
+    # a signal with no energy has no edge fraction either, alone or in a stack
+    assert zero_nyquist_fraction(SampledSignal(g, np.zeros(16))) == 0.0
+    assert np.array_equal(zero_nyquist_fraction(SampledSignal(g, np.zeros((2, 16)))), [0, 0])
+    # the last axis must be the grid's
+    for shape in [(), (8, 3), (2, 16, 1)]:
+        with pytest.raises(GridError):
+            SampledSignal(g, np.zeros(shape))
+
+
+def test_a_kernel_refuses_a_stack():
+    g = make_grid(16, 0.25)
+    rng = np.random.default_rng(5)
+    with pytest.raises(GridError):
+        Kernel(g, np.zeros((2, 16)))
+    kernel = Kernel(g, rng.standard_normal(16))
+    with pytest.raises(GridError):
+        kernel + stack_of(g, rng, (3,))
+    with pytest.raises(GridError):
+        kernel - without_zero_nyquist(stack_of(g, rng, (3,)))
+
+
+def test_stacks_whose_shapes_do_not_broadcast_are_refused():
+    g = make_grid(16, 0.25)
+    rng = np.random.default_rng(6)
+    a, b = stack_of(g, rng, (3,)), stack_of(g, rng, (4,))
+    for combine in (lambda x, y: x + y, lambda x, y: x - y):
+        with pytest.raises(GridError):
+            combine(a, b)
+        with pytest.raises(GridError):
+            combine(without_zero_nyquist(a), b)
+    with pytest.raises(GridError):
+        quad_form(a, Kernel(g, rng.standard_normal(16)), b)
+    # shapes that broadcast combine as numpy broadcasts them
+    assert (stack_of(g, rng, (3, 1)) + b).stack_shape == (3, 4)
+    assert (a - random_signal(g, rng)).stack_shape == (3,)
+
+
+def test_what_reads_one_signal_refuses_a_stack(tmp_path):
+    g = make_grid(16, 0.25)
+    s = stack_of(g, np.random.default_rng(7), (2,))
+    with pytest.raises(GridError):
+        s.value_at(0.0)
+    with pytest.raises(GridError):
+        to_record(s)
+    for write, name in ((write_json, "s.json"), (write_csv, "s.csv")):
+        with pytest.raises(GridError):
+            write(s, tmp_path / name)
+        assert not (tmp_path / name).exists()
+
+
+def test_the_signals_of_a_stack_axis_keep_their_domain_and_bits():
+    g = make_grid(16, 0.25)
+    s = stack_of(g, np.random.default_rng(8), (3, 2))
+    for made in (s, without_zero_nyquist(s)):
+        for j, column in enumerate(grids._unstack(made)):
+            assert column._made_in == made._made_in
+            assert column.stack_shape == (3,)
+            assert column.values.tobytes() == made.values[:, j].tobytes()
+    with pytest.raises(GridError):
+        grids._unstack(random_signal(g, np.random.default_rng(9)))

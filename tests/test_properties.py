@@ -15,16 +15,18 @@ from oscresp import fock
 from oscresp.driven import _rk4, causal_window, sin_scenario, step_scenario
 from oscresp.functionals import (ProbeSet, _eta_ladder_coefficients,
                                  charged_substitution_residual, coherent_mean,
-                                 gaussian_moments, inverse_substitution, moment_residuals,
-                                 phi_in_state, predicted_moment, quad_form,
-                                 response_substitution)
-from oscresp.grids import (Kernel, SampledSignal, frequency_split, half_step, kernel_adjoint,
-                           make_grid, plus_values, swap_reflect, without_zero_nyquist)
+                                 gaussian_moments, inverse_substitution,
+                                 log_phi_vac_quadratic, moment_residuals, phi_in_state,
+                                 phi_vac_quadratic, phi_vac_response, predicted_moment,
+                                 quad_form, response_substitution)
+from oscresp.grids import (Kernel, SampledSignal, circular_convolve, frequency_split,
+                           half_step, kernel_adjoint, make_grid, plus_values, swap_reflect,
+                           without_zero_nyquist, zero_nyquist_fraction)
 from oscresp.kernels import (RECONSTRUCTED, ChargedModeSet, ModeSet, OscillatorParams,
                              charged_field_kernels, commutator_kernel,
                              neutral_field_kernels, osc_kernels, reconstruct,
                              reconstruction_residuals, time_order)
-from oscresp.wick import _expansion, enumerate_pairings, pair_value, verify_wick
+from oscresp.wick import _sides, enumerate_pairings, pair_value, verify_wick
 from test_driven import stage_loop_rk4
 from test_fock import dense_average, oracle_matrices, zero_padded
 
@@ -434,7 +436,7 @@ def test_one_contraction_equals_the_sum_over_pairings(m, state, data, p):
     labels = data.draw(st.lists(st.tuples(branches, times), min_size=m, max_size=m))
     factors = [fock.Factor("q", t, branch) for branch, t in labels]
     expected, size = pairing_sum(state, factors, p)
-    assert abs(_expansion(state, factors, p) - expected) <= 1e-13 * size
+    assert abs(_sides(state, labels, p)[1] - expected) <= 1e-13 * size
     # the c-number pairing sum of a random symmetric quad and lin, pair by pair
     rng = np.random.default_rng(data.draw(seeds))
     quad = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
@@ -641,3 +643,82 @@ def test_every_scenario_reads_its_onset_by_one_rule(build, onset, amplitude):
     np.testing.assert_allclose(values[rest], expected[rest], rtol=1e-15, atol=0.0)
     window = np.flatnonzero(causal_window(grid, t_on))
     assert window[0] == first if first < grid.n else window.size == 0
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def within_ulps(a, b, ulps=4) -> bool:
+    """|a - b| within `ulps` units in the last place of the larger magnitude."""
+    return abs(a - b) <= ulps * np.spacing(max(abs(a), abs(b)))
+
+
+stack_shapes = st.lists(st.integers(1, 3), min_size=1, max_size=2).map(tuple)
+
+
+@PROPERTY
+@given(oscillators(), charged_modes(), stack_shapes, st.floats(1e-3, 1.0), seeds)
+def test_a_stack_gives_the_bits_of_its_signals_one_at_a_time(oscillator, field, shape, scale,
+                                                             seed):
+    p, grid = oscillator
+    rng = np.random.default_rng(seed)
+    # probes of this size keep the vacuum forms' exponents of the order of scale^2
+    size = scale * np.sqrt(p.mass * p.omega0 / p.hbar) / grid.period
+
+    def stack(grid, clean):
+        s = SampledSignal(grid, size * (rng.standard_normal((*shape, grid.n))
+                                        + 1j * rng.standard_normal((*shape, grid.n))))
+        return without_zero_nyquist(s) if clean else s
+
+    def row(s, i):
+        """Signal i of the stack s, made in the domain s was made in."""
+        if s._made_in == "values":
+            return SampledSignal(s.grid, s.values[i])
+        return type(s)._made(s.grid, spectrum=s._spectrum[i].copy())
+
+    a, b = stack(grid, clean=False), stack(grid, clean=True)
+    k = Kernel(grid, rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n))
+    kers = osc_kernels(p, grid)
+    stacked = {
+        "fft": lambda x, y: x._spectrum, "ifft": lambda x, y: y.values,
+        "plus": lambda x, y: frequency_split(x)[0].values,
+        "minus": lambda x, y: frequency_split(y)[1].values,
+        "sum": lambda x, y: (x + y).values, "difference": lambda x, y: (y - x).values,
+        "scaled": lambda x, y: ((0.3 - 1.1j) * y).values, "conj": lambda x, y: y.conj().values,
+        "cleaned": lambda x, y: without_zero_nyquist(x).values,
+        "convolved": lambda x, y: circular_convolve(k, y).values,
+        "edge fraction": lambda x, y: zero_nyquist_fraction(x),
+        "quad form": lambda x, y: quad_form(x, kers.d_f, y),
+    }
+    near = {
+        "log vacuum": lambda x, y: log_phi_vac_quadratic(ProbeSet(x, y, p.hbar), kers),
+        "vacuum": lambda x, y: phi_vac_quadratic(ProbeSet(x, y, p.hbar), kers),
+        "emission": lambda x, y: phi_vac_response(ProbeSet(x, y, p.hbar), kers.d_r),
+    }
+    for name, fn in {**stacked, **near}.items():
+        values = fn(a, b)
+        for i in np.ndindex(shape):
+            one = fn(row(a, i), row(b, i))
+            assert np.ndim(one) == np.ndim(values) - len(shape), name
+            if name in near:
+                assert type(one) is complex and within_ulps(values[i], one), name
+            else:
+                assert same_bits(values[i], one), name
+    # a single signal against a stack broadcasts over the stack
+    single = row(b, (0,) * len(shape))
+    forms = quad_form(a, kers.d_f, single)
+    assert all(same_bits(forms[i], quad_form(row(a, i), kers.d_f, single))
+               for i in np.ndindex(shape))
+
+    # the charged residual of stacked pairs, one pair at a time
+    grid, modes = field
+    ck = charged_field_kernels(modes, grid)
+    pairs = [stack(grid, clean=True) for _ in range(4)]
+    residuals = charged_substitution_residual(ProbeSet(*pairs[:2]), ProbeSet(*pairs[2:]), ck)
+    assert residuals.shape == shape
+    for i in np.ndindex(shape):
+        one = charged_substitution_residual(ProbeSet(*(row(s, i) for s in pairs[:2])),
+                                            ProbeSet(*(row(s, i) for s in pairs[2:])), ck)
+        assert type(one) is float and within_ulps(residuals[i], one)

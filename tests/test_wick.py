@@ -5,7 +5,7 @@ import pytest
 
 from oscresp import fock
 from oscresp.kernels import OscillatorParams, osc_df_value
-from oscresp.wick import (WickError, enumerate_pairings, hori_expand,
+from oscresp.wick import (WickError, _sides, enumerate_pairings, hori_expand,
                           pair_operator_counts, pair_value, verify_wick)
 
 P = OscillatorParams()
@@ -170,3 +170,28 @@ def test_verify_cap():
         verify_wick(vac, [("plus", 0.1)] * 9, P)
     with pytest.raises(WickError):
         enumerate_pairings(9)
+
+
+def test_both_sides_read_one_set_of_parts_and_diagonals(monkeypatch):
+    calls = {"_diagonals": 0, "_factor_parts": 0}
+    for name in calls:
+        def counted(*args, name=name, fn=getattr(fock, name)):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(fock, name, counted)
+    factors = [("plus", 0.3), ("minus", 1.1), ("plus", -0.4)]
+    assert verify_wick(fock.make_state("coherent", 20, alpha=0.5), factors, P) < 1e-11
+    assert calls == {"_diagonals": 1, "_factor_parts": 3}
+
+
+def test_the_left_side_has_the_bits_of_ordered_average():
+    rng = np.random.default_rng(31)
+    states = [fock.make_state("vacuum", 20), fock.make_state("coherent", 30, alpha=0.8),
+              fock.make_state("thermal", 30, nbar=0.4)]
+    for m in range(fock.MAX_FACTORS + 1):
+        for state in states:
+            factors = [("plus" if rng.random() < 0.5 else "minus", float(rng.uniform(-2, 2)))
+                       for _ in range(m)]
+            spec = fock.OrderedProductSpec(tuple(("q", t, b) for b, t in factors), "double_time")
+            average, _ = _sides(state, factors, P)
+            assert average == fock.ordered_average(state, spec, P)
